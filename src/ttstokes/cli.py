@@ -8,7 +8,8 @@ that convention throughout.
 Output is a pretty table by default or a deterministic JSON envelope with
 ``--format json``: keys sorted, floats rendered with 12 significant digits,
 complex numbers as [re, im] pairs, so output is byte-stable for fixed flags
-and seed.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+and seed.  Exit codes: 0 success, 1 verification failure or a
+numerical/calibration error (``error: ...`` on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .linalg import Tolerance, char_poly, cyclic_for, max_abs, poly_from_roots
+from .linalg import (
+    NumericalError,
+    Tolerance,
+    char_poly,
+    cyclic_for,
+    max_abs,
+    poly_from_roots,
+)
 from . import reference
 from .roots import (
     singular_direction,
@@ -39,7 +47,13 @@ from .solutions import (
     polytope_contains,
     s_formulas,
 )
-from .steinberg import calibrate, chi, cross_section_check, steinberg_section
+from .steinberg import (
+    CalibrationError,
+    calibrate,
+    chi,
+    cross_section_check,
+    steinberg_section,
+)
 from .stokes import StokesParams, build_m0, build_q
 from .verify import SUITES, run_suites
 
@@ -55,8 +69,10 @@ def _fnum(x: float) -> str:
 
 def _jsonable(obj):
     """Convert to plain dict/list/str/float/int/bool/None, complex -> [re, im]."""
-    if isinstance(obj, bool) or isinstance(obj, (str, type(None))):
+    if isinstance(obj, (str, type(None))):
         return obj
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         z = complex(obj)
         return [z.real, z.imag]
@@ -141,6 +157,13 @@ def _size(text: str) -> int:
     return val
 
 
+def _samples(text: str) -> int:
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return val
+
+
 def _parse_sizes(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -158,15 +181,22 @@ def _resolve_seed(ns) -> int:
     return int(os.environ.get("TTSTOKES_SEED", "0"))
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    vals = [float(x) for x in text.split(",")]
+    if not all(np.isfinite(vals)):
+        raise ValueError(f"{flag} values must be finite")
+    return vals
+
+
 def _parse_gamma(ns, n_plus_1: int) -> GammaVector:
     """Read --gamma (full vector) or --gamma-free (independent half)."""
     if ns.gamma is not None:
-        vals = [float(x) for x in ns.gamma.split(",")]
+        vals = _floats(ns.gamma, "--gamma")
         if len(vals) != n_plus_1:
             raise ValueError(f"--gamma needs {n_plus_1} comma-separated values")
         return GammaVector(n_plus_1, np.array(vals))
     m = n_plus_1 // 2
-    vals = [float(x) for x in ns.gamma_free.split(",")]
+    vals = _floats(ns.gamma_free, "--gamma-free")
     if len(vals) != m:
         raise ValueError(f"--gamma-free needs the {m} independent values")
     full = list(vals)
@@ -283,7 +313,7 @@ def _cmd_from_gamma(ns):
 def _cmd_alcove(ns):
     n1 = ns.n
     if ns.rho is not None:
-        vals = [float(x) for x in ns.rho.split(",")]
+        vals = _floats(ns.rho, "--rho")
         if len(vals) != n1:
             raise ValueError(f"--rho needs {n1} comma-separated values")
         p = AlcovePoint(n1, np.array(vals))
@@ -512,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "section/monodromy check")
     p.add_argument("--n", type=_size, required=True,
                    help="matrix size n+1 (>= 3)")
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_samples, default=25)
     p.set_defaults(func=_cmd_steinberg)
 
     p = sub.add_parser("golden", parents=[common],
@@ -526,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the randomized invariant suites")
     p.add_argument("--n", dest="sizes", type=_parse_sizes, required=True,
                    help="size or range of sizes, e.g. 4 or 3..10")
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_samples, default=25)
     p.add_argument("--suite", choices=sorted(SUITES),
                    help="run a single named suite instead of all")
     p.set_defaults(func=_cmd_verify)
@@ -541,6 +571,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (CalibrationError, NumericalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     n_for_env = getattr(ns, "n", None)
     if n_for_env is None:
         sizes = getattr(ns, "sizes", None)

@@ -8,11 +8,30 @@ cyclic shift matrix that the monodromy construction uses. Once calibrated,
 the coefficient map chi (signed characteristic polynomial coefficients)
 restricts to a bijection between section values and coefficient space, with
 chi(s(t)) a signed relabeling of t.
+
+The signs come from a linear solve over GF(2), not a search. Flipping
+sigma_k negates its rows a_k and b_k, i.e. multiplies it on the left by the
+diagonal sign matrix D_k with -1 at those two indices. Moving D_k to the
+front past the prefix sigma_1 ... sigma_{k-1}, a signed permutation with
+permutation pi, turns it into the sign matrix with -1 at pi(a_k), pi(b_k)
+(the prefix's own signs cancel in the conjugation). So the flips x in
+GF(2)^n multiply the unflipped product P0 on the left by a diagonal sign
+matrix, and they must solve
+
+    sum_k x_k (e_{pi(a_k)} + e_{pi(b_k)}) = the -1 pattern of diag(cyclic P0^T).
+
+The vectors on the left are the edges of a graph on the n+1 indices, and
+the product of their transpositions is the permutation of P0. When
+cyclic P0^T is diagonal that permutation is the cyclic shift, a single
+(n+1)-cycle, so the graph is connected: n edges on n+1 vertices form a
+spanning tree, whose edge vectors have rank n over GF(2). The solution is
+therefore unique, and it exists because the right-hand side has even
+weight (cyclic and P0 both have determinant 1), which is exactly the span
+of a spanning tree's edges.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -80,13 +99,15 @@ def weyl_rep(n_plus_1: int, root: Root, flipped: bool = False) -> WeylRep:
     return WeylRep(n_plus_1, tuple(root), flipped)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectionCalibration:
     """Calibrated data of the cross-section for one size.
 
     ``signs[k]`` is +1 for the default generator orientation and -1 for the
     flipped one. ``chi_sources`` and ``chi_signs`` describe the relabeling
-    chi(s(t))_k = chi_signs[k] * t[chi_sources[k]].
+    chi(s(t))_k = chi_signs[k] * t[chi_sources[k]]. The calibration is
+    immutable: the generator matrices in ``sigmas`` are read-only, and they
+    are left out of equality since root order and signs determine them.
     """
 
     n_plus_1: int
@@ -94,7 +115,7 @@ class SectionCalibration:
     signs: tuple[int, ...]
     chi_sources: tuple[int, ...]
     chi_signs: tuple[int, ...]
-    sigmas: list[np.ndarray] = field(repr=False)
+    sigmas: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def flips(self) -> tuple[int, ...]:
@@ -118,26 +139,62 @@ class SectionCalibration:
         return t
 
 
-def _flip_candidates(n: int):
-    """Deterministic search order: no flips, last-only, other singletons,
-    then everything else by size."""
-    yield ()
-    if n >= 1:
-        yield (n - 1,)
-        for k in range(n - 1):
-            yield (k,)
-    for size in range(2, n + 1):
-        yield from itertools.combinations(range(n), size)
+def _product(mats, n_plus_1: int) -> np.ndarray:
+    prod = np.eye(n_plus_1)
+    for m in mats:
+        prod = prod @ m
+    return prod
+
+
+def _solve_flips(order: tuple[Root, ...], target: np.ndarray) -> tuple[int, ...]:
+    """Generators to flip so that the generator product equals ``target``.
+
+    Solves sum_k x_k (e_{pi(a_k)} + e_{pi(b_k)}) = c over GF(2), where c
+    marks the -1 entries of the diagonal sign matrix target * P0^T and pi is
+    the permutation of the generators before k (see the module docstring).
+    """
+    n1 = target.shape[0]
+    n = len(order)
+    p0 = _product((WeylRep(n1, r).matrix() for r in order), n1)
+    d = target @ p0.T
+    diag = np.diag(d)
+    if not (np.array_equal(d, np.diag(diag)) and np.all(np.abs(diag) == 1)):
+        raise CalibrationError(
+            f"generator product is not a signed cyclic shift at size {n1}"
+        )
+    # augmented system [A | c], one row per index, one column per generator
+    system = np.zeros((n1, n + 1), dtype=np.uint8)
+    system[:, n] = diag < 0
+    perm = np.arange(n1)
+    for k, (i, j) in enumerate(order):
+        system[perm[i], k] = system[perm[j], k] = 1
+        perm[[i, j]] = perm[[j, i]]
+    # Gauss-Jordan elimination; XOR is addition over GF(2)
+    for col in range(n):
+        hits = np.flatnonzero(system[col:, col])
+        if len(hits) == 0:
+            raise CalibrationError(
+                f"sign system is singular at size {n1} (generator {col})"
+            )
+        p = col + hits[0]
+        system[[col, p]] = system[[p, col]]
+        rows = np.flatnonzero(system[:, col])
+        system[rows[rows != col]] ^= system[col]
+    if system[n:, n].any():
+        raise CalibrationError(f"sign system is inconsistent at size {n1}")
+    return tuple(k for k in range(n) if system[k, n])
 
 
 def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration:
     """Choose generator signs and learn the chi relabeling for one size.
 
     The root order is the head block followed by the tail block, both in
-    table order. The flip search is deterministic, so the same size always
-    yields the same calibration. The chi relabeling is probed on basis
-    vectors and then verified on random ones; failure of either step raises
-    CalibrationError.
+    table order. The signs are the unique solution of a GF(2) system (see
+    the module docstring), so the same size always yields the same
+    calibration. CalibrationError is raised if the unflipped product is not
+    the shift up to signs, if the system is singular or inconsistent, if the
+    signed product differs from the shift in any entry, or if the chi
+    relabeling, probed on basis vectors and verified on random ones, fails.
     """
     head = table_supported_roots(n_plus_1, "head")
     tail = table_supported_roots(n_plus_1, "tail")
@@ -149,22 +206,16 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
         )
     target = cyclic_for(n_plus_1)
 
-    chosen = None
-    for flips in _flip_candidates(n):
-        sigmas = [
-            WeylRep(n_plus_1, order[k], k in flips).matrix() for k in range(n)
-        ]
-        prod = np.eye(n_plus_1)
-        for s in sigmas:
-            prod = prod @ s
-        if np.array_equal(prod, target):
-            chosen = (flips, sigmas)
-            break
-    if chosen is None:
+    flips = _solve_flips(order, target)
+    sigmas = tuple(
+        WeylRep(n_plus_1, order[k], k in flips).matrix() for k in range(n)
+    )
+    for s in sigmas:
+        s.setflags(write=False)
+    if not np.array_equal(_product(sigmas, n_plus_1), target):
         raise CalibrationError(
-            f"no sign assignment matches the shift at size {n_plus_1}"
+            f"signed generator product differs from the shift at size {n_plus_1}"
         )
-    flips, sigmas = chosen
     signs = tuple(-1 if k in flips else 1 for k in range(n))
 
     cal = SectionCalibration(

@@ -11,7 +11,10 @@ import sys
 import numpy as np
 import pytest
 
+from ttstokes import cli
 from ttstokes.cli import main
+from ttstokes.linalg import NumericalError
+from ttstokes.steinberg import CalibrationError
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,50 @@ def test_verify_green_run(capsys):
                            "--seed", "7")
     assert code == 0
     assert "overall: pass" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "steinberg"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_usage_error_samples_below_one(capsys, command, samples):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "4", f"--samples={samples}"])
+    assert exc.value.code == 2
+    assert "argument --samples: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["from-gamma", "--n", "4", "--gamma", "nan,0,0,nan"],
+    ["from-gamma", "--n", "4", "--gamma=-inf,0,0,inf"],
+    ["from-gamma", "--n", "5", "--gamma-free", "nan,0"],
+    ["alcove", "--n", "4", "--rho", "0.25,nan,-0.75,-0.25"],
+])
+def test_usage_error_non_finite_input(capsys, flags):
+    code, out, err = run_cli(capsys, *flags)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("exc_type", [CalibrationError, NumericalError])
+def test_library_errors_exit_1_with_message(capsys, monkeypatch, exc_type):
+    def fail(n1):
+        raise exc_type(f"cannot calibrate size {n1}")
+
+    monkeypatch.setattr(cli, "calibrate", fail)
+    code, out, err = run_cli(capsys, "steinberg", "--n", "32")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot calibrate size 32\n"
+
+
+def test_verify_json_verdicts_are_booleans(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "3..6", "--suite", "stokes",
+                           "--seed", "1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["payload"]["results"]
+    assert len(rows) == 4
+    assert all(type(r["passed"]) is bool for r in rows)
+    assert '"passed":"' not in out
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,24 @@
 
 The size-4 generators must reproduce the reference matrices exactly (same
 sign conventions). For size 5 the calibrated flip set and the chi permutation
-were derived by hand beforehand and are asserted as frozen values.
+were derived by hand beforehand and are asserted as frozen values. For
+sizes 3..18 the root order, flips and chi relabeling are frozen as they came
+from the exhaustive flip search that preceded the GF(2) solve; sizes past
+that range are checked structurally.
 """
+
+import dataclasses
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttstokes import reference as ref
+from ttstokes import steinberg
 from ttstokes.linalg import (
     Tolerance,
+    cyclic_for,
     eigenvalues,
     match_multisets,
     shift_matrix,
@@ -19,6 +27,7 @@ from ttstokes.linalg import (
 )
 from ttstokes.steinberg import (
     CalibrationError,
+    _solve_flips,
     calibrate,
     chi,
     cross_section_check,
@@ -68,7 +77,8 @@ def test_calibrate_3_product():
     assert np.array_equal(prod, shift_matrix(3))
 
 
-@pytest.mark.parametrize("n1", range(3, 11))
+# 19..24 lie past the frozen table, where the old search took 22 s to minutes
+@pytest.mark.parametrize("n1", [*range(3, 11), *range(19, 25)])
 def test_calibrate_product_and_permutation(n1):
     cal = calibrate(n1)
     prod = np.eye(n1)
@@ -78,6 +88,95 @@ def test_calibrate_product_and_permutation(n1):
     # chi relabeling must be a bijection with unit signs
     assert sorted(cal.chi_sources) == list(range(n1 - 1))
     assert all(s in (-1, 1) for s in cal.chi_signs)
+
+
+# size -> (root_order, flips, chi_sources, chi_signs), recorded from the
+# exhaustive flip search
+FROZEN_CALIBRATIONS = {3: (((1, 0), (0, 2)), (1,), (0, 1), (1, 1)),
+ 4: (((1, 0), (2, 3), (0, 2)), (2,), (0, 2, 1), (1, 1, -1)),
+ 5: (((2, 0), (3, 4), (0, 3), (1, 2)), (0,), (3, 0, 2, 1), (-1, -1, -1, -1)),
+ 6: (((3, 5), (2, 0), (0, 3), (1, 2), (5, 4)), (0, 1), (3, 1, 2, 0, 4),
+     (-1, -1, -1, 1, 1)),
+ 7: (((3, 0), (2, 1), (4, 6), (0, 4), (1, 3), (6, 5)), (2, 3, 4), (1, 4, 0, 3, 2, 5),
+     (1, 1, 1, 1, 1, 1)),
+ 8: (((3, 0), (2, 1), (4, 7), (5, 6), (7, 5), (0, 4), (1, 3)), (4, 5, 6),
+     (1, 6, 0, 5, 2, 4, 3), (1, 1, 1, 1, -1, -1, -1)),
+ 9: (((4, 0), (3, 1), (5, 8), (6, 7), (8, 6), (0, 5), (1, 4), (2, 3)), (0, 1, 4),
+     (7, 1, 6, 0, 5, 2, 4, 3), (-1, -1, -1, -1, -1, -1, -1, -1)),
+ 10: (((5, 9), (6, 8), (4, 0), (3, 1), (0, 5), (1, 4), (2, 3), (9, 6), (8, 7)),
+      (0, 1, 2, 3), (6, 3, 5, 2, 4, 0, 7, 1, 8), (-1, -1, -1, -1, -1, 1, 1, 1, 1)),
+ 11: (((5, 0), (4, 1), (3, 2), (6, 10), (7, 9), (0, 6), (1, 5), (2, 4), (10, 7),
+       (9, 8)),
+      (3, 4, 5, 6, 7), (2, 7, 1, 6, 0, 5, 3, 8, 4, 9), (1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+ 12: (((5, 0), (4, 1), (3, 2), (6, 11), (7, 10), (8, 9), (11, 7), (10, 8), (0, 6),
+       (1, 5), (2, 4)),
+      (6, 7, 8, 9, 10), (2, 10, 1, 9, 0, 8, 3, 6, 4, 7, 5),
+      (1, 1, 1, 1, 1, 1, -1, -1, -1, -1, -1)),
+ 13: (((6, 0), (5, 1), (4, 2), (7, 12), (8, 11), (9, 10), (12, 8), (11, 9), (0, 7),
+       (1, 6), (2, 5), (3, 4)),
+      (0, 1, 2, 6, 7), (11, 2, 10, 1, 9, 0, 8, 3, 6, 4, 7, 5),
+      (-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1)),
+ 14: (((7, 13), (8, 12), (9, 11), (6, 0), (5, 1), (4, 2), (0, 7), (1, 6), (2, 5),
+       (3, 4), (13, 8), (12, 9), (11, 10)),
+      (0, 1, 2, 3, 4, 5), (9, 5, 8, 4, 7, 3, 6, 0, 10, 1, 11, 2, 12),
+      (-1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1)),
+ 15: (((7, 0), (6, 1), (5, 2), (4, 3), (8, 14), (9, 13), (10, 12), (0, 8), (1, 7),
+       (2, 6), (3, 5), (14, 9), (13, 10), (12, 11)),
+      (4, 5, 6, 7, 8, 9, 10), (3, 10, 2, 9, 1, 8, 0, 7, 4, 11, 5, 12, 6, 13),
+      (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+ 16: (((7, 0), (6, 1), (5, 2), (4, 3), (8, 15), (9, 14), (10, 13), (11, 12), (15, 9),
+       (14, 10), (13, 11), (0, 8), (1, 7), (2, 6), (3, 5)),
+      (8, 9, 10, 11, 12, 13, 14), (3, 14, 2, 13, 1, 12, 0, 11, 4, 8, 5, 9, 6, 10, 7),
+      (1, 1, 1, 1, 1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1)),
+ 17: (((8, 0), (7, 1), (6, 2), (5, 3), (9, 16), (10, 15), (11, 14), (12, 13), (16, 10),
+       (15, 11), (14, 12), (0, 9), (1, 8), (2, 7), (3, 6), (4, 5)),
+      (0, 1, 2, 3, 8, 9, 10), (15, 3, 14, 2, 13, 1, 12, 0, 11, 4, 8, 5, 9, 6, 10, 7),
+      (-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1)),
+ 18: (((9, 17), (10, 16), (11, 15), (12, 14), (8, 0), (7, 1), (6, 2), (5, 3), (0, 9),
+       (1, 8), (2, 7), (3, 6), (4, 5), (17, 10), (16, 11), (15, 12), (14, 13)),
+      (0, 1, 2, 3, 4, 5, 6, 7),
+      (12, 7, 11, 6, 10, 5, 9, 4, 8, 0, 13, 1, 14, 2, 15, 3, 16),
+      (-1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1, 1, 1))}
+
+
+@pytest.mark.parametrize("n1", sorted(FROZEN_CALIBRATIONS))
+def test_calibration_matches_frozen_table(n1):
+    cal = calibrate(n1)
+    assert (cal.root_order, cal.flips, cal.chi_sources, cal.chi_signs) == (
+        FROZEN_CALIBRATIONS[n1]
+    )
+
+
+def test_calibrate_24_is_fast():
+    t0 = time.perf_counter()
+    calibrate(24)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_calibration_is_immutable():
+    cal = calibrate(5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cal.signs = (1, 1, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cal.sigmas = ()
+    with pytest.raises(ValueError):
+        cal.sigmas[0][0, 0] = 7.0
+    assert isinstance(cal.sigmas, tuple)
+    assert cal == calibrate(5) and hash(cal) == hash(calibrate(5))
+
+
+def test_calibrate_rejects_a_product_that_is_no_signed_shift(monkeypatch):
+    monkeypatch.setattr(steinberg, "cyclic_for", lambda n1: np.eye(n1))
+    with pytest.raises(CalibrationError, match="not a signed cyclic shift"):
+        calibrate(4)
+
+
+def test_sign_system_rejects_an_odd_sign_pattern():
+    # one -1 on the diagonal cannot be a sum of the two-index edge vectors
+    cal = calibrate(4)
+    target = np.diag([-1.0, 1.0, 1.0, 1.0]) @ cyclic_for(4)
+    with pytest.raises(CalibrationError, match="inconsistent"):
+        _solve_flips(cal.root_order, target)
 
 
 # ---------------------------------------------------------------------------
