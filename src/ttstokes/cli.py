@@ -32,6 +32,7 @@ from .linalg import (
 )
 from . import reference
 from .roots import (
+    shifted_table_roots,
     singular_direction,
     singular_directions,
     supported_roots,
@@ -228,20 +229,13 @@ def _cmd_directions(ns):
     return {"directions": rows}, {}, lines, 0
 
 
-def _shifted_table(n1: int, ell: int) -> set:
-    which = "head" if ell % 2 == 0 else "second"
-    s = ell // 2
-    return {((i - s) % n1, (j - s) % n1)
-            for i, j in table_supported_roots(n1, which)}
-
-
 def _cmd_roots(ns):
     n1 = ns.n
     rows = []
     mismatches = 0
     for d in singular_directions(n1):
         from_arg = sorted(supported_roots(n1, d.ell))
-        agrees = set(from_arg) == _shifted_table(n1, d.ell)
+        agrees = set(from_arg) == shifted_table_roots(n1, d.ell)
         mismatches += 0 if agrees else 1
         rows.append({
             "ell": d.ell,

@@ -12,6 +12,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "omega_pow",
+    "omega_powers",
     "char_poly",
     "poly_eval",
     "poly_from_roots",
@@ -35,6 +37,7 @@ __all__ = [
     "fourier_matrix",
     "elementary",
     "max_abs",
+    "nan_max",
 ]
 
 
@@ -75,10 +78,29 @@ def omega_pow(n_plus_1: int, k: float) -> complex:
     return complex(np.cos(ang), np.sin(ang))
 
 
+def omega_powers(n_plus_1: int) -> np.ndarray:
+    """The vector (omega^0, ..., omega^n), each entry from its angle as in
+    :func:`omega_pow`."""
+    ang = 2.0 * np.pi * np.arange(n_plus_1) / n_plus_1
+    return np.cos(ang) + 1j * np.sin(ang)
+
+
 def max_abs(M) -> float:
     """Largest entry magnitude; the residual measure used throughout."""
     M = np.asarray(M)
     return float(np.max(np.abs(M))) if M.size else 0.0
+
+
+def nan_max(*values):
+    """Largest of the values, or NaN when any of them is NaN.
+
+    The builtin max drops a NaN that is not its first argument (every
+    comparison with NaN is false), so max(0.0, nan) is 0.0 and a NaN residual
+    would read as a pass. Worst-residual accumulators use this instead.
+    """
+    if any(v != v for v in values):
+        return math.nan
+    return max(values)
 
 
 # ---------------------------------------------------------------------------

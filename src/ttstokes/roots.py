@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import omega_pow
+from .linalg import omega_powers
 
 Root = tuple[int, int]
 
@@ -33,6 +33,7 @@ __all__ = [
     "singular_directions",
     "supported_roots",
     "table_supported_roots",
+    "shifted_table_roots",
     "half_period_roots",
     "order_diagram",
     "simple_system_check",
@@ -107,16 +108,18 @@ def supported_roots(n_plus_1: int, ell: int) -> list[Root]:
 
     alpha_{ij} is supported at theta_ell iff arg(omega^j - omega^i) agrees
     with theta_ell mod 2 pi. The comparison is done between points on the
-    unit circle, which avoids branch-cut bookkeeping.
+    unit circle, which avoids branch-cut bookkeeping. The roots come back
+    sorted lexicographically.
     """
     d = singular_direction(n_plus_1, ell)
     target = complex(np.cos(d.theta), np.sin(d.theta))
-    out = []
-    for i, j in all_roots(n_plus_1):
-        z = omega_pow(n_plus_1, j) - omega_pow(n_plus_1, i)
-        if abs(z / abs(z) - target) < _DIRECTION_EPS:
-            out.append((i, j))
-    return out
+    w = omega_powers(n_plus_1)
+    z = w[None, :] - w[:, None]  # z[i, j] = omega^j - omega^i
+    np.fill_diagonal(z, 1.0)  # any nonzero value; the diagonal is no root
+    mask = np.abs(z / np.abs(z) - target) < _DIRECTION_EPS
+    np.fill_diagonal(mask, False)
+    rows, cols = np.nonzero(mask)  # row-major, so lexicographic
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,15 @@ def table_supported_roots(n_plus_1: int, which: str) -> list[Root]:
     consumes head and tail blocks in exactly this order.
     """
     return _table_rows(n_plus_1, which)
+
+
+def shifted_table_roots(n_plus_1: int, ell: int) -> set[Root]:
+    """Closed-form prediction for any direction: the head/second table for
+    the parity of ell, shifted down by ell//2 in both indices."""
+    which = "head" if ell % 2 == 0 else "second"
+    s = ell // 2
+    return {((i - s) % n_plus_1, (j - s) % n_plus_1)
+            for i, j in table_supported_roots(n_plus_1, which)}
 
 
 def half_period_roots(n_plus_1: int) -> list[Root]:

@@ -46,6 +46,7 @@ from .linalg import (
     eigenvalues,
     match_multisets,
     max_abs,
+    nan_max,
 )
 from .roots import Root, table_supported_roots
 from .stokes import build_m0, monodromy_support, random_stokes_params
@@ -344,13 +345,13 @@ def cross_section_check(
         scale = max(1.0, max_abs(M))
         off = max_abs(M[~mask]) / scale
         rt = max_abs(reconstruct_from_chi(cal, chi(M)) - M) / scale
-        worst_section = max(worst_section, off, rt)
+        worst_section = nan_max(worst_section, off, rt)
 
         p = random_stokes_params(n1, rng)
         M0 = build_m0(p).matrix
         scale0 = max(1.0, max_abs(M0))
         back = reconstruct_from_chi(cal, chi(M0))
-        worst_monodromy = max(worst_monodromy, max_abs(back - M0) / scale0)
+        worst_monodromy = nan_max(worst_monodromy, max_abs(back - M0) / scale0)
     passed = worst_section <= tol.bound(1.0) * 10 and worst_monodromy <= tol.bound(1.0) * 10
     return CrossSectionReport(n1, samples, worst_section, worst_monodromy, passed)
 

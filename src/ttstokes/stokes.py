@@ -21,6 +21,7 @@ from .linalg import (
     cyclic_for,
     max_abs,
     omega_pow,
+    omega_powers,
 )
 from .roots import Root, supported_roots, table_supported_roots
 
@@ -58,19 +59,16 @@ def q_pattern(n_plus_1: int, ell: int) -> np.ndarray:
     when arg(omega^i - omega^j) matches (n - ell) pi/(n+1) for even n+1, or
     (2n + 1 - 2 ell) pi/(2(n+1)) for odd n+1.
     """
-    pat = np.eye(n_plus_1, dtype=bool)
     if n_plus_1 % 2 == 0:
         ang = (n_plus_1 - 1 - ell) * np.pi / n_plus_1
     else:
         ang = (2 * n_plus_1 - 1 - 2 * ell) * np.pi / (2 * n_plus_1)
     target = complex(np.cos(ang), np.sin(ang))
-    for i in range(n_plus_1):
-        for j in range(n_plus_1):
-            if i == j:
-                continue
-            z = omega_pow(n_plus_1, i) - omega_pow(n_plus_1, j)
-            if abs(z / abs(z) - target) < 1e-9:
-                pat[i, j] = True
+    w = omega_powers(n_plus_1)
+    z = w[:, None] - w[None, :]  # z[i, j] = omega^i - omega^j
+    np.fill_diagonal(z, 1.0)  # any nonzero value; the diagonal is set below
+    pat = np.abs(z / np.abs(z) - target) < 1e-9
+    np.fill_diagonal(pat, True)
     return pat
 
 

@@ -16,8 +16,10 @@ from ttstokes.linalg import (
     eigenvalues,
     fourier_matrix,
     match_multisets,
+    nan_max,
     omega_diag,
     omega_pow,
+    omega_powers,
     poly_eval,
     poly_from_roots,
     reversal_matrix,
@@ -165,6 +167,26 @@ def test_omega_pow_half_integer():
     # square root of the primitive root, needed by the even monodromy scaling
     z = omega_pow(4, 0.5)
     assert abs(z - np.exp(1j * np.pi / 4)) < 1e-15
+
+
+@pytest.mark.parametrize("n1", [3, 4, 7, 16, 64])
+def test_omega_powers_match_omega_pow(n1):
+    w = omega_powers(n1)
+    assert w.shape == (n1,) and w.dtype == complex
+    # same angles; the vectorized cos/sin may differ from the scalar ones in
+    # the last bit on some hosts
+    np.testing.assert_allclose(w, [omega_pow(n1, k) for k in range(n1)],
+                               rtol=0, atol=1e-15)
+
+
+def test_nan_max_propagates_nan_in_any_position():
+    nan = float("nan")
+    assert max(0.0, nan) == 0.0  # the builtin drops it
+    assert np.isnan(nan_max(0.0, nan))
+    assert np.isnan(nan_max(nan, 0.0))
+    assert np.isnan(nan_max(1.0, np.float64(nan), 2.0))
+    assert nan_max(1e-12, 3.0, 2.0) == 3.0
+    assert nan_max(0.5) == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ttstokes import roots
+from ttstokes.linalg import omega_pow
 from ttstokes.roots import (
     all_roots,
     half_period_roots,
@@ -83,6 +84,31 @@ def test_rejects_tiny_size():
 def test_supported_roots_reference_sets(n1):
     for ell, expect in REFERENCE_SETS[n1].items():
         assert set(supported_roots(n1, ell)) == expect
+
+
+def _supported_roots_scalar(n_plus_1, ell):
+    """The root-by-root loop that computed supported_roots before it was
+    vectorized, kept as its reference. The powers of omega come from
+    omega_pow once per size instead of twice per root, which only saves
+    time: the values are the same."""
+    d = singular_direction(n_plus_1, ell)
+    target = complex(np.cos(d.theta), np.sin(d.theta))
+    om = [omega_pow(n_plus_1, k) for k in range(n_plus_1)]
+    out = []
+    for i, j in all_roots(n_plus_1):
+        z = om[j] - om[i]
+        if abs(z / abs(z) - target) < 1e-9:
+            out.append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_supported_roots_match_scalar_reference(n1):
+    """Same roots in the same (lexicographic) order, as tuples of ints."""
+    for ell in range(2 * n1):
+        got = supported_roots(n1, ell)
+        assert got == _supported_roots_scalar(n1, ell)
+        assert all(type(i) is int and type(j) is int for i, j in got)
 
 
 @pytest.mark.parametrize("n1", [4, 5, 3])

@@ -75,6 +75,43 @@ def test_q_pattern_matches_supported_roots(n1):
         assert all(pat[i, i] for i in range(n1))
 
 
+def _q_pattern_scalar(n_plus_1, ell):
+    """The entry-by-entry double loop that computed q_pattern before it was
+    vectorized, kept as its reference. The powers of omega come from
+    omega_pow once per size instead of twice per entry, which only saves
+    time: the values are the same."""
+    pat = np.eye(n_plus_1, dtype=bool)
+    if n_plus_1 % 2 == 0:
+        ang = (n_plus_1 - 1 - ell) * np.pi / n_plus_1
+    else:
+        ang = (2 * n_plus_1 - 1 - 2 * ell) * np.pi / (2 * n_plus_1)
+    target = complex(np.cos(ang), np.sin(ang))
+    om = [omega_pow(n_plus_1, k) for k in range(n_plus_1)]
+    for i in range(n_plus_1):
+        for j in range(n_plus_1):
+            if i == j:
+                continue
+            z = om[i] - om[j]
+            if abs(z / abs(z) - target) < 1e-9:
+                pat[i, j] = True
+    return pat
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_q_pattern_matches_scalar_reference(n1):
+    for ell in range(2 * n1):
+        assert np.array_equal(q_pattern(n1, ell), _q_pattern_scalar(n1, ell))
+
+
+def test_q_pattern_returns_a_fresh_writable_bool_array():
+    a = q_pattern(6, 0)
+    b = q_pattern(6, 0)
+    assert a.dtype == bool and a.shape == (6, 6)
+    assert a.flags.writeable and not np.shares_memory(a, b)
+    a[:] = False
+    assert np.array_equal(q_pattern(6, 0), b) and b.any()
+
+
 # ---------------------------------------------------------------------------
 # building the factors and the monodromy
 # ---------------------------------------------------------------------------
