@@ -9,7 +9,8 @@ Output is a pretty table by default or a deterministic JSON envelope with
 ``--format json``: keys sorted, floats rendered with 12 significant digits,
 complex numbers as [re, im] pairs, so output is byte-stable for fixed flags
 and seed.  Exit codes: 0 success, 1 verification failure or a
-numerical/calibration error (``error: ...`` on stderr), 2 usage error.
+numerical, calibration or consistency error (``error: ...`` on stderr),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import (
+    ConsistencyError,
     NumericalError,
     Tolerance,
     char_poly,
@@ -53,6 +55,7 @@ from .steinberg import (
     calibrate,
     chi,
     cross_section_check,
+    generator_product,
     steinberg_section,
 )
 from .stokes import StokesParams, build_m0, build_q
@@ -338,10 +341,8 @@ def _cmd_steinberg(ns):
     cal = calibrate(n1)
     rep = cross_section_check(cal, samples=ns.samples, seed=seed,
                               tol=Tolerance(ns.tol, ns.tol))
-    prod = np.eye(n1)
-    for s in cal.sigmas:
-        prod = prod @ s
-    prod_ok = bool(np.array_equal(prod, cyclic_for(n1)))
+    prod_ok = bool(np.array_equal(generator_product(cal.sigmas, n1),
+                                  cyclic_for(n1)))
     payload = {
         "root_order": [list(r) for r in cal.root_order],
         "flipped_generators": list(cal.flips),
@@ -406,9 +407,7 @@ def _cmd_golden(ns):
     section_expected = display(**kwargs)
     section = steinberg_section(cal, t)
 
-    prod = np.eye(n1)
-    for s in cal.sigmas:
-        prod = prod @ s
+    prod = generator_product(cal.sigmas, n1)
 
     identities = {
         "stokes_factors_display": max(
@@ -562,12 +561,13 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         payload, residuals, lines, code = ns.func(ns)
+    except (CalibrationError, NumericalError, ConsistencyError) as exc:
+        # ConsistencyError is a ValueError, so it must be caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     n_for_env = getattr(ns, "n", None)
     if n_for_env is None:
         sizes = getattr(ns, "sizes", None)

@@ -12,6 +12,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -175,13 +176,16 @@ def match_multisets(a, b, tol: Tolerance = DEFAULT_TOL) -> float:
     """Greedy nearest-pair matching of two complex multisets.
 
     Repeatedly pairs the globally closest remaining values. Returns the worst
-    matched distance; raises ConsistencyError if the sizes differ or a pair
-    lands outside the tolerance (scaled by the values' magnitude).
+    matched distance; raises ConsistencyError if the sizes differ, a value is
+    not finite (a NaN distance would pass every comparison), or a pair lands
+    outside the tolerance (scaled by the values' magnitude).
     """
     a = [complex(x) for x in a]
     b = [complex(x) for x in b]
     if len(a) != len(b):
         raise ConsistencyError(f"multiset sizes differ: {len(a)} vs {len(b)}")
+    if not all(cmath.isfinite(x) for x in a + b):
+        raise ConsistencyError("multisets contain a non-finite value")
     taken = [False] * len(b)
     done = [False] * len(a)
     worst = 0.0

@@ -28,6 +28,21 @@ spanning tree, whose edge vectors have rank n over GF(2). The solution is
 therefore unique, and it exists because the right-hand side has even
 weight (cyclic and P0 both have determinant 1), which is exactly the span
 of a spanning tree's edges.
+
+Once calibrated, the section is the cyclic shift C plus each t_k, signed,
+in one fixed slot. Write P_{k-1} = sigma_1 ... sigma_{k-1}, a signed
+permutation with P e_j = s_j e_{pi(j)}. Moving every sigma to the right,
+
+    s(t) = prod_k (I + t_k F_k) C,   F_k = P_{k-1} E_{i_k j_k} P_{k-1}^T,
+
+and F_k = s_{i_k} s_{j_k} E_{a_k b_k} with a_k = pi(i_k), b_k = pi(j_k) is
+a signed matrix unit. Since F_k F_m = +-delta(b_k, a_m) E_{a_k b_m}, every
+product of two or more factors in the expansion vanishes when b_k != a_m
+for all k < m, leaving s(t) = C + sum_k t_k F_k C. Row b_k of C has a
+single nonzero entry c at column col(b_k), so F_k C is the single entry
+s_{i_k} s_{j_k} c at (a_k, col(b_k)). ``calibrate`` derives these slots
+from the prefix permutations with integer arithmetic and rejects a size
+where the condition fails or two slots coincide.
 """
 
 from __future__ import annotations
@@ -42,7 +57,6 @@ from .linalg import (
     Tolerance,
     char_poly,
     cyclic_for,
-    elementary,
     eigenvalues,
     match_multisets,
     max_abs,
@@ -59,6 +73,7 @@ __all__ = [
     "UnitaryConjugacyReport",
     "weyl_rep",
     "calibrate",
+    "generator_product",
     "steinberg_section",
     "chi",
     "reconstruct_from_chi",
@@ -106,9 +121,12 @@ class SectionCalibration:
 
     ``signs[k]`` is +1 for the default generator orientation and -1 for the
     flipped one. ``chi_sources`` and ``chi_signs`` describe the relabeling
-    chi(s(t))_k = chi_signs[k] * t[chi_sources[k]]. The calibration is
-    immutable: the generator matrices in ``sigmas`` are read-only, and they
-    are left out of equality since root order and signs determine them.
+    chi(s(t))_k = chi_signs[k] * t[chi_sources[k]]. The section value is
+    s(t) = C + sum_k slot_signs[k] * t_k E_{slot_rows[k], slot_cols[k]}
+    with C the cyclic shift (see the module docstring). The calibration is
+    immutable: the generator matrices in ``sigmas`` and the slot arrays are
+    read-only, and they are left out of equality since root order and signs
+    determine them.
     """
 
     n_plus_1: int
@@ -117,6 +135,9 @@ class SectionCalibration:
     chi_sources: tuple[int, ...]
     chi_signs: tuple[int, ...]
     sigmas: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    slot_rows: np.ndarray = field(repr=False, compare=False)
+    slot_cols: np.ndarray = field(repr=False, compare=False)
+    slot_signs: np.ndarray = field(repr=False, compare=False)
 
     @property
     def flips(self) -> tuple[int, ...]:
@@ -128,19 +149,17 @@ class SectionCalibration:
 
     def chi_of_t(self, t) -> np.ndarray:
         t = np.asarray(t)
-        return np.array(
-            [self.chi_signs[k] * t[self.chi_sources[k]] for k in range(len(t))]
-        )
+        return np.array(self.chi_signs) * t[np.array(self.chi_sources)]
 
     def t_of_chi(self, e) -> np.ndarray:
         e = np.asarray(e, dtype=complex)
         t = np.zeros(len(e), dtype=complex)
-        for k in range(len(e)):
-            t[self.chi_sources[k]] = self.chi_signs[k] * e[k]
+        t[np.array(self.chi_sources)] = np.array(self.chi_signs) * e
         return t
 
 
-def _product(mats, n_plus_1: int) -> np.ndarray:
+def generator_product(mats, n_plus_1: int) -> np.ndarray:
+    """The product of the given generator matrices, left to right."""
     prod = np.eye(n_plus_1)
     for m in mats:
         prod = prod @ m
@@ -156,7 +175,7 @@ def _solve_flips(order: tuple[Root, ...], target: np.ndarray) -> tuple[int, ...]
     """
     n1 = target.shape[0]
     n = len(order)
-    p0 = _product((WeylRep(n1, r).matrix() for r in order), n1)
+    p0 = generator_product((WeylRep(n1, r).matrix() for r in order), n1)
     d = target @ p0.T
     diag = np.diag(d)
     if not (np.array_equal(d, np.diag(diag)) and np.all(np.abs(diag) == 1)):
@@ -186,6 +205,45 @@ def _solve_flips(order: tuple[Root, ...], target: np.ndarray) -> tuple[int, ...]
     return tuple(k for k in range(n) if system[k, n])
 
 
+def _section_slots(
+    order: tuple[Root, ...], signs: tuple[int, ...], n_plus_1: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and signs of the entries where t enters the section.
+
+    Walks the prefix products sigma_1 ... sigma_{k-1} as a permutation pi
+    and signs s with P e_j = s_j e_{pi(j)} (see the module docstring). The
+    walk ends at the generator product, which ``calibrate`` has checked to
+    be the cyclic shift, so it also gives each row's nonzero column there.
+    """
+    perm = list(range(n_plus_1))
+    sgn = [1] * n_plus_1
+    rows, ends, unit_signs = [], [], []
+    for (i, j), sign in zip(order, signs):
+        if perm[i] in ends:
+            raise CalibrationError(
+                f"section factors do not multiply out to single slots at "
+                f"size {n_plus_1}"
+            )
+        rows.append(perm[i])
+        ends.append(perm[j])
+        unit_signs.append(sgn[i] * sgn[j])
+        # sigma_k sends e_up to sign * e_lo and e_lo to -sign * e_up
+        lo, up = min(i, j), max(i, j)
+        perm[lo], perm[up] = perm[up], perm[lo]
+        sgn[lo], sgn[up] = -sign * sgn[up], sign * sgn[lo]
+    col = [0] * n_plus_1  # column of each row's nonzero in the shift
+    for c, r in enumerate(perm):
+        col[r] = c
+    cols = [col[e] for e in ends]
+    if len(set(zip(rows, cols))) != len(order):
+        raise CalibrationError(f"two section slots coincide at size {n_plus_1}")
+    slot_signs = [u * sgn[c] for u, c in zip(unit_signs, cols)]
+    slots = tuple(np.array(x, dtype=np.int64) for x in (rows, cols, slot_signs))
+    for arr in slots:
+        arr.setflags(write=False)
+    return slots
+
+
 def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration:
     """Choose generator signs and learn the chi relabeling for one size.
 
@@ -213,14 +271,15 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
     )
     for s in sigmas:
         s.setflags(write=False)
-    if not np.array_equal(_product(sigmas, n_plus_1), target):
+    if not np.array_equal(generator_product(sigmas, n_plus_1), target):
         raise CalibrationError(
             f"signed generator product differs from the shift at size {n_plus_1}"
         )
     signs = tuple(-1 if k in flips else 1 for k in range(n))
+    slots = _section_slots(order, signs, n_plus_1)
 
     cal = SectionCalibration(
-        n_plus_1, order, signs, tuple(range(n)), tuple([1] * n), sigmas
+        n_plus_1, order, signs, tuple(range(n)), tuple([1] * n), sigmas, *slots
     )
 
     # probe the relabeling on basis vectors of t-space
@@ -252,7 +311,7 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
         raise CalibrationError(f"relabeling is not a bijection at size {n_plus_1}")
 
     cal = SectionCalibration(
-        n_plus_1, order, signs, tuple(sources), tuple(sgn), sigmas
+        n_plus_1, order, signs, tuple(sources), tuple(sgn), sigmas, *slots
     )
 
     # verify on random coefficients
@@ -270,18 +329,17 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
 
 
 def steinberg_section(cal: SectionCalibration, t) -> np.ndarray:
-    """Section value s(t) = prod_k (I + t_k E_{root_k}) sigma_k."""
+    """Section value s(t) = prod_k (I + t_k E_{root_k}) sigma_k.
+
+    Built as the cyclic shift plus each signed t_k in its calibrated slot,
+    which equals the product exactly (see the module docstring).
+    """
     t = np.asarray(t, dtype=complex)
     n = cal.n_plus_1 - 1
     if t.shape != (n,):
         raise ValueError(f"expected {n} coordinates, got shape {t.shape}")
-    M = np.eye(cal.n_plus_1, dtype=complex)
-    for k in range(n):
-        i, j = cal.root_order[k]
-        factor = np.eye(cal.n_plus_1, dtype=complex) + t[k] * elementary(
-            cal.n_plus_1, i, j
-        )
-        M = M @ factor @ cal.sigmas[k]
+    M = cyclic_for(cal.n_plus_1).astype(complex)
+    M[cal.slot_rows, cal.slot_cols] += cal.slot_signs * t
     return M
 
 
@@ -418,5 +476,5 @@ def unitary_conjugacy_check(
             np.diag(D),
             Tolerance(1e-7, 1e-7),
         )
-        worst = max(worst, unit_res, spec_res)
+        worst = nan_max(worst, unit_res, spec_res)
     return UnitaryConjugacyReport(n_plus_1, samples, worst, worst < 1e-8)

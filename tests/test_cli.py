@@ -13,7 +13,7 @@ import pytest
 
 from ttstokes import cli
 from ttstokes.cli import main
-from ttstokes.linalg import NumericalError
+from ttstokes.linalg import ConsistencyError, NumericalError
 from ttstokes.steinberg import CalibrationError
 
 
@@ -81,7 +81,8 @@ def test_usage_error_non_finite_input(capsys, flags):
     assert "must be finite" in err
 
 
-@pytest.mark.parametrize("exc_type", [CalibrationError, NumericalError])
+@pytest.mark.parametrize("exc_type",
+                         [CalibrationError, NumericalError, ConsistencyError])
 def test_library_errors_exit_1_with_message(capsys, monkeypatch, exc_type):
     def fail(n1):
         raise exc_type(f"cannot calibrate size {n1}")

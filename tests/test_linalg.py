@@ -210,6 +210,25 @@ def test_match_multisets_size_mismatch():
         match_multisets([1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("a, b", [
+    ([1.0, np.nan], [1.0, 2.0]),
+    ([1.0, 2.0], [complex(1.0, np.nan), 2.0]),
+    ([1.0, np.inf], [1.0, np.inf]),
+    ([np.nan], [np.nan]),
+])
+def test_match_multisets_rejects_non_finite_values(a, b):
+    # a NaN distance fails every comparison, so it used to match silently
+    with pytest.raises(linalg.ConsistencyError, match="non-finite"):
+        match_multisets(a, b)
+
+
+def test_match_multisets_rejects_an_overflowing_distance():
+    # both values are finite, but their distance overflows to inf, which lies
+    # outside the (finite) bound
+    with pytest.raises(linalg.ConsistencyError, match="inf apart"):
+        match_multisets([1e308 + 1e308j], [-1e308 - 1e308j])
+
+
 # ---------------------------------------------------------------------------
 # property tests: the two routes to the spectrum agree
 # ---------------------------------------------------------------------------

@@ -21,12 +21,14 @@ from ttstokes.linalg import (
     Tolerance,
     cyclic_for,
     eigenvalues,
+    elementary,
     match_multisets,
     shift_matrix,
     signed_shift_matrix,
 )
 from ttstokes.steinberg import (
     CalibrationError,
+    _section_slots,
     _solve_flips,
     calibrate,
     chi,
@@ -161,6 +163,9 @@ def test_calibration_is_immutable():
         cal.sigmas = ()
     with pytest.raises(ValueError):
         cal.sigmas[0][0, 0] = 7.0
+    for slots in (cal.slot_rows, cal.slot_cols, cal.slot_signs):
+        with pytest.raises(ValueError):
+            slots[0] = 0
     assert isinstance(cal.sigmas, tuple)
     assert cal == calibrate(5) and hash(cal) == hash(calibrate(5))
 
@@ -169,6 +174,26 @@ def test_calibrate_rejects_a_product_that_is_no_signed_shift(monkeypatch):
     monkeypatch.setattr(steinberg, "cyclic_for", lambda n1: np.eye(n1))
     with pytest.raises(CalibrationError, match="not a signed cyclic shift"):
         calibrate(4)
+
+
+def test_calibrate_rejects_section_factors_that_multiply(monkeypatch):
+    # reversing the head roots leaves the generators as they are, but then
+    # (I + t_1 E_{01}) sigma_1 (I + t_2 E_{02}) sigma_2 has a t_1 t_2 term
+    real = steinberg.table_supported_roots
+
+    def reversed_head(n1, block):
+        roots = real(n1, block)
+        return [(j, i) for i, j in roots] if block == "head" else roots
+
+    monkeypatch.setattr(steinberg, "table_supported_roots", reversed_head)
+    with pytest.raises(CalibrationError, match="single slots"):
+        calibrate(3)
+
+
+def test_section_slots_reject_a_repeated_slot():
+    # the second factor conjugates to the same matrix unit as the first
+    with pytest.raises(CalibrationError, match="coincide"):
+        _section_slots(((0, 1), (1, 0)), (1, 1), 3)
 
 
 def test_sign_system_rejects_an_odd_sign_pattern():
@@ -183,13 +208,36 @@ def test_sign_system_rejects_an_odd_sign_pattern():
 # the section map
 # ---------------------------------------------------------------------------
 
+def dense_section(cal, t):
+    """The section as the literal product prod_k (I + t_k E_{r_k}) sigma_k."""
+    n1 = cal.n_plus_1
+    M = np.eye(n1, dtype=complex)
+    for k, (i, j) in enumerate(cal.root_order):
+        factor = np.eye(n1, dtype=complex) + t[k] * elementary(n1, i, j)
+        M = M @ factor @ cal.sigmas[k]
+    return M
+
+
+@pytest.mark.parametrize("n1", range(3, 29))
+def test_section_equals_the_dense_product(n1):
+    cal = calibrate(n1)
+    rng = np.random.default_rng(100 + n1)
+    for _ in range(5):
+        t = rng.normal(size=n1 - 1) + 1j * rng.normal(size=n1 - 1)
+        assert np.array_equal(steinberg_section(cal, t), dense_section(cal, t))
+
+
 def test_section_at_zero_is_the_shift():
-    np.testing.assert_allclose(
-        steinberg_section(calibrate(4), [0, 0, 0]), signed_shift_matrix(4), atol=0
-    )
-    np.testing.assert_allclose(
-        steinberg_section(calibrate(5), [0, 0, 0, 0]), shift_matrix(5), atol=0
-    )
+    for n1 in range(3, 11):
+        cal = calibrate(n1)
+        first = steinberg_section(cal, np.zeros(n1 - 1))
+        assert first.dtype == complex and first.flags.writeable
+        assert np.array_equal(first, cyclic_for(n1))
+        # a fresh array each call: writing into one leaves the next alone
+        first[0, 0] = 7.0
+        again = steinberg_section(cal, np.zeros(n1 - 1))
+        expect = shift_matrix(n1) if n1 % 2 else signed_shift_matrix(n1)
+        assert np.array_equal(again, expect)
 
 
 def test_section_4_matches_monodromy_display():
@@ -236,6 +284,24 @@ def test_chi_of_shift_vanishes():
 def test_chi_warns_off_unimodular():
     with pytest.warns(UserWarning):
         chi(2.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("n1", [3, 4, 5, 8, 13])
+def test_relabeling_maps_match_their_loops(n1):
+    cal = calibrate(n1)
+    rng = np.random.default_rng(n1)
+    t = rng.normal(size=n1 - 1)
+    e = rng.normal(size=n1 - 1) + 1j * rng.normal(size=n1 - 1)
+    chi_loop = np.array(
+        [cal.chi_signs[k] * t[cal.chi_sources[k]] for k in range(n1 - 1)]
+    )
+    t_loop = np.zeros(n1 - 1, dtype=complex)
+    for k in range(n1 - 1):
+        t_loop[cal.chi_sources[k]] = cal.chi_signs[k] * e[k]
+    got = cal.chi_of_t(t)
+    assert got.dtype == chi_loop.dtype and np.array_equal(got, chi_loop)
+    assert np.array_equal(cal.t_of_chi(e), t_loop)
+    assert np.array_equal(cal.chi_of_t(cal.t_of_chi(e)), e)
 
 
 def test_reconstruct_zero_gives_shift():
@@ -313,6 +379,14 @@ def test_unitary_conjugacy_property():
     assert rep.max_residual < 1e-8
     rep5 = unitary_conjugacy_check(5, samples=20, seed=1)
     assert rep5.passed
+
+
+def test_unitary_conjugacy_nan_residual_fails(monkeypatch):
+    # the builtin max drops a NaN that is not its first argument
+    monkeypatch.setattr(steinberg, "match_multisets", lambda *a, **k: np.nan)
+    rep = unitary_conjugacy_check(4, samples=3, seed=0)
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed
 
 
 # a calibrated section reconstructs every sampled fundamental monodromy: the
