@@ -35,6 +35,7 @@ import numpy as np
 from .linalg import (
     fourier_matrix,
     max_abs,
+    nan_max,
     omega_diag,
     omega_pow,
     reversal_matrix,
@@ -141,16 +142,16 @@ def symmetry_report(f: TodaField, zeta_samples: int = 20,
     for _ in range(zeta_samples):
         zeta = np.exp(rng.uniform(-1, 1)) * np.exp(2j * np.pi * rng.uniform())
         a = build_alpha_hat(f, zeta)
-        res[0] = max(res[0], _rel(_tau(n1, a), om * build_alpha_hat(f, om * zeta)))
-        res[1] = max(res[1], _rel(_sigma(n1, a), -build_alpha_hat(f, -zeta)))
+        res[0] = nan_max(res[0], _rel(_tau(n1, a), om * build_alpha_hat(f, om * zeta)))
+        res[1] = nan_max(res[1], _rel(_sigma(n1, a), -build_alpha_hat(f, -zeta)))
         zc = np.conj(zeta)
-        res[2] = max(res[2], _rel(
+        res[2] = nan_max(res[2], _rel(
             _creal(n1, a),
             -build_alpha_hat(f, 1.0 / (f.x**2 * zc)) / (f.x**2 * zc**2)))
-        res[3] = max(res[3], _rel(np.conj(build_alpha_hat(f, zc)), a))
+        res[3] = nan_max(res[3], _rel(np.conj(build_alpha_hat(f, zc)), a))
         circle = np.exp(2j * np.pi * rng.uniform()) / f.x
         b = 1j * circle * build_alpha_hat(f, circle)
-        res[4] = max(res[4], _rel(_creal(n1, b), b))
+        res[4] = nan_max(res[4], _rel(_creal(n1, b), b))
     passed = bool(np.max(res) < 1e-10)
     return SymmetryReport(n1, *res, passed)
 
@@ -219,7 +220,7 @@ def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
                                      np.abs(probe) > 1e-12))
 
     res = (r_fourier, r_w, r_wt, r_bridge)
-    passed = bool(max(res) < 1e-10 and pattern_ok)
+    passed = bool(nan_max(*res) < 1e-10 and pattern_ok)
     return DiagonalizerReport(n1, *res, pattern_ok, passed)
 
 
@@ -298,9 +299,9 @@ def omega_hat_symmetry_report(d: OmegaHatData, lambda_samples: int = 20,
     for _ in range(lambda_samples):
         lam = np.exp(rng.uniform(-1, 1)) * np.exp(2j * np.pi * rng.uniform())
         fmat = build_omega_hat(d, lam)
-        r_cyc = max(r_cyc, _rel(_tau(n1, fmat), om * build_omega_hat(d, om * lam)))
-        r_anti = max(r_anti, _rel(_sigma(n1, fmat), -build_omega_hat(d, -lam)))
-    passed = bool(max(r_cyc, r_anti) < 1e-10)
+        r_cyc = nan_max(r_cyc, _rel(_tau(n1, fmat), om * build_omega_hat(d, om * lam)))
+        r_anti = nan_max(r_anti, _rel(_sigma(n1, fmat), -build_omega_hat(d, -lam)))
+    passed = bool(nan_max(r_cyc, r_anti) < 1e-10)
     return OmegaHatSymmetryReport(n1, r_cyc, r_anti, passed)
 
 

@@ -177,8 +177,9 @@ def match_multisets(a, b, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Repeatedly pairs the globally closest remaining values. Returns the worst
     matched distance; raises ConsistencyError if the sizes differ, a value is
-    not finite (a NaN distance would pass every comparison), or a pair lands
-    outside the tolerance (scaled by the values' magnitude).
+    not finite (a NaN distance would pass every comparison), a modulus
+    overflows, or a pair lands outside the tolerance (scaled by the values'
+    magnitude).
     """
     a = [complex(x) for x in a]
     b = [complex(x) for x in b]
@@ -186,30 +187,33 @@ def match_multisets(a, b, tol: Tolerance = DEFAULT_TOL) -> float:
         raise ConsistencyError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     if not all(cmath.isfinite(x) for x in a + b):
         raise ConsistencyError("multisets contain a non-finite value")
-    taken = [False] * len(b)
-    done = [False] * len(a)
-    worst = 0.0
-    for _ in range(len(a)):
-        best = None
-        for i, x in enumerate(a):
-            if done[i]:
-                continue
-            for j, y in enumerate(b):
-                if taken[j]:
+    try:
+        taken = [False] * len(b)
+        done = [False] * len(a)
+        worst = 0.0
+        for _ in range(len(a)):
+            best = None
+            for i, x in enumerate(a):
+                if done[i]:
                     continue
-                d = abs(x - y)
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        d, i, j = best
-        scale = max(abs(a[i]), abs(b[j]), 1.0)
-        if d > tol.bound(scale):
-            raise ConsistencyError(
-                "multisets differ: closest remaining pair %s vs %s is %.3e apart"
-                % (a[i], b[j], d)
-            )
-        worst = max(worst, d)
-        done[i] = True
-        taken[j] = True
+                for j, y in enumerate(b):
+                    if taken[j]:
+                        continue
+                    d = abs(x - y)
+                    if best is None or d < best[0]:
+                        best = (d, i, j)
+            d, i, j = best
+            scale = max(abs(a[i]), abs(b[j]), 1.0)
+            if d > tol.bound(scale):
+                raise ConsistencyError(
+                    "multisets differ: closest remaining pair %s vs %s is %.3e apart"
+                    % (a[i], b[j], d)
+                )
+            worst = max(worst, d)
+            done[i] = True
+            taken[j] = True
+    except OverflowError as exc:
+        raise ConsistencyError(f"multiset values overflow: {exc}") from exc
     return worst
 
 

@@ -4,51 +4,72 @@ The section is a product s(t) = (I + t_1 E_{r_1}) sigma_1 ... over the
 adapted simple system (head block then tail block, in table order), where
 each sigma_k is a signed transposition representing the reflection in r_k.
 The signs need calibrating: the product sigma_1 ... sigma_n must equal the
-cyclic shift matrix that the monodromy construction uses. Once calibrated,
+cyclic shift matrix C that the monodromy construction uses. Once calibrated,
 the coefficient map chi (signed characteristic polynomial coefficients)
 restricts to a bijection between section values and coefficient space, with
 chi(s(t)) a signed relabeling of t.
 
+Everything ``calibrate`` derives comes from one walk over the generators in
+integer arithmetic. The prefix P_k = sigma_1 ... sigma_k is a signed
+permutation, P_k e_j = s_j e_{pi(j)}, and multiplying by sigma_{k+1} swaps
+two of its columns and adjusts their signs. Before generator k (root
+(i_k, j_k)) the walk records a_k = pi(i_k), b_k = pi(j_k) and s_{i_k} s_{j_k};
+at the end it holds the permutation and signs of the whole product. Only
+the signs s_j depend on the generator signs, not the permutation.
+
 The signs come from a linear solve over GF(2), not a search. Flipping
-sigma_k negates its rows a_k and b_k, i.e. multiplies it on the left by the
-diagonal sign matrix D_k with -1 at those two indices. Moving D_k to the
-front past the prefix sigma_1 ... sigma_{k-1}, a signed permutation with
-permutation pi, turns it into the sign matrix with -1 at pi(a_k), pi(b_k)
-(the prefix's own signs cancel in the conjugation). So the flips x in
-GF(2)^n multiply the unflipped product P0 on the left by a diagonal sign
-matrix, and they must solve
+sigma_k negates its rows i_k and j_k, i.e. multiplies it on the left by the
+diagonal sign matrix with -1 at those two indices. Moving that matrix to the
+front past the prefix turns it into the sign matrix with -1 at a_k, b_k (the
+prefix's own signs cancel in the conjugation). So the flips x in GF(2)^n
+multiply the unflipped product P0 on the left by a diagonal sign matrix, and
+they must solve
 
-    sum_k x_k (e_{pi(a_k)} + e_{pi(b_k)}) = the -1 pattern of diag(cyclic P0^T).
+    sum_k x_k (e_{a_k} + e_{b_k}) = c,
 
-The vectors on the left are the edges of a graph on the n+1 indices, and
-the product of their transpositions is the permutation of P0. When
-cyclic P0^T is diagonal that permutation is the cyclic shift, a single
-(n+1)-cycle, so the graph is connected: n edges on n+1 vertices form a
-spanning tree, whose edge vectors have rank n over GF(2). The solution is
-therefore unique, and it exists because the right-hand side has even
-weight (cyclic and P0 both have determinant 1), which is exactly the span
-of a spanning tree's edges.
+where c marks the indices pi(j) at which column j of C and of P0 differ in
+sign. The vectors on the left are the edges of a graph on the n+1 indices,
+and the product of their transpositions is the permutation of P0. When C is
+P0 up to signs that permutation is the cyclic shift, a single (n+1)-cycle,
+so the graph is connected: n edges on n+1 vertices form a spanning tree,
+whose edge vectors have rank n over GF(2). The solution is therefore unique,
+and it exists because c has even weight (C and P0 both have determinant 1),
+which is exactly the span of a spanning tree's edges. Walked again with the
+solved signs, the product must equal C entry for entry.
 
-Once calibrated, the section is the cyclic shift C plus each t_k, signed,
-in one fixed slot. Write P_{k-1} = sigma_1 ... sigma_{k-1}, a signed
-permutation with P e_j = s_j e_{pi(j)}. Moving every sigma to the right,
+Once calibrated, the section is C plus each t_k, signed, in one fixed slot.
+Moving every sigma to the right,
 
     s(t) = prod_k (I + t_k F_k) C,   F_k = P_{k-1} E_{i_k j_k} P_{k-1}^T,
 
-and F_k = s_{i_k} s_{j_k} E_{a_k b_k} with a_k = pi(i_k), b_k = pi(j_k) is
-a signed matrix unit. Since F_k F_m = +-delta(b_k, a_m) E_{a_k b_m}, every
-product of two or more factors in the expansion vanishes when b_k != a_m
-for all k < m, leaving s(t) = C + sum_k t_k F_k C. Row b_k of C has a
-single nonzero entry c at column col(b_k), so F_k C is the single entry
-s_{i_k} s_{j_k} c at (a_k, col(b_k)). ``calibrate`` derives these slots
-from the prefix permutations with integer arithmetic and rejects a size
-where the condition fails or two slots coincide.
+and F_k = s_{i_k} s_{j_k} E_{a_k b_k} is a signed matrix unit. Since
+F_k F_m = +-delta(b_k, a_m) E_{a_k b_m}, every product of two or more
+factors in the expansion vanishes when b_k != a_m for all k < m, leaving
+s(t) = C + sum_k t_k F_k C. Row b_k of C has a single nonzero entry c at
+column col(b_k), so F_k C is the single entry s_{i_k} s_{j_k} c at slot
+(a_k, col(b_k)). ``calibrate`` rejects a size where the condition fails or
+two slots coincide.
+
+The relabeling is read off the slots. e_m, the m-th signed coefficient, is
+the sum of the principal m x m minors, i.e. of sgn(sigma) prod M[i, sigma(i)]
+over the permutations sigma of m indices whose edges i -> sigma(i) are
+nonzero entries. The entries of C are the edges i -> i+1 of one
+(n+1)-cycle, so any other cycle uses a slot, and a slot at (r, c) closes
+exactly one cycle with the edges of C: r -> c -> c+1 -> ... -> r, of length
+L+1 with L = (r - c) mod (n+1). As a permutation it has sign (-1)^L; its
+weight is the slot entry times the entries of C on the path c -> ... -> r,
+which are all 1 except the corner C[n, 0], crossed exactly when r < c. So
+t_k enters e_{L+1} with sign (-1)^L * slot sign * (C[n, 0] if r < c else 1).
+When the lengths L of the n slots are 0..n-1 in some order, this is a
+signed bijection from t onto (e_1, ..., e_n). ``calibrate`` checks that,
+and checks on random t that cycles through several slots add nothing.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +92,6 @@ __all__ = [
     "SectionCalibration",
     "CrossSectionReport",
     "UnitaryConjugacyReport",
-    "weyl_rep",
     "calibrate",
     "generator_product",
     "steinberg_section",
@@ -111,10 +131,6 @@ class WeylRep:
         return S
 
 
-def weyl_rep(n_plus_1: int, root: Root, flipped: bool = False) -> WeylRep:
-    return WeylRep(n_plus_1, tuple(root), flipped)
-
-
 @dataclass(frozen=True)
 class SectionCalibration:
     """Calibrated data of the cross-section for one size.
@@ -143,10 +159,6 @@ class SectionCalibration:
     def flips(self) -> tuple[int, ...]:
         return tuple(k for k, s in enumerate(self.signs) if s < 0)
 
-    @property
-    def chi_permutation(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.chi_sources, self.chi_signs))
-
     def chi_of_t(self, t) -> np.ndarray:
         t = np.asarray(t)
         return np.array(self.chi_signs) * t[np.array(self.chi_sources)]
@@ -166,29 +178,57 @@ def generator_product(mats, n_plus_1: int) -> np.ndarray:
     return prod
 
 
-def _solve_flips(order: tuple[Root, ...], target: np.ndarray) -> tuple[int, ...]:
+class _Walk(NamedTuple):
+    """The prefix products of the generators as a signed permutation.
+
+    Before generator k the prefix P has P e_j = sgn_j e_{perm(j)}; ``rows``,
+    ``ends`` and ``unit_signs`` record a_k = perm(i_k), b_k = perm(j_k) and
+    sgn_{i_k} sgn_{j_k} there. ``perm`` and ``sgn`` end as the whole
+    product's (see the module docstring).
+    """
+
+    rows: list[int]
+    ends: list[int]
+    unit_signs: list[int]
+    perm: list[int]
+    sgn: list[int]
+
+
+def _walk(order: tuple[Root, ...], signs, n_plus_1: int) -> _Walk:
+    """Walk the generators of ``order``, oriented by ``signs``."""
+    perm = list(range(n_plus_1))
+    sgn = [1] * n_plus_1
+    rows, ends, unit_signs = [], [], []
+    for (i, j), sign in zip(order, signs):
+        rows.append(perm[i])
+        ends.append(perm[j])
+        unit_signs.append(sgn[i] * sgn[j])
+        # sigma_k sends e_up to sign * e_lo and e_lo to -sign * e_up
+        lo, up = min(i, j), max(i, j)
+        perm[lo], perm[up] = perm[up], perm[lo]
+        sgn[lo], sgn[up] = -sign * sgn[up], sign * sgn[lo]
+    return _Walk(rows, ends, unit_signs, perm, sgn)
+
+
+def _solve_flips(unsigned: _Walk, target: np.ndarray) -> tuple[int, ...]:
     """Generators to flip so that the generator product equals ``target``.
 
-    Solves sum_k x_k (e_{pi(a_k)} + e_{pi(b_k)}) = c over GF(2), where c
-    marks the -1 entries of the diagonal sign matrix target * P0^T and pi is
-    the permutation of the generators before k (see the module docstring).
+    ``unsigned`` is the walk with every generator in its default
+    orientation. Solves sum_k x_k (e_{a_k} + e_{b_k}) = c over GF(2), where
+    c marks the indices at which ``target`` and the unflipped product differ
+    in sign (see the module docstring).
     """
     n1 = target.shape[0]
-    n = len(order)
-    p0 = generator_product((WeylRep(n1, r).matrix() for r in order), n1)
-    d = target @ p0.T
-    diag = np.diag(d)
-    if not (np.array_equal(d, np.diag(diag)) and np.all(np.abs(diag) == 1)):
+    n = len(unsigned.rows)
+    entries = target[unsigned.perm, range(n1)]
+    if np.count_nonzero(target) != n1 or not np.all(np.abs(entries) == 1):
         raise CalibrationError(
             f"generator product is not a signed cyclic shift at size {n1}"
         )
     # augmented system [A | c], one row per index, one column per generator
     system = np.zeros((n1, n + 1), dtype=np.uint8)
-    system[:, n] = diag < 0
-    perm = np.arange(n1)
-    for k, (i, j) in enumerate(order):
-        system[perm[i], k] = system[perm[j], k] = 1
-        perm[[i, j]] = perm[[j, i]]
+    system[unsigned.perm, n] = entries != unsigned.sgn
+    system[unsigned.rows, range(n)] = system[unsigned.ends, range(n)] = 1
     # Gauss-Jordan elimination; XOR is addition over GF(2)
     for col in range(n):
         hits = np.flatnonzero(system[col:, col])
@@ -205,55 +245,65 @@ def _solve_flips(order: tuple[Root, ...], target: np.ndarray) -> tuple[int, ...]
     return tuple(k for k in range(n) if system[k, n])
 
 
-def _section_slots(
-    order: tuple[Root, ...], signs: tuple[int, ...], n_plus_1: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _section_slots(walk: _Walk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and signs of the entries where t enters the section.
 
-    Walks the prefix products sigma_1 ... sigma_{k-1} as a permutation pi
-    and signs s with P e_j = s_j e_{pi(j)} (see the module docstring). The
-    walk ends at the generator product, which ``calibrate`` has checked to
-    be the cyclic shift, so it also gives each row's nonzero column there.
+    The walk must end at the cyclic shift, which gives each row's nonzero
+    column there (see the module docstring).
     """
-    perm = list(range(n_plus_1))
-    sgn = [1] * n_plus_1
-    rows, ends, unit_signs = [], [], []
-    for (i, j), sign in zip(order, signs):
-        if perm[i] in ends:
+    n1 = len(walk.perm)
+    earlier_ends = set()
+    for a, b in zip(walk.rows, walk.ends):
+        if a in earlier_ends:
             raise CalibrationError(
                 f"section factors do not multiply out to single slots at "
-                f"size {n_plus_1}"
+                f"size {n1}"
             )
-        rows.append(perm[i])
-        ends.append(perm[j])
-        unit_signs.append(sgn[i] * sgn[j])
-        # sigma_k sends e_up to sign * e_lo and e_lo to -sign * e_up
-        lo, up = min(i, j), max(i, j)
-        perm[lo], perm[up] = perm[up], perm[lo]
-        sgn[lo], sgn[up] = -sign * sgn[up], sign * sgn[lo]
-    col = [0] * n_plus_1  # column of each row's nonzero in the shift
-    for c, r in enumerate(perm):
+        earlier_ends.add(b)
+    col = [0] * n1  # column of each row's nonzero in the shift
+    for c, r in enumerate(walk.perm):
         col[r] = c
-    cols = [col[e] for e in ends]
-    if len(set(zip(rows, cols))) != len(order):
-        raise CalibrationError(f"two section slots coincide at size {n_plus_1}")
-    slot_signs = [u * sgn[c] for u, c in zip(unit_signs, cols)]
-    slots = tuple(np.array(x, dtype=np.int64) for x in (rows, cols, slot_signs))
+    cols = [col[b] for b in walk.ends]
+    if len(set(zip(walk.rows, cols))) != len(cols):
+        raise CalibrationError(f"two section slots coincide at size {n1}")
+    slot_signs = [u * walk.sgn[c] for u, c in zip(walk.unit_signs, cols)]
+    slots = tuple(np.array(x, dtype=np.int64) for x in (walk.rows, cols, slot_signs))
     for arr in slots:
         arr.setflags(write=False)
     return slots
 
 
+def _relabeling(slots, corner: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """chi sources and signs read off the slots of the section.
+
+    ``corner`` is the shift's entry C[n, 0]. The slot at (r, c) closes a
+    cycle of length L+1, L = (r - c) mod (n+1), which puts its coordinate,
+    signed, into e_{L+1} (see the module docstring).
+    """
+    n = len(slots[0])
+    sources = [-1] * n
+    signs = [0] * n
+    for k, (r, c, s) in enumerate(zip(*(x.tolist() for x in slots))):
+        L = (r - c) % (n + 1)
+        if L == n or sources[L] >= 0:
+            raise CalibrationError(f"relabeling is not a bijection at size {n + 1}")
+        sources[L] = k
+        signs[L] = (-1) ** L * s * (corner if r < c else 1)
+    return tuple(sources), tuple(signs)
+
+
 def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration:
-    """Choose generator signs and learn the chi relabeling for one size.
+    """Choose generator signs and derive the section and chi relabeling.
 
     The root order is the head block followed by the tail block, both in
-    table order. The signs are the unique solution of a GF(2) system (see
+    table order. The signs are the unique solution of a GF(2) system, and
+    the slots and relabeling follow from them in integer arithmetic (see
     the module docstring), so the same size always yields the same
     calibration. CalibrationError is raised if the unflipped product is not
     the shift up to signs, if the system is singular or inconsistent, if the
-    signed product differs from the shift in any entry, or if the chi
-    relabeling, probed on basis vectors and verified on random ones, fails.
+    signed product differs from the shift in any entry, if the section does
+    not have one slot per coordinate, if the slots do not relabel onto the
+    coefficients, or if the relabeling fails on random coefficients.
     """
     head = table_supported_roots(n_plus_1, "head")
     tail = table_supported_roots(n_plus_1, "tail")
@@ -265,53 +315,22 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
         )
     target = cyclic_for(n_plus_1)
 
-    flips = _solve_flips(order, target)
+    flips = _solve_flips(_walk(order, [1] * n, n_plus_1), target)
+    signs = tuple(-1 if k in flips else 1 for k in range(n))
+    walk = _walk(order, signs, n_plus_1)
+    if walk.sgn != target[walk.perm, range(n_plus_1)].tolist():
+        raise CalibrationError(
+            f"signed generator product differs from the shift at size {n_plus_1}"
+        )
+    slots = _section_slots(walk)
+    sources, chi_signs = _relabeling(slots, int(target[n, 0]))
     sigmas = tuple(
         WeylRep(n_plus_1, order[k], k in flips).matrix() for k in range(n)
     )
     for s in sigmas:
         s.setflags(write=False)
-    if not np.array_equal(generator_product(sigmas, n_plus_1), target):
-        raise CalibrationError(
-            f"signed generator product differs from the shift at size {n_plus_1}"
-        )
-    signs = tuple(-1 if k in flips else 1 for k in range(n))
-    slots = _section_slots(order, signs, n_plus_1)
-
     cal = SectionCalibration(
-        n_plus_1, order, signs, tuple(range(n)), tuple([1] * n), sigmas, *slots
-    )
-
-    # probe the relabeling on basis vectors of t-space
-    sources = [-1] * n
-    sgn = [0] * n
-    for k in range(n):
-        t = np.zeros(n)
-        t[k] = 1.0
-        e = chi(steinberg_section(cal, t))
-        hits = [r for r in range(n) if abs(e[r]) > 0.5]
-        if len(hits) != 1:
-            raise CalibrationError(
-                f"coefficient map is not a relabeling at size {n_plus_1}: "
-                f"basis vector {k} produced {e}"
-            )
-        r = hits[0]
-        val = complex(e[r])
-        if abs(val - round(val.real)) > 1e-9 or round(val.real) not in (-1, 1):
-            raise CalibrationError(
-                f"coefficient map has non-unit weight {val} at size {n_plus_1}"
-            )
-        if max(abs(e[s]) for s in range(n) if s != r) > 1e-9:
-            raise CalibrationError(
-                f"coefficient map mixes coordinates at size {n_plus_1}"
-            )
-        sources[r] = k
-        sgn[r] = int(round(val.real))
-    if sorted(sources) != list(range(n)):
-        raise CalibrationError(f"relabeling is not a bijection at size {n_plus_1}")
-
-    cal = SectionCalibration(
-        n_plus_1, order, signs, tuple(sources), tuple(sgn), sigmas, *slots
+        n_plus_1, order, signs, sources, chi_signs, sigmas, *slots
     )
 
     # verify on random coefficients

@@ -20,6 +20,7 @@ from .linalg import (
     Tolerance,
     cyclic_for,
     max_abs,
+    nan_max,
     omega_pow,
     omega_powers,
 )
@@ -334,5 +335,5 @@ def reality_residual(family: dict[int, np.ndarray]) -> float:
     for ell in range(period):
         partner = (-ell - off) % period
         lhs = C @ np.linalg.inv(family[partner]) @ C
-        worst = max(worst, max_abs(lhs - family[ell]))
+        worst = nan_max(worst, max_abs(lhs - family[ell]))
     return worst

@@ -250,6 +250,35 @@ def test_omega_hat_anti_symmetry_needs_symmetric_c():
 
 
 # ---------------------------------------------------------------------------
+# NaN residuals fail (the builtin max drops a NaN that is not its first
+# argument, so max(0.0, nan) is 0.0)
+# ---------------------------------------------------------------------------
+
+def nan_field():
+    return TodaField(3, np.array([np.nan, 0.0, np.nan]), 1.0, np.zeros(3))
+
+
+def test_symmetry_report_nan_field_fails():
+    rep = symmetry_report(nan_field(), zeta_samples=3, seed=0)
+    for r in (rep.cyclic, rep.anti, rep.reality, rep.conj, rep.real_form):
+        assert np.isnan(r)
+    assert not rep.passed
+
+
+def test_diagonalizer_check_nan_field_fails():
+    rep = diagonalizer_check(nan_field())
+    assert np.isnan(rep.w_residual) and np.isnan(rep.wt_residual)
+    assert not rep.passed
+
+
+def test_omega_hat_symmetry_report_nan_coefficient_fails():
+    d = OmegaHatData(3, np.array([np.nan, 1.0, 1.0]), np.zeros(3), 1.0 + 0j)
+    rep = omega_hat_symmetry_report(d, lambda_samples=3, seed=0)
+    assert np.isnan(rep.cyclic) and np.isnan(rep.anti)
+    assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
 # Toda right-hand side
 # ---------------------------------------------------------------------------
 

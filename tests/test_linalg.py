@@ -229,6 +229,16 @@ def test_match_multisets_rejects_an_overflowing_distance():
         match_multisets([1e308 + 1e308j], [-1e308 - 1e308j])
 
 
+@pytest.mark.parametrize("a, b", [
+    ([1.7e308 + 1.7e308j], [1.7e308 + 1.7e308j]),
+    ([1e308 + 1e308j], [-0.7e308 - 0.7e308j]),
+])
+def test_match_multisets_rejects_an_overflowing_modulus(a, b):
+    # finite components whose modulus overflows: abs() raises OverflowError
+    with pytest.raises(linalg.ConsistencyError, match="overflow"):
+        match_multisets(a, b)
+
+
 # ---------------------------------------------------------------------------
 # property tests: the two routes to the spectrum agree
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ from ttstokes.linalg import (
 )
 from ttstokes.steinberg import (
     CalibrationError,
+    _relabeling,
     _section_slots,
     _solve_flips,
+    _walk,
     calibrate,
     chi,
     cross_section_check,
@@ -38,6 +40,7 @@ from ttstokes.steinberg import (
     steinberg_section,
     unitary_conjugacy_check,
 )
+from ttstokes.roots import table_supported_roots
 from ttstokes.stokes import build_m0, monodromy_support, random_stokes_params
 
 
@@ -193,7 +196,7 @@ def test_calibrate_rejects_section_factors_that_multiply(monkeypatch):
 def test_section_slots_reject_a_repeated_slot():
     # the second factor conjugates to the same matrix unit as the first
     with pytest.raises(CalibrationError, match="coincide"):
-        _section_slots(((0, 1), (1, 0)), (1, 1), 3)
+        _section_slots(_walk(((0, 1), (1, 0)), (1, 1), 3))
 
 
 def test_sign_system_rejects_an_odd_sign_pattern():
@@ -201,7 +204,101 @@ def test_sign_system_rejects_an_odd_sign_pattern():
     cal = calibrate(4)
     target = np.diag([-1.0, 1.0, 1.0, 1.0]) @ cyclic_for(4)
     with pytest.raises(CalibrationError, match="inconsistent"):
-        _solve_flips(cal.root_order, target)
+        _solve_flips(_walk(cal.root_order, (1, 1, 1), 4), target)
+
+
+def test_calibrate_checks_the_signed_product(monkeypatch):
+    # calibrate(4) needs generator 2 flipped; with no flips the walk's signs
+    # differ from the shift's
+    monkeypatch.setattr(steinberg, "_solve_flips", lambda walk, target: ())
+    with pytest.raises(CalibrationError, match="differs from the shift"):
+        calibrate(4)
+
+
+def test_relabeling_rejects_two_slots_in_one_coefficient():
+    # both diagonal slots close a 1-cycle, so both land in e_1
+    slots = (np.array([0, 1]), np.array([0, 1]), np.array([1, 1]))
+    with pytest.raises(CalibrationError, match="not a bijection"):
+        _relabeling(slots, 1)
+
+
+@pytest.mark.parametrize("n1", range(3, 19))
+def test_calibrate_calls_char_poly_three_times(n1, monkeypatch):
+    # only the random verification evaluates chi; the relabeling itself is
+    # read off the slots
+    calls = []
+    real = steinberg.char_poly
+
+    def counting(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(steinberg, "char_poly", counting)
+    calibrate(n1)
+    assert len(calls) == 3
+
+
+PRIME = 2**31 - 1
+
+
+def det_mod(A, p=PRIME):
+    """Determinant of an integer matrix modulo the prime p (row reduction)."""
+    A = np.array(A, dtype=np.int64) % p
+    n = A.shape[0]
+    det = 1
+    for j in range(n):
+        hits = np.flatnonzero(A[j:, j])
+        if len(hits) == 0:
+            return 0
+        i = j + hits[0]
+        if i != j:
+            A[[i, j]] = A[[j, i]]
+            det = -det
+        det = det * int(A[j, j]) % p
+        factors = A[j + 1:, j] * pow(int(A[j, j]), p - 2, p) % p
+        A[j + 1:, j:] = (A[j + 1:, j:] - factors[:, None] * A[j, j:] % p) % p
+    return det % p
+
+
+def integer_slot_data(n1):
+    """Slots and relabeling from the integer part of calibrate, step by step."""
+    n = n1 - 1
+    order = tuple(
+        table_supported_roots(n1, "head") + table_supported_roots(n1, "tail")
+    )
+    target = cyclic_for(n1)
+    flips = _solve_flips(_walk(order, [1] * n, n1), target)
+    walk = _walk(order, [-1 if k in flips else 1 for k in range(n)], n1)
+    assert walk.sgn == target[walk.perm, range(n1)].tolist()
+    slots = _section_slots(walk)
+    return slots, _relabeling(slots, int(target[n, 0]))
+
+
+def test_slot_relabeling_is_a_bijection_up_to_100():
+    # also past the sizes where the floating-point verification passes
+    for n1 in range(3, 101):
+        sources, signs = integer_slot_data(n1)[1]
+        assert sorted(sources) == list(range(n1 - 1)), n1
+        assert set(signs) <= {-1, 1}, n1
+
+
+# exact where the floating-point verification fails (29, 30, 32 on): the
+# characteristic polynomial of the section at random integer t agrees modulo
+# a prime with the one the slot relabeling predicts, at n+1 values of mu
+@pytest.mark.parametrize("n1", [3, 4, 11, 29, 30, 32, 33, 64])
+def test_slot_relabeling_is_exact_modulo_a_prime(n1):
+    (rows, cols, slot_signs), (sources, signs) = integer_slot_data(n1)
+    rng = np.random.default_rng(n1)
+    t = rng.integers(0, PRIME, size=n1 - 1)
+    M = cyclic_for(n1).astype(np.int64)
+    M[rows, cols] += slot_signs * t
+    # det(mu I - M) = sum_k (-1)^k e_k mu^(n+1-k), e_0 = 1, e_(n+1) = det M = 1
+    e = [1] + [s * int(t[k]) for k, s in zip(sources, signs)] + [1]
+    for mu in range(n1):
+        expect = sum(
+            (-1) ** k * e[k] * pow(mu, n1 - k, PRIME) for k in range(n1 + 1)
+        )
+        assert det_mod(mu * np.eye(n1, dtype=np.int64) - M) == expect % PRIME
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +381,33 @@ def test_chi_of_shift_vanishes():
 def test_chi_warns_off_unimodular():
     with pytest.warns(UserWarning):
         chi(2.0 * np.eye(3))
+
+
+def probe_relabeling(cal):
+    """The chi relabeling found by evaluating chi on basis vectors of t."""
+    n = cal.n_plus_1 - 1
+    sources = [-1] * n
+    signs = [0] * n
+    for k in range(n):
+        t = np.zeros(n)
+        t[k] = 1.0
+        e = chi(steinberg_section(cal, t))
+        hits = [r for r in range(n) if abs(e[r]) > 0.5]
+        assert len(hits) == 1, (k, e)
+        r = hits[0]
+        val = complex(e[r])
+        assert abs(val - round(val.real)) <= 1e-9 and round(val.real) in (-1, 1)
+        assert max(abs(e[s]) for s in range(n) if s != r) <= 1e-9
+        sources[r] = k
+        signs[r] = int(round(val.real))
+    return tuple(sources), tuple(signs)
+
+
+# 29, 30 and 32 on fail the relabeling verification in calibrate
+@pytest.mark.parametrize("n1", [*range(3, 29), 31])
+def test_slot_relabeling_matches_the_basis_vector_probe(n1):
+    cal = calibrate(n1)
+    assert (cal.chi_sources, cal.chi_signs) == probe_relabeling(cal)
 
 
 @pytest.mark.parametrize("n1", [3, 4, 5, 8, 13])

@@ -250,6 +250,13 @@ def test_reality_relation_random_real_families(n1):
     assert reality_residual(fam) < 1e-9
 
 
+@pytest.mark.parametrize("n1", [3, 4])
+def test_reality_residual_of_a_nan_family_is_nan(n1):
+    # the builtin max would drop every NaN and report 0.0
+    fam = {ell: np.full((n1, n1), np.nan) for ell in range(2 * n1)}
+    assert np.isnan(reality_residual(fam))
+
+
 # ---------------------------------------------------------------------------
 # full monodromy
 # ---------------------------------------------------------------------------
