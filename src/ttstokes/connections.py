@@ -27,6 +27,7 @@ tested on B = i zeta A(zeta), which the reversal-conjugation fixes exactly.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,8 +71,8 @@ class TodaField:
             raise ValueError("w and xwx must both have length n_plus_1")
         if not self.x > 0:
             raise ValueError("x must be a positive radius")
-        worst = max(np.max(np.abs(w + w[::-1])), np.max(np.abs(v + v[::-1])))
-        if worst > _SYM_TOL:
+        worst = nan_max(np.max(np.abs(w + w[::-1])), np.max(np.abs(v + v[::-1])))
+        if not worst <= _SYM_TOL:
             warnings.warn(f"field breaks v_i + v_(n-i) = 0 by {worst:.3e}; "
                           "anti-symmetry and reality identities will fail",
                           stacklevel=2)
@@ -246,10 +247,10 @@ class OmegaHatData:
         cc = np.asarray(self.c, dtype=float)
         if cc.shape != (self.n_plus_1,):
             raise ValueError("c must have length n_plus_1")
-        if np.min(cc) <= 0:
-            raise ValueError("residue coefficients c must be positive")
-        if self.z == 0:
-            raise ValueError("parameter z must be nonzero")
+        if not (np.isfinite(cc).all() and np.all(cc > 0)):
+            raise ValueError("residue coefficients c must be finite and positive")
+        if not (self.z != 0 and cmath.isfinite(self.z)):
+            raise ValueError("parameter z must be finite and nonzero")
         data = AsymptoticDataK(self.n_plus_1, self.k)  # validates k
         object.__setattr__(self, "c", cc)
         object.__setattr__(self, "k", data.k)

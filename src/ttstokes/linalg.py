@@ -12,7 +12,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -104,6 +103,15 @@ def nan_max(*values):
     return max(values)
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """Entrywise |z| as np.hypot of the parts.
+
+    This agrees bit for bit with Python's abs(complex), which np.abs on
+    complex arrays does not always do.
+    """
+    return np.hypot(z.real, z.imag)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -114,6 +122,7 @@ def char_poly(M) -> np.ndarray:
     Faddeev-LeVerrier recursion: B_0 = I, then A_k = M B_{k-1},
     c_{dim-k} = -tr(A_k)/k, B_k = A_k + c_{dim-k} I. No eigenvalue solve is
     involved, which keeps this route independent of :func:`eigenvalues`.
+    Each B_k is A_k with c_{dim-k} added in place on a view of its diagonal.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -123,10 +132,11 @@ def char_poly(M) -> np.ndarray:
     coeffs[dim] = 1.0
     B = np.eye(dim, dtype=complex)
     for k in range(1, dim + 1):
-        A = M @ B
-        c = -np.trace(A) / k
+        B = M @ B
+        diag = B.reshape(-1)[:: dim + 1]
+        c = -diag.sum() / k
         coeffs[dim - k] = c
-        B = A + c * np.eye(dim)
+        diag += c
     return coeffs
 
 
@@ -161,59 +171,85 @@ def eigenvalues(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from None
     coeffs = char_poly(M)
-    for lam in vals:
-        scale = sum(abs(c) * abs(lam) ** k for k, c in enumerate(coeffs))
-        resid = abs(poly_eval(coeffs, lam))
-        if resid > tol.bound(scale):
-            raise NumericalError(
-                "characteristic polynomial residual %.3e exceeds %.3e "
-                "at lambda = %s" % (resid, tol.bound(scale), lam)
-            )
+    # scale_i = sum_k |c_k| |lambda_i|^k, summed in increasing k
+    powers = np.float_power(_modulus(vals)[:, None], np.arange(coeffs.size))
+    scale = np.add.accumulate(_modulus(coeffs) * powers, axis=1)[:, -1]
+    # Horner's rule for all lambdas at once, multiplying by Re x and by i Im x
+    # in turn: each product then rounds once per part, as scalar complex
+    # arithmetic does (a fused complex multiply would not)
+    re, im = vals.real.astype(complex), 1j * vals.imag
+    p = np.zeros(vals.shape, dtype=complex)
+    for c in coeffs[::-1].tolist():
+        p = p * re + p * im + c
+    resid = _modulus(p)
+    bound = tol.bound(scale)
+    # written so that a NaN residual fails too
+    bad = ~(resid <= bound)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            "characteristic polynomial residual %.3e exceeds %.3e "
+            "at lambda = %s" % (resid[i], bound[i], vals[i])
+        )
     return vals
+
+
+_OVERFLOW = "multiset values overflow: absolute value too large"
 
 
 def match_multisets(a, b, tol: Tolerance = DEFAULT_TOL) -> float:
     """Greedy nearest-pair matching of two complex multisets.
 
-    Repeatedly pairs the globally closest remaining values. Returns the worst
-    matched distance; raises ConsistencyError if the sizes differ, a value is
-    not finite (a NaN distance would pass every comparison), a modulus
-    overflows, or a pair lands outside the tolerance (scaled by the values'
-    magnitude).
+    Repeatedly pairs the globally closest remaining values, ties going to the
+    first pair in row-major order. Returns the worst matched distance; raises
+    ConsistencyError if the sizes differ, a value is not finite (a NaN
+    distance would pass every comparison), a modulus overflows, or a pair
+    lands outside the tolerance (scaled by the values' magnitude).
+
+    The distances are sorted once; walking that order and skipping pairs
+    whose row or column is already taken picks the same pair at every step
+    as a fresh scan of the remaining ones would.
     """
-    a = [complex(x) for x in a]
-    b = [complex(x) for x in b]
-    if len(a) != len(b):
-        raise ConsistencyError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    if not all(cmath.isfinite(x) for x in a + b):
+    A = np.asarray(a, dtype=complex)
+    B = np.asarray(b, dtype=complex)
+    if A.size != B.size:
+        raise ConsistencyError(f"multiset sizes differ: {A.size} vs {B.size}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ConsistencyError("multisets contain a non-finite value")
-    try:
-        taken = [False] * len(b)
-        done = [False] * len(a)
-        worst = 0.0
-        for _ in range(len(a)):
-            best = None
-            for i, x in enumerate(a):
-                if done[i]:
-                    continue
-                for j, y in enumerate(b):
-                    if taken[j]:
-                        continue
-                    d = abs(x - y)
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
-            d, i, j = best
+    # each accepted pair is measured again in Python complex arithmetic
+    a, b = A.tolist(), B.tolist()
+    n = len(a)
+    with np.errstate(over="ignore"):
+        diff = A[:, None] - B
+        dist = _modulus(diff)
+    # a finite difference with an infinite modulus is where abs() overflows
+    inf = np.isinf(dist)
+    if inf.any() and np.isfinite(diff[inf]).any():
+        raise ConsistencyError(_OVERFLOW)
+    row_done = [False] * n
+    col_done = [False] * n
+    worst = 0.0
+    left = n
+    for flat in np.argsort(dist, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if row_done[i] or col_done[j]:
+            continue
+        d = abs(a[i] - b[j])
+        try:
             scale = max(abs(a[i]), abs(b[j]), 1.0)
-            if d > tol.bound(scale):
-                raise ConsistencyError(
-                    "multisets differ: closest remaining pair %s vs %s is %.3e apart"
-                    % (a[i], b[j], d)
-                )
-            worst = max(worst, d)
-            done[i] = True
-            taken[j] = True
-    except OverflowError as exc:
-        raise ConsistencyError(f"multiset values overflow: {exc}") from exc
+        except OverflowError:
+            raise ConsistencyError(_OVERFLOW) from None
+        if d > tol.bound(scale):
+            raise ConsistencyError(
+                "multisets differ: closest remaining pair %s vs %s is %.3e apart"
+                % (a[i], b[j], d)
+            )
+        worst = max(worst, d)
+        row_done[i] = True
+        col_done[j] = True
+        left -= 1
+        if not left:
+            break
     return worst
 
 

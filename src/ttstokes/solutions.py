@@ -195,8 +195,8 @@ class AsymptoticDataK:
         kk = np.asarray(self.k, dtype=float)
         if kk.shape != (self.n_plus_1,):
             raise ValueError(f"expected {self.n_plus_1} exponents, got {kk.shape}")
-        if np.min(kk) < -1.0 - 1e-12:
-            raise ValueError("exponents must be >= -1")
+        if not (np.isfinite(kk).all() and np.all(kk >= -1.0 - 1e-12)):
+            raise ValueError("exponents must be finite and >= -1")
         for j in range(1, self.n_plus_1):
             partner = (self.n_plus_1 - j) % self.n_plus_1
             if abs(kk[j] - kk[partner]) > _SYM_TOL:
@@ -208,8 +208,8 @@ class AsymptoticDataK:
             cc = np.asarray(self.c, dtype=float)
             if cc.shape != (self.n_plus_1,):
                 raise ValueError("coefficient vector c has wrong length")
-            if np.min(cc) <= 0:
-                raise ValueError("coefficients c must be positive")
+            if not (np.isfinite(cc).all() and np.all(cc > 0)):
+                raise ValueError("coefficients c must be finite and positive")
             object.__setattr__(self, "c", cc)
 
     @property

@@ -490,10 +490,6 @@ def unitary_conjugacy_check(
         k2 = g @ k1 @ np.linalg.inv(g)
 
         unit_res = max_abs(k2 @ k2.conj().T - np.eye(n_plus_1))
-        spec_res = match_multisets(
-            eigenvalues(k2, Tolerance(1e-7, 1e-7)),
-            np.diag(D),
-            Tolerance(1e-7, 1e-7),
-        )
+        spec_res = match_multisets(eigenvalues(k2, tol), np.diag(D), tol)
         worst = nan_max(worst, unit_res, spec_res)
-    return UnitaryConjugacyReport(n_plus_1, samples, worst, worst < 1e-8)
+    return UnitaryConjugacyReport(n_plus_1, samples, worst, worst <= tol.bound(1.0))

@@ -255,7 +255,30 @@ def test_omega_hat_anti_symmetry_needs_symmetric_c():
 # ---------------------------------------------------------------------------
 
 def nan_field():
-    return TodaField(3, np.array([np.nan, 0.0, np.nan]), 1.0, np.zeros(3))
+    with pytest.warns(UserWarning, match="anti-symmetry"):
+        return TodaField(3, np.array([np.nan, 0.0, np.nan]), 1.0, np.zeros(3))
+
+
+@pytest.mark.parametrize("w, xwx", [
+    ([np.nan, 0.0, np.nan], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [np.nan, 0.0, np.nan]),
+    ([0.0, np.nan, 0.0], [0.0, 0.0, 0.0]),
+])
+def test_toda_field_warns_on_nan(w, xwx):
+    # nan > tol is false, and the builtin max dropped a NaN in second place
+    with pytest.warns(UserWarning, match="anti-symmetry"):
+        TodaField(3, np.array(w), 1.0, np.array(xwx))
+
+
+@pytest.mark.parametrize("c, z", [
+    ([np.nan, 1.0, 1.0], 1.0 + 0j),
+    ([1.0, np.inf, 1.0], 1.0 + 0j),
+    ([1.0, 1.0, 1.0], complex(np.nan, 0.0)),
+    ([1.0, 1.0, 1.0], complex(1.0, np.inf)),
+])
+def test_omega_hat_data_rejects_non_finite_c_and_z(c, z):
+    with pytest.raises(ValueError):
+        OmegaHatData(3, np.array(c), np.zeros(3), z)
 
 
 def test_symmetry_report_nan_field_fails():
@@ -272,7 +295,9 @@ def test_diagonalizer_check_nan_field_fails():
 
 
 def test_omega_hat_symmetry_report_nan_coefficient_fails():
-    d = OmegaHatData(3, np.array([np.nan, 1.0, 1.0]), np.zeros(3), 1.0 + 0j)
+    # the constructor rejects a NaN coefficient, so it is put in afterwards
+    d = OmegaHatData(3, np.ones(3), np.zeros(3), 1.0 + 0j)
+    object.__setattr__(d, "c", np.array([np.nan, 1.0, 1.0]))
     rep = omega_hat_symmetry_report(d, lambda_samples=3, seed=0)
     assert np.isnan(rep.cyclic) and np.isnan(rep.anti)
     assert not rep.passed

@@ -4,6 +4,8 @@ Expected values here were computed by hand (or from closed forms) before the
 implementation existed, so they are independent of the code under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from ttstokes.linalg import (
     shift_matrix,
     signed_shift_matrix,
 )
+from ttstokes.steinberg import calibrate, steinberg_section
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +286,222 @@ def test_char_poly_similarity_invariant(M, seed):
     conj = Q @ M @ Q.T
     scale = max(1.0, np.max(np.abs(char_poly(M))))
     np.testing.assert_allclose(char_poly(conj), char_poly(M), atol=1e-8 * scale)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized kernels against the element-by-element loops they replaced
+# ---------------------------------------------------------------------------
+
+def _char_poly_loop(M):
+    M = np.asarray(M, dtype=complex)
+    dim = M.shape[0]
+    coeffs = np.zeros(dim + 1, dtype=complex)
+    coeffs[dim] = 1.0
+    B = np.eye(dim, dtype=complex)
+    for k in range(1, dim + 1):
+        A = M @ B
+        c = -np.trace(A) / k
+        coeffs[dim - k] = c
+        B = A + c * np.eye(dim)
+    return coeffs
+
+
+def _eigenvalues_loop(M, tol):
+    M = np.asarray(M, dtype=complex)
+    vals = np.linalg.eigvals(M)
+    coeffs = _char_poly_loop(M)
+    for lam in vals:
+        scale = sum(abs(c) * abs(lam) ** k for k, c in enumerate(coeffs))
+        resid = abs(poly_eval(coeffs, lam))
+        if resid > tol.bound(scale):
+            raise NumericalError(
+                "characteristic polynomial residual %.3e exceeds %.3e "
+                "at lambda = %s" % (resid, tol.bound(scale), lam)
+            )
+    return vals
+
+
+def _match_multisets_loop(a, b, tol):
+    a = [complex(x) for x in a]
+    b = [complex(x) for x in b]
+    if len(a) != len(b):
+        raise linalg.ConsistencyError(f"multiset sizes differ: {len(a)} vs {len(b)}")
+    if not all(np.isfinite(x) for x in a + b):
+        raise linalg.ConsistencyError("multisets contain a non-finite value")
+    try:
+        taken = [False] * len(b)
+        done = [False] * len(a)
+        worst = 0.0
+        for _ in range(len(a)):
+            best = None
+            for i, x in enumerate(a):
+                if done[i]:
+                    continue
+                for j, y in enumerate(b):
+                    if taken[j]:
+                        continue
+                    d = abs(x - y)
+                    if best is None or d < best[0]:
+                        best = (d, i, j)
+            d, i, j = best
+            scale = max(abs(a[i]), abs(b[j]), 1.0)
+            if d > tol.bound(scale):
+                raise linalg.ConsistencyError(
+                    "multisets differ: closest remaining pair %s vs %s is %.3e apart"
+                    % (a[i], b[j], d)
+                )
+            worst = max(worst, d)
+            done[i] = True
+            taken[j] = True
+    except OverflowError as exc:
+        raise linalg.ConsistencyError(f"multiset values overflow: {exc}") from exc
+    return worst
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except (NumericalError, linalg.ConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_matrices(seed):
+    rng = np.random.default_rng(seed)
+    for dim in range(1, 41):
+        Z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        yield Z
+        yield Z.real
+        yield np.where(rng.random((dim, dim)) < 0.5, 0.0, Z.real)  # exact zeros
+
+
+def test_char_poly_equals_the_loop_on_random_matrices():
+    for M in _random_matrices(900):
+        assert np.array_equal(char_poly(M), _char_poly_loop(M)), M.shape
+
+
+@pytest.mark.parametrize("n1", [3, 4, 5, 8, 12, 16])
+def test_char_poly_equals_the_loop_on_section_values(n1):
+    cal = calibrate(n1)
+    rng = np.random.default_rng(910 + n1)
+    for _ in range(5):
+        t = rng.normal(size=n1 - 1) + 1j * rng.normal(size=n1 - 1)
+        S = steinberg_section(cal, t)
+        assert np.array_equal(char_poly(S), _char_poly_loop(S))
+
+
+def test_eigenvalue_gate_equals_the_loop():
+    # the tight tolerances make the gate trip, so messages are compared too
+    tols = [Tolerance(), Tolerance(1e-14, 1e-14), Tolerance(1e-300, 1e-300)]
+    tripped = 0
+    for M in _random_matrices(920):
+        for tol in tols:
+            got, want = _outcome(eigenvalues, M, tol), _outcome(_eigenvalues_loop, M, tol)
+            assert got[0] == want[0], (M.shape, tol)
+            if got[0] == "returned":
+                assert np.array_equal(got[1], want[1])
+            else:
+                assert got[1] == want[1]
+                tripped += 1
+    assert tripped > 100
+
+
+def test_eigenvalue_gate_equals_the_loop_on_the_bound():
+    # tuned so that the worst lambda sits on the bound, where the verdict
+    # turns on the last bits of the residual and of the scale
+    verdicts = set()
+    for M in _random_matrices(940):
+        coeffs = _char_poly_loop(M)
+        ratio = 0.0
+        for lam in np.linalg.eigvals(np.asarray(M, dtype=complex)):
+            scale = sum(abs(c) * abs(lam) ** k for k, c in enumerate(coeffs))
+            if scale:
+                ratio = max(ratio, abs(poly_eval(coeffs, lam)) / scale)
+        if ratio == 0:
+            continue
+        tol = Tolerance(1e-300, ratio)
+        got, want = _outcome(eigenvalues, M, tol), _outcome(_eigenvalues_loop, M, tol)
+        assert got[0] == want[0], M.shape
+        if got[0] != "returned":
+            assert got[1] == want[1]
+        verdicts.add(got[0])
+    assert verdicts == {"returned", "NumericalError"}
+
+
+def test_modulus_is_python_abs():
+    rng = np.random.default_rng(950)
+    z = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+    z *= 10.0 ** rng.integers(-300, 300, z.size)
+    assert linalg._modulus(z).tolist() == [abs(x) for x in z.tolist()]
+
+
+def _multiset_cases():
+    rng = np.random.default_rng(930)
+    jitter = [0.0, 1e-12, 1e-10, 1e-8, 1e-3]
+    for size in range(1, 41):
+        values = rng.normal(size=size) + 1j * rng.normal(size=size)
+        rounded = np.round(values, 1)  # coinciding values and tied distances
+        roots = np.exp(2j * np.pi * rng.integers(0, 3, size) / 3)  # exact duplicates
+        for a in (values, rounded, roots, np.ones(size)):
+            noise = rng.choice(jitter, size=size)
+            b = a[rng.permutation(size)] + noise * (rng.normal(size=size)
+                                                   + 1j * rng.normal(size=size))
+            for tol in (Tolerance(1e-9, 1e-9), Tolerance(1e-2, 1e-2)):
+                yield a, b, tol
+        # the eigenvalues of a perturbed Jordan block form a cluster around 1
+        J = np.eye(size) + np.eye(size, k=1)
+        J[-1, 0] = 1e-12
+        for tol in (Tolerance(1e-9, 1e-9), Tolerance(1e-1, 1e-1)):
+            yield np.linalg.eigvals(J), np.ones(size), tol
+    yield [1, 1, 1], [1, 1, 1], Tolerance()
+    yield [1, 1, 2], [1, 2, 2], Tolerance()
+    # pairs 1-1 and 2-2 are accepted before 3 vs 3.5 fails
+    yield [1, 2, 3], [3.5, 2, 1], Tolerance()
+    # |h| overflows, |y| does not, and no difference overflows: the scale of
+    # the pair (h, h') overflows at the second step, unless the first fails
+    y, h = 1e308 + 1e308j, 1.7e308 + 1.7e308j
+    yield [y, h], [y, h + 1e301], Tolerance()
+    yield [y, h], [y + 1e300, h + 1e301], Tolerance()
+
+
+def test_match_multisets_equals_the_loop():
+    outcomes = set()
+    for a, b, tol in _multiset_cases():
+        got = _outcome(match_multisets, a, b, tol)
+        want = _outcome(_match_multisets_loop, a, b, tol)
+        assert got == want, (a, b, tol)
+        assert type(got[1]) is type(want[1])
+        outcomes.add(got[0])
+    assert outcomes == {"returned", "ConsistencyError"}
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0, np.nan], [1.0, 2.0]),
+    ([1.0, 2.0], [complex(1.0, np.nan), 2.0]),
+    ([1.0, np.inf], [1.0, np.inf]),
+    ([np.nan], [np.nan]),
+    ([1e308 + 1e308j], [-1e308 - 1e308j]),
+    ([1.7e308 + 1.7e308j], [1.7e308 + 1.7e308j]),
+    ([1e308 + 1e308j], [-0.7e308 - 0.7e308j]),
+    ([0.0, 1.7e308 + 1.7e308j], [0.0, 1.7e308 + 1.7e308j]),
+])
+def test_match_multisets_rejections_are_quiet_and_unchanged(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _outcome(match_multisets, a, b, linalg.DEFAULT_TOL)
+    assert got[0] == "ConsistencyError"
+    assert got == _outcome(_match_multisets_loop, a, b, linalg.DEFAULT_TOL)
+
+
+def test_eigenvalue_gate_fails_a_nan_residual(monkeypatch):
+    # nan > bound is false, so a NaN residual used to pass the gate
+    def nan_poly(M):
+        coeffs = char_poly(M)
+        coeffs[0] = np.nan
+        return coeffs
+
+    monkeypatch.setattr(linalg, "char_poly", nan_poly)
+    with pytest.raises(NumericalError, match="residual nan"):
+        eigenvalues(np.diag([1.0, 2.0, 3.0]))
 
 
 def test_tolerance_validation():

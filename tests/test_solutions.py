@@ -314,6 +314,19 @@ def test_asymptotic_data_validation():
         AsymptoticDataK(4, np.array([-1.0, -1.0, -1.0, -1.0]))  # degenerate
 
 
+@pytest.mark.parametrize("k, c", [
+    ([np.nan, 0.0, 0.0], None),
+    ([0.0, np.nan, np.nan], None),
+    ([0.0, np.inf, np.inf], None),
+    ([0.0, 0.0, 0.0], [np.nan, 1.0, 1.0]),
+    ([0.0, 0.0, 0.0], [1.0, np.inf, 1.0]),
+])
+def test_asymptotic_data_rejects_non_finite_k_and_c(k, c):
+    # every comparison with NaN is false, so NaN passed each range test
+    with pytest.raises(ValueError, match="finite"):
+        AsymptoticDataK(3, np.array(k), None if c is None else np.array(c))
+
+
 @pytest.mark.parametrize("n1", range(3, 9))
 def test_gamma_from_k_identity_and_membership(n1):
     rng = np.random.default_rng(70 + n1)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ttstokes import reference as ref
 from ttstokes import steinberg
 from ttstokes.linalg import (
+    NumericalError,
     Tolerance,
     cyclic_for,
     eigenvalues,
@@ -503,6 +504,16 @@ def test_unitary_conjugacy_property():
     assert rep.max_residual < 1e-8
     rep5 = unitary_conjugacy_check(5, samples=20, seed=1)
     assert rep5.passed
+
+
+def test_unitary_conjugacy_check_uses_its_tol():
+    # the residual is about 1.4e-15: above a 1e-15 verdict bound, while the
+    # eigenvalue gate and the match still pass
+    rep = unitary_conjugacy_check(4, samples=3, seed=0, tol=Tolerance(5e-16, 5e-16))
+    assert 1e-15 < rep.max_residual < 1e-14
+    assert not rep.passed
+    with pytest.raises(NumericalError):
+        unitary_conjugacy_check(4, samples=3, seed=0, tol=Tolerance(1e-300, 1e-300))
 
 
 def test_unitary_conjugacy_nan_residual_fails(monkeypatch):
