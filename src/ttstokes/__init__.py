@@ -53,6 +53,7 @@ from .stokes import (
     full_monodromy,
     q_family,
     q_pattern,
+    q_patterns,
 )
 from .connections import (
     OmegaHatData,
@@ -106,6 +107,7 @@ __all__ = [
     "full_monodromy",
     "q_family",
     "q_pattern",
+    "q_patterns",
     "OmegaHatData",
     "TodaField",
     "build_alpha_hat",

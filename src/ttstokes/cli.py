@@ -9,8 +9,8 @@ Output is a pretty table by default or a deterministic JSON envelope with
 ``--format json``: keys sorted, floats rendered with 12 significant digits,
 complex numbers as [re, im] pairs, so output is byte-stable for fixed flags
 and seed.  Exit codes: 0 success, 1 verification failure or a
-numerical, calibration or consistency error (``error: ...`` on stderr),
-2 usage error.
+numerical, calibration or consistency error (``error: ...`` on stderr)
+or a reader that closed standard output early, 2 usage error.
 """
 
 from __future__ import annotations
@@ -573,10 +573,19 @@ def main(argv=None) -> int:
         sizes = getattr(ns, "sizes", None)
         n_for_env = sizes[0] if sizes and len(sizes) == 1 else 0
     env = _envelope(ns.command, n_for_env, payload, residuals)
-    if ns.format == "json":
-        print(_dumps(env))
-    else:
-        print("\n".join(lines))
+    try:
+        if ns.format == "json":
+            print(_dumps(env))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the interpreter's
+        # final flush of the unwritten rest does not fail again on stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

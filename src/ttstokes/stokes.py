@@ -20,7 +20,6 @@ from .linalg import (
     Tolerance,
     cyclic_for,
     max_abs,
-    nan_max,
     omega_pow,
     omega_powers,
 )
@@ -30,6 +29,7 @@ __all__ = [
     "StokesParams",
     "MonodromyMatrix",
     "q_pattern",
+    "q_patterns",
     "build_q",
     "build_m0",
     "q_family",
@@ -60,16 +60,30 @@ def q_pattern(n_plus_1: int, ell: int) -> np.ndarray:
     when arg(omega^i - omega^j) matches (n - ell) pi/(n+1) for even n+1, or
     (2n + 1 - 2 ell) pi/(2(n+1)) for odd n+1.
     """
+    return _support_masks(n_plus_1, ell)
+
+
+def q_patterns(n_plus_1: int) -> np.ndarray:
+    """All 2(n+1) masks of :func:`q_pattern`, stacked: entry ell is the mask
+    of direction ell."""
+    return _support_masks(n_plus_1, np.arange(2 * n_plus_1))
+
+
+def _support_masks(n_plus_1: int, ell) -> np.ndarray:
+    """The masks of :func:`q_pattern` for a direction index or an array of
+    them, the target angles broadcast over the omega^i - omega^j grid."""
+    ell = np.asarray(ell)
     if n_plus_1 % 2 == 0:
         ang = (n_plus_1 - 1 - ell) * np.pi / n_plus_1
     else:
         ang = (2 * n_plus_1 - 1 - 2 * ell) * np.pi / (2 * n_plus_1)
-    target = complex(np.cos(ang), np.sin(ang))
+    target = (np.cos(ang) + 1j * np.sin(ang))[..., None, None]
     w = omega_powers(n_plus_1)
     z = w[:, None] - w[None, :]  # z[i, j] = omega^i - omega^j
     np.fill_diagonal(z, 1.0)  # any nonzero value; the diagonal is set below
     pat = np.abs(z / np.abs(z) - target) < 1e-9
-    np.fill_diagonal(pat, True)
+    diag = np.arange(n_plus_1)
+    pat[..., diag, diag] = True
     return pat
 
 
@@ -135,7 +149,7 @@ def build_m0(params: StokesParams, tol: Tolerance = DEFAULT_TOL) -> MonodromyMat
     q2 = build_q(n1, "second", params.second_coeffs)
     M = q1 @ q2 @ cyclic_for(n1).astype(complex)
     det = np.linalg.det(M)
-    if abs(det - 1.0) > tol.bound(max(1.0, abs(det))):
+    if not abs(det - 1.0) <= tol.bound(max(1.0, abs(det))):
         raise NumericalError(f"monodromy determinant {det} is not 1")
     return MonodromyMatrix(n1, M)
 
@@ -149,8 +163,10 @@ def q_family(
     """All 2(n+1) Stokes factors generated from q1 and q2 by shift conjugation.
 
     Keys are the direction indices ell = 0 .. 2n+1; even indices come from
-    q1, odd from q2. Three structural relations are verified and a violation
-    raises ConsistencyError naming the failure:
+    q1, odd from q2, and the values are views into one stacked array.
+    Non-finite q1 or q2 raises ConsistencyError. Three structural relations
+    are verified over the whole stack, and a violation raises
+    ConsistencyError naming the first failing direction:
 
     * each member is unipotent and supported on its direction's pattern;
     * advancing ell by n+1 gives the transpose inverse;
@@ -158,43 +174,50 @@ def q_family(
     """
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
-    P = cyclic_for(n_plus_1)
+    if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
+        raise ConsistencyError("Stokes factors q1 and q2 must be finite")
     scale = max(1.0, max_abs(q1), max_abs(q2))
+    bound = tol.bound(scale)
 
-    family: dict[int, np.ndarray] = {}
-    Pj = np.eye(n_plus_1)
-    for j in range(n_plus_1):
-        family[2 * j] = Pj @ q1 @ Pj.T
-        family[(2 * j + 1) % (2 * n_plus_1)] = Pj @ q2 @ Pj.T
-        Pj = P @ Pj
+    # P^j is a signed permutation, (P^j v)_a = sign_j(a) v_{(a+j) mod (n+1)}
+    # with sign -1 where a+j wraps past n and n+1 is even, so P^j q P^jT is a
+    # signed gather of q, as exact as the dense product. Member 2j + h is
+    # the j-th conjugate of q1 (h = 0) or q2 (h = 1).
+    shifted = np.arange(n_plus_1)[:, None] + np.arange(n_plus_1)  # [j, a] = a + j
+    perm = shifted % n_plus_1
+    sign = np.where((shifted >= n_plus_1) & (n_plus_1 % 2 == 0), -1.0, 1.0)
+    gathered = np.stack([q1, q2])[:, perm[:, :, None], perm[:, None, :]]
+    stack = (sign[:, :, None] * sign[:, None, :] * gathered).swapaxes(0, 1)
+    stack = stack.reshape(2 * n_plus_1, n_plus_1, n_plus_1)
 
-    for ell, q in sorted(family.items()):
-        pat = q_pattern(n_plus_1, ell)
-        off = max_abs(q[~pat]) if (~pat).any() else 0.0
-        if off > tol.bound(scale):
+    off = np.abs(np.where(q_patterns(n_plus_1), 0.0, stack)).max(axis=(1, 2))
+    diag_err = np.abs(np.diagonal(stack, axis1=1, axis2=2) - 1.0).max(axis=1)
+    failed = np.flatnonzero(~((off <= bound) & (diag_err <= bound)))
+    if failed.size:
+        ell = int(failed[0])
+        if not off[ell] <= bound:
             raise ConsistencyError(
-                f"Stokes factor {ell} has weight {off:.3e} outside its pattern"
+                f"Stokes factor {ell} has weight {off[ell]:.3e} outside its pattern"
             )
-        diag_err = max_abs(np.diag(q) - 1.0)
-        if diag_err > tol.bound(scale):
-            raise ConsistencyError(f"Stokes factor {ell} is not unipotent")
+        raise ConsistencyError(f"Stokes factor {ell} is not unipotent")
 
-    for ell in range(n_plus_1):
-        lhs = family[ell + n_plus_1]
-        rhs = np.linalg.inv(family[ell].T)
-        err = max_abs(lhs - rhs)
-        if err > tol.bound(scale):
-            raise ConsistencyError(
-                f"transpose-inverse relation fails between factors {ell} and "
-                f"{ell + n_plus_1} (residual {err:.3e})"
-            )
+    lhs = stack[n_plus_1:]
+    rhs = np.linalg.inv(stack[:n_plus_1].transpose(0, 2, 1))
+    err = np.abs(lhs - rhs).max(axis=(1, 2))
+    failed = np.flatnonzero(~(err <= bound))
+    if failed.size:
+        ell = int(failed[0])
+        raise ConsistencyError(
+            f"transpose-inverse relation fails between factors {ell} and "
+            f"{ell + n_plus_1} (residual {err[ell]:.3e})"
+        )
 
-    Pfull = np.linalg.matrix_power(P, n_plus_1)
+    Pfull = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1)
     per = max_abs(Pfull @ q1 @ Pfull.T - q1)
-    if per > tol.bound(scale):
+    if not per <= bound:
         raise ConsistencyError(f"shift conjugation is not periodic (residual {per:.3e})")
 
-    return family
+    return {ell: stack[ell] for ell in range(2 * n_plus_1)}
 
 
 def full_monodromy(m0: MonodromyMatrix) -> np.ndarray:
@@ -329,11 +352,8 @@ def reality_residual(family: dict[int, np.ndarray]) -> float:
     """
     n_plus_1 = family[0].shape[0]
     period = 2 * n_plus_1
-    C = reality_conjugator(n_plus_1)
+    stack = np.stack([family[ell] for ell in range(period)])
     off = 2 if n_plus_1 % 2 == 0 else 1
-    worst = 0.0
-    for ell in range(period):
-        partner = (-ell - off) % period
-        lhs = C @ np.linalg.inv(family[partner]) @ C
-        worst = nan_max(worst, max_abs(lhs - family[ell]))
-    return worst
+    partners = (-np.arange(period) - off) % period
+    C = reality_conjugator(n_plus_1)
+    return max_abs(C @ np.linalg.inv(stack[partners]) @ C - stack)

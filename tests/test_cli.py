@@ -5,6 +5,7 @@ sure the installed console script wiring works.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -293,3 +294,19 @@ def test_module_invocation_subprocess():
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     assert env["command"] == "directions"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_closed_stdout_exits_1_without_traceback(fmt):
+    # the reader is gone before the first write, so the write always fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttstokes", "from-gamma", "--n", "5",
+             "--gamma-free", "0.5,0.25", "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -11,11 +11,16 @@ import numpy as np
 import pytest
 
 from ttstokes import reference as ref
+from ttstokes import stokes
 from ttstokes.linalg import (
+    DEFAULT_TOL,
     ConsistencyError,
+    NumericalError,
     Tolerance,
     cyclic_for,
     match_multisets,
+    max_abs,
+    nan_max,
     eigenvalues,
     omega_pow,
     shift_matrix,
@@ -29,6 +34,7 @@ from ttstokes.stokes import (
     full_monodromy,
     q_family,
     q_pattern,
+    q_patterns,
     random_stokes_params,
     reality_residual,
 )
@@ -99,8 +105,12 @@ def _q_pattern_scalar(n_plus_1, ell):
 
 @pytest.mark.parametrize("n1", range(3, 65))
 def test_q_pattern_matches_scalar_reference(n1):
+    stacked = q_patterns(n1)
+    assert stacked.dtype == bool and stacked.shape == (2 * n1, n1, n1)
     for ell in range(2 * n1):
-        assert np.array_equal(q_pattern(n1, ell), _q_pattern_scalar(n1, ell))
+        expect = _q_pattern_scalar(n1, ell)
+        assert np.array_equal(q_pattern(n1, ell), expect)
+        assert np.array_equal(stacked[ell], expect)
 
 
 def test_q_pattern_returns_a_fresh_writable_bool_array():
@@ -214,6 +224,173 @@ def test_q_family_random_constrained(n1):
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+def _q_family_loop(n_plus_1, q1, q2, tol=DEFAULT_TOL):
+    """The member-by-member q_family that the stacked one replaced, kept as
+    its reference: dense shift-power products, one q_pattern and one inverse
+    per direction."""
+    q1 = np.asarray(q1, dtype=complex)
+    q2 = np.asarray(q2, dtype=complex)
+    P = cyclic_for(n_plus_1)
+    scale = max(1.0, max_abs(q1), max_abs(q2))
+
+    family = {}
+    Pj = np.eye(n_plus_1)
+    for j in range(n_plus_1):
+        family[2 * j] = Pj @ q1 @ Pj.T
+        family[(2 * j + 1) % (2 * n_plus_1)] = Pj @ q2 @ Pj.T
+        Pj = P @ Pj
+
+    for ell, q in sorted(family.items()):
+        pat = q_pattern(n_plus_1, ell)
+        off = max_abs(q[~pat]) if (~pat).any() else 0.0
+        if off > tol.bound(scale):
+            raise ConsistencyError(
+                f"Stokes factor {ell} has weight {off:.3e} outside its pattern"
+            )
+        diag_err = max_abs(np.diag(q) - 1.0)
+        if diag_err > tol.bound(scale):
+            raise ConsistencyError(f"Stokes factor {ell} is not unipotent")
+
+    for ell in range(n_plus_1):
+        lhs = family[ell + n_plus_1]
+        rhs = np.linalg.inv(family[ell].T)
+        err = max_abs(lhs - rhs)
+        if err > tol.bound(scale):
+            raise ConsistencyError(
+                f"transpose-inverse relation fails between factors {ell} and "
+                f"{ell + n_plus_1} (residual {err:.3e})"
+            )
+
+    Pfull = np.linalg.matrix_power(P, n_plus_1)
+    per = max_abs(Pfull @ q1 @ Pfull.T - q1)
+    if per > tol.bound(scale):
+        raise ConsistencyError(f"shift conjugation is not periodic (residual {per:.3e})")
+
+    return family
+
+
+def _family_outcome(fn, n1, q1, q2):
+    try:
+        return "returned", fn(n1, q1, q2)
+    except ConsistencyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_same_family_outcome(n1, q1, q2):
+    got = _family_outcome(q_family, n1, q1, q2)
+    expect = _family_outcome(_q_family_loop, n1, q1, q2)
+    if expect[0] != "returned":
+        assert got == expect
+        return expect[1]
+    assert got[0] == "returned" and list(got[1]) == list(expect[1])
+    for ell, q in expect[1].items():
+        assert np.array_equal(got[1][ell], q)
+    return None
+
+
+def _random_factors(n1, rng, real):
+    p = random_stokes_params(n1, rng, real=real)
+    return build_q(n1, "head", p.head_coeffs), build_q(n1, "second", p.second_coeffs)
+
+
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_q_family_equals_the_member_loop(n1):
+    rng = np.random.default_rng(4000 + n1)
+    for real in (False, True):
+        q1, q2 = _random_factors(n1, rng, real)
+        assert _assert_same_family_outcome(n1, q1, q2) is None
+
+
+@pytest.mark.parametrize("n1", range(3, 13))
+def test_q_family_failures_match_the_member_loop(n1):
+    # one entry of a valid pair moved: the same gate must fail first, at the
+    # same direction, with the same message
+    rng = np.random.default_rng(5000 + n1)
+    failures = 0
+    for trial in range(40):
+        q1, q2 = _random_factors(n1, rng, real=bool(trial % 2))
+        target = q1 if rng.integers(2) else q2
+        i, j = rng.integers(n1, size=2)
+        target[i, j] += rng.choice([1e-12, 1e-3, 1.0])
+        failures += _assert_same_family_outcome(n1, q1, q2) is not None
+    assert failures > 0
+
+
+def test_q_family_failure_kinds_match_the_member_loop(monkeypatch):
+    s1, s2 = 0.6, -1.1
+    off_pattern = ref.stokes_q1_4(s1).copy()
+    off_pattern[0, 1] = 0.01
+    assert "outside its pattern" in _assert_same_family_outcome(
+        4, off_pattern, ref.stokes_q2_4(s2))
+    # the first failing direction is odd: q1's conjugates all pass
+    off_second = ref.stokes_q2_4(s2).copy()
+    off_second[3, 2] = 0.01
+    assert "Stokes factor 1 has weight" in _assert_same_family_outcome(
+        4, ref.stokes_q1_4(s1), off_second)
+    not_unipotent = ref.stokes_q1_5(s1, s2).copy()
+    not_unipotent[3, 3] = 1.5
+    assert "Stokes factor 0 is not unipotent" == _assert_same_family_outcome(
+        5, not_unipotent, ref.stokes_q2_5(s1, s2))
+    # q1's diagonal fails at direction 0 before q2's pattern at direction 1
+    off_q2 = ref.stokes_q2_5(s1, s2).copy()
+    off_q2[0, 4] = 0.01
+    assert "Stokes factor 0 is not unipotent" == _assert_same_family_outcome(
+        5, not_unipotent, off_q2)
+    assert "Stokes factor 1 has weight" in _assert_same_family_outcome(
+        5, ref.stokes_q1_5(s1, s2), off_q2)
+    unpaired = np.eye(4, dtype=complex)
+    unpaired[1, 0] = 0.3
+    unpaired[2, 3] = 0.5
+    assert "transpose-inverse relation fails" in _assert_same_family_outcome(
+        4, unpaired, ref.stokes_q2_4(0.2))
+    # no shift matrix breaks periodicity while the other gates hold, so the
+    # shift power is corrupted where both versions take it
+    pairs = {n1: _random_factors(n1, np.random.default_rng(n1), real=False)
+             for n1 in (4, 5)}
+    power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: 2.0 * power(M, k))
+    for n1, (q1, q2) in pairs.items():
+        assert "not periodic" in _assert_same_family_outcome(n1, q1, q2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_q_family_rejects_non_finite_factors(bad):
+    with np.errstate(invalid="ignore"):
+        q2 = ref.stokes_q2_4(bad)
+    with pytest.raises(ConsistencyError, match="must be finite"):
+        q_family(4, ref.stokes_q1_4(0.6), q2)
+    q1 = ref.stokes_q1_4(0.6)
+    q1[2, 3] = bad
+    with pytest.raises(ConsistencyError, match="must be finite"):
+        q_family(4, q1, ref.stokes_q2_4(0.2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_m0_rejects_non_finite_coefficients(bad):
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="determinant"):
+        build_m0(params_4(0.6, bad))
+
+
+def test_stacked_family_calls_no_q_pattern_and_one_inverse(monkeypatch):
+    calls = {"q_pattern": 0, "inv": []}
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        calls["inv"].append(np.ndim(a))
+        return inv(a)
+
+    def counting_pattern(*args):
+        calls["q_pattern"] += 1
+        return q_pattern(*args)
+
+    monkeypatch.setattr(stokes, "q_pattern", counting_pattern)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    fam = q_family(6, *_random_factors(6, np.random.default_rng(6), real=True))
+    assert calls == {"q_pattern": 0, "inv": [3]}
+    reality_residual(fam)
+    assert calls["inv"] == [3, 3]
+
+
 def test_q_family_rejects_unpaired_coefficients():
     # generic head coefficients break the transpose-inverse relation
     q1 = np.eye(4, dtype=complex)
@@ -248,6 +425,29 @@ def test_reality_relation_random_real_families(n1):
         build_q(n1, "second", p.second_coeffs),
     )
     assert reality_residual(fam) < 1e-9
+
+
+def _reality_residual_loop(family):
+    """The member-by-member reality_residual that the stacked one replaced,
+    kept as its reference."""
+    n_plus_1 = family[0].shape[0]
+    period = 2 * n_plus_1
+    C = stokes.reality_conjugator(n_plus_1)
+    off = 2 if n_plus_1 % 2 == 0 else 1
+    worst = 0.0
+    for ell in range(period):
+        partner = (-ell - off) % period
+        lhs = C @ np.linalg.inv(family[partner]) @ C
+        worst = nan_max(worst, max_abs(lhs - family[ell]))
+    return worst
+
+
+@pytest.mark.parametrize("n1", range(3, 31))
+def test_reality_residual_equals_the_member_loop(n1):
+    rng = np.random.default_rng(6000 + n1)
+    fam = q_family(n1, *_random_factors(n1, rng, real=True))
+    got = reality_residual(fam)
+    assert type(got) is float and got == _reality_residual_loop(fam)
 
 
 @pytest.mark.parametrize("n1", [3, 4])

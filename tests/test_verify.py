@@ -1,5 +1,6 @@
 """The verify suites' own guards: no vacuous pass for an empty sample, and
-no pass for a NaN residual (the builtin max would drop it)."""
+no pass for a NaN residual (the builtin max would drop it); the stokes
+suite's inverses taken stack by stack."""
 
 import math
 
@@ -39,3 +40,15 @@ def test_a_nan_section_residual_fails_the_cross_section_check(monkeypatch):
     assert not rep.passed
     assert math.isnan(rep.section_residual)
     assert math.isnan(rep.monodromy_residual)
+
+
+def test_the_stokes_suite_inverts_each_family_as_one_stack(monkeypatch):
+    # at even n+1 the sampler inverts nothing, so every call is the suite's
+    dims = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: dims.append(np.ndim(a)) or inv(a))
+    (res,) = run_suites([6], samples=10, seed=1, suites=["stokes"])
+    assert res.passed
+    # two trials, each: two q_family gates, the transpose-inverse check and
+    # reality_residual
+    assert dims == [3] * 8
