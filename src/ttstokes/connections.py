@@ -28,6 +28,8 @@ tested on B = i zeta A(zeta), which the reversal-conjugation fixes exactly.
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,7 +41,6 @@ from .linalg import (
     nan_max,
     omega_diag,
     omega_pow,
-    reversal_matrix,
     shift_matrix,
     signed_shift_matrix,
 )
@@ -47,6 +48,7 @@ from .solutions import AsymptoticDataK, gamma_from_k
 from .stokes import q_pattern
 
 _SYM_TOL = 1e-9
+_MAX_RADIUS = math.sqrt(sys.float_info.max)  # the largest x whose x**2 is finite
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,9 @@ class TodaField:
         v = np.asarray(self.xwx, dtype=float)
         if w.shape != (self.n_plus_1,) or v.shape != (self.n_plus_1,):
             raise ValueError("w and xwx must both have length n_plus_1")
-        if not self.x > 0:
-            raise ValueError("x must be a positive radius")
+        if not 0 < self.x <= _MAX_RADIUS:
+            raise ValueError("x must be a positive radius with a finite square, "
+                             f"got {self.x}")
         worst = nan_max(np.max(np.abs(w + w[::-1])), np.max(np.abs(v + v[::-1])))
         if not worst <= _SYM_TOL:
             warnings.warn(f"field breaks v_i + v_(n-i) = 0 by {worst:.3e}; "
@@ -83,39 +86,54 @@ class TodaField:
 def build_W(f: TodaField) -> np.ndarray:
     """Cyclic matrix e^{-w} Pi e^{w}, written out entrywise."""
     n1 = f.n_plus_1
+    i = np.arange(n1)
     mat = np.zeros((n1, n1), dtype=complex)
-    for i in range(n1 - 1):
-        mat[i, i + 1] = np.exp(f.w[i + 1] - f.w[i])
-    mat[n1 - 1, 0] = np.exp(f.w[0] - f.w[n1 - 1])
+    mat[i, (i + 1) % n1] = np.exp(np.roll(f.w, -1) - f.w)
     return mat
 
 
-def build_alpha_hat(f: TodaField, zeta: complex) -> np.ndarray:
-    if zeta == 0:
+def _alpha_hat_stack(f: TodaField, zetas) -> np.ndarray:
+    """alpha_hat at every zeta, as one (len(zetas), n+1, n+1) stack.
+
+    Each square is taken on the scalar as given: an array ``z**2`` can differ
+    from the scalar one in the last bit.
+    """
+    z = np.array(zetas, dtype=complex)
+    if np.any(z == 0):
         raise ValueError("alpha_hat has a pole at zeta = 0")
+    sq = np.array([zeta**2 for zeta in zetas], dtype=complex)
     w = build_W(f)
-    return (-w.T / zeta**2
-            - np.diag(f.xwx).astype(complex) / zeta
+    return (-w.T / sq[:, None, None]
+            - np.diag(f.xwx).astype(complex) / z[:, None, None]
             + f.x**2 * w)
 
 
-def _tau(n1: int, mat: np.ndarray) -> np.ndarray:
-    d = omega_diag(n1)
-    return np.linalg.inv(d) @ mat @ d
+def build_alpha_hat(f: TodaField, zeta: complex) -> np.ndarray:
+    return _alpha_hat_stack(f, [zeta])[0]
 
 
-def _sigma(n1: int, mat: np.ndarray) -> np.ndarray:
-    rev = reversal_matrix(n1).astype(complex)
-    return -rev @ mat.T @ rev
+def _tau(mats: np.ndarray) -> np.ndarray:
+    d = omega_diag(mats.shape[-1])
+    return np.linalg.inv(d) @ mats @ d
 
 
-def _creal(n1: int, mat: np.ndarray) -> np.ndarray:
-    rev = reversal_matrix(n1).astype(complex)
-    return rev @ np.conj(mat) @ rev
+def _sigma(mats: np.ndarray) -> np.ndarray:
+    """-R A^T R for the reversal R, as an index flip."""
+    return -np.swapaxes(mats, -1, -2)[..., ::-1, ::-1]
+
+
+def _creal(mats: np.ndarray) -> np.ndarray:
+    """R conj(A) R for the reversal R, as an index flip."""
+    return np.conj(mats)[..., ::-1, ::-1]
 
 
 def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    return max_abs(lhs - rhs) / max(1.0, max_abs(rhs))
+    """Worst over a stack of max|lhs - rhs| / max(1, max|rhs|) per member;
+    NaN when any member's residual is NaN."""
+    axes = (-2, -1)
+    rel = (np.max(np.abs(lhs - rhs), axis=axes)
+           / np.fmax(1.0, np.max(np.abs(rhs), axis=axes)))
+    return nan_max(0.0, *rel.tolist())
 
 
 @dataclass(frozen=True)
@@ -139,20 +157,25 @@ def symmetry_report(f: TodaField, zeta_samples: int = 20,
     n1 = f.n_plus_1
     rng = np.random.default_rng(seed)
     om = omega_pow(n1, 1)
-    res = np.zeros(5)
+    args, jac, circ = [], [], []
     for _ in range(zeta_samples):
         zeta = np.exp(rng.uniform(-1, 1)) * np.exp(2j * np.pi * rng.uniform())
-        a = build_alpha_hat(f, zeta)
-        res[0] = nan_max(res[0], _rel(_tau(n1, a), om * build_alpha_hat(f, om * zeta)))
-        res[1] = nan_max(res[1], _rel(_sigma(n1, a), -build_alpha_hat(f, -zeta)))
         zc = np.conj(zeta)
-        res[2] = nan_max(res[2], _rel(
-            _creal(n1, a),
-            -build_alpha_hat(f, 1.0 / (f.x**2 * zc)) / (f.x**2 * zc**2)))
-        res[3] = nan_max(res[3], _rel(np.conj(build_alpha_hat(f, zc)), a))
         circle = np.exp(2j * np.pi * rng.uniform()) / f.x
-        b = 1j * circle * build_alpha_hat(f, circle)
-        res[4] = nan_max(res[4], _rel(_creal(n1, b), b))
+        args.append((zeta, om * zeta, -zeta, 1.0 / (f.x**2 * zc), zc, circle))
+        jac.append(f.x**2 * zc**2)
+        circ.append(1j * circle)
+    # six blocks of zeta_samples members, one per argument column
+    a, a_om, a_neg, a_c, a_zc, a_circ = _alpha_hat_stack(
+        f, [z for col in zip(*args) for z in col]).reshape(6, zeta_samples, n1, n1)
+    b = np.array(circ)[:, None, None] * a_circ
+    res = np.array([
+        _rel(_tau(a), om * a_om),
+        _rel(_sigma(a), -a_neg),
+        _rel(_creal(a), -a_c / np.array(jac)[:, None, None]),
+        _rel(np.conj(a_zc), a),
+        _rel(_creal(b), b),
+    ])
     passed = bool(np.max(res) < 1e-10)
     return SymmetryReport(n1, *res, passed)
 
@@ -261,19 +284,26 @@ class OmegaHatData:
         return self.n_plus_1 + float(np.sum(self.k))
 
 
+def _omega_hat_stack(d: OmegaHatData, lams) -> np.ndarray:
+    """omega_hat at every lambda, as one (len(lams), n+1, n+1) stack; the
+    scalar factor of eta is formed per lambda as in the one-matrix formula."""
+    lam = np.array(lams, dtype=complex)
+    if np.any(lam == 0):
+        raise ValueError("omega_hat has a pole at lambda = 0")
+    n1 = d.n_plus_1
+    scale = -(n1 / d.N)
+    coef = np.array([scale * (d.z / lam_j**2) for lam_j in lams], dtype=complex)
+    i = np.arange(n1)
+    eta = np.zeros((n1, n1), dtype=complex)
+    eta[i, (i - 1) % n1] = d.c * np.power(complex(d.z), d.k)
+    return (coef[:, None, None] * eta
+            + np.diag(d.m).astype(complex) / lam[:, None, None])
+
+
 def build_omega_hat(d: OmegaHatData, lam: complex) -> np.ndarray:
     """Coefficient -(n+1)/N * z/lambda^2 * eta + m/lambda, with eta carrying
     p_i = c_i z^{k_i} on the subdiagonal and p_0 in the top-right corner."""
-    if lam == 0:
-        raise ValueError("omega_hat has a pole at lambda = 0")
-    n1 = d.n_plus_1
-    p = d.c * np.power(complex(d.z), d.k)
-    eta = np.zeros((n1, n1), dtype=complex)
-    eta[0, n1 - 1] = p[0]
-    for i in range(1, n1):
-        eta[i, i - 1] = p[i]
-    return (-(n1 / d.N) * (d.z / lam**2) * eta
-            + np.diag(d.m).astype(complex) / lam)
+    return _omega_hat_stack(d, [lam])[0]
 
 
 @dataclass(frozen=True)
@@ -295,13 +325,13 @@ def omega_hat_symmetry_report(d: OmegaHatData, lambda_samples: int = 20,
     n1 = d.n_plus_1
     rng = np.random.default_rng(seed)
     om = omega_pow(n1, 1)
-    r_cyc = 0.0
-    r_anti = 0.0
-    for _ in range(lambda_samples):
-        lam = np.exp(rng.uniform(-1, 1)) * np.exp(2j * np.pi * rng.uniform())
-        fmat = build_omega_hat(d, lam)
-        r_cyc = nan_max(r_cyc, _rel(_tau(n1, fmat), om * build_omega_hat(d, om * lam)))
-        r_anti = nan_max(r_anti, _rel(_sigma(n1, fmat), -build_omega_hat(d, -lam)))
+    lams = [np.exp(rng.uniform(-1, 1)) * np.exp(2j * np.pi * rng.uniform())
+            for _ in range(lambda_samples)]
+    fmat, f_om, f_neg = _omega_hat_stack(
+        d, lams + [om * lam for lam in lams] + [-lam for lam in lams]
+    ).reshape(3, lambda_samples, n1, n1)
+    r_cyc = _rel(_tau(fmat), om * f_om)
+    r_anti = _rel(_sigma(fmat), -f_neg)
     passed = bool(nan_max(r_cyc, r_anti) < 1e-10)
     return OmegaHatSymmetryReport(n1, r_cyc, r_anti, passed)
 

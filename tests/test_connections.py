@@ -8,13 +8,20 @@ checks carry the pullback factors (omega for zeta -> omega*zeta, -1 for
 zeta -> -zeta, and the -1/(x^2 zbar^2) Jacobian of the reality involution).
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttstokes.connections import (
     OmegaHatData,
+    OmegaHatSymmetryReport,
+    SymmetryReport,
     TodaField,
+    _creal,
+    _sigma,
     build_W,
     build_alpha_hat,
     build_omega_hat,
@@ -23,7 +30,14 @@ from ttstokes.connections import (
     symmetry_report,
     toda_rhs,
 )
-from ttstokes.linalg import max_abs, omega_pow, shift_matrix
+from ttstokes.linalg import (
+    max_abs,
+    nan_max,
+    omega_diag,
+    omega_pow,
+    reversal_matrix,
+    shift_matrix,
+)
 from ttstokes.solutions import gamma_from_k
 
 
@@ -53,6 +67,24 @@ def test_toda_field_rejects_bad_shapes():
         TodaField(4, np.zeros(3), 1.0, np.zeros(4))
     with pytest.raises(ValueError):
         TodaField(4, np.zeros(4), -1.0, np.zeros(4))
+
+
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
+@pytest.mark.parametrize("x", [np.inf, np.nan, 1e200, np.float64(1e200), -np.inf,
+                               10**400, math.nextafter(_SQRT_MAX, math.inf)])
+def test_toda_field_rejects_radius_without_finite_square(x):
+    # inf used to reach symmetry_report as a bogus pole at zeta = 0, and
+    # 1e200 as a bare OverflowError from x**2
+    with pytest.raises(ValueError, match="finite square"):
+        TodaField(3, np.zeros(3), x, np.zeros(3))
+
+
+@pytest.mark.parametrize("x", [1e150, _SQRT_MAX])
+def test_toda_field_accepts_radius_with_finite_square(x):
+    f = TodaField(3, np.zeros(3), x, np.zeros(3))
+    assert np.isfinite(build_alpha_hat(f, 1.0)).all()
 
 
 def test_build_w_zero_field_is_shift():
@@ -90,8 +122,9 @@ def test_alpha_hat_unit_case():
 
 def test_alpha_hat_pole_rejected():
     f = TodaField(3, np.zeros(3), 1.0, np.zeros(3))
-    with pytest.raises(ValueError):
-        build_alpha_hat(f, 0.0)
+    for zero in (0, 0.0, 0j, np.complex128(0)):
+        with pytest.raises(ValueError, match="alpha_hat has a pole at zeta = 0"):
+            build_alpha_hat(f, zero)
 
 
 def test_alpha_hat_assembly():
@@ -197,8 +230,9 @@ def test_omega_hat_unit_case():
 
 def test_omega_hat_pole_rejected():
     d = OmegaHatData(4, np.ones(4), np.zeros(4), 1.0 + 0j)
-    with pytest.raises(ValueError):
-        build_omega_hat(d, 0.0)
+    for zero in (0, 0.0, 0j, np.complex128(0)):
+        with pytest.raises(ValueError, match="omega_hat has a pole at lambda = 0"):
+            build_omega_hat(d, zero)
 
 
 def test_omega_hat_m_vector_derived_from_k():
@@ -301,6 +335,209 @@ def test_omega_hat_symmetry_report_nan_coefficient_fails():
     rep = omega_hat_symmetry_report(d, lambda_samples=3, seed=0)
     assert np.isnan(rep.cyclic) and np.isnan(rep.anti)
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the stacked reports against the per-sample loops they replaced
+# ---------------------------------------------------------------------------
+
+def _w_loop(f):
+    n1 = f.n_plus_1
+    mat = np.zeros((n1, n1), dtype=complex)
+    for i in range(n1 - 1):
+        mat[i, i + 1] = np.exp(f.w[i + 1] - f.w[i])
+    mat[n1 - 1, 0] = np.exp(f.w[0] - f.w[n1 - 1])
+    return mat
+
+
+def _alpha_hat_dense(f, zeta):
+    w = _w_loop(f)
+    return (-w.T / zeta**2
+            - np.diag(f.xwx).astype(complex) / zeta
+            + f.x**2 * w)
+
+
+def _omega_hat_dense(d, lam):
+    n1 = d.n_plus_1
+    p = d.c * np.power(complex(d.z), d.k)
+    eta = np.zeros((n1, n1), dtype=complex)
+    eta[0, n1 - 1] = p[0]
+    for i in range(1, n1):
+        eta[i, i - 1] = p[i]
+    return (-(n1 / d.N) * (d.z / lam**2) * eta
+            + np.diag(d.m).astype(complex) / lam)
+
+
+def _tau_dense(n1, mat):
+    d = omega_diag(n1)
+    return np.linalg.inv(d) @ mat @ d
+
+
+def _sigma_dense(n1, mat):
+    rev = reversal_matrix(n1).astype(complex)
+    return -rev @ mat.T @ rev
+
+
+def _creal_dense(n1, mat):
+    rev = reversal_matrix(n1).astype(complex)
+    return rev @ np.conj(mat) @ rev
+
+
+def _rel_dense(lhs, rhs):
+    return max_abs(lhs - rhs) / max(1.0, max_abs(rhs))
+
+
+def _symmetry_report_loop(f, zeta_samples=20, seed=0):
+    """The per-sample symmetry_report that the stacked one replaced, kept as
+    its reference: one dense alpha_hat per argument, reversal matmuls and
+    one diagonal inverse per identity."""
+    n1 = f.n_plus_1
+    rng = np.random.default_rng(seed)
+    om = omega_pow(n1, 1)
+    res = np.zeros(5)
+    for _ in range(zeta_samples):
+        zeta = np.exp(rng.uniform(-1, 1)) * np.exp(2j * np.pi * rng.uniform())
+        a = _alpha_hat_dense(f, zeta)
+        res[0] = nan_max(res[0], _rel_dense(_tau_dense(n1, a),
+                                            om * _alpha_hat_dense(f, om * zeta)))
+        res[1] = nan_max(res[1], _rel_dense(_sigma_dense(n1, a),
+                                            -_alpha_hat_dense(f, -zeta)))
+        zc = np.conj(zeta)
+        res[2] = nan_max(res[2], _rel_dense(
+            _creal_dense(n1, a),
+            -_alpha_hat_dense(f, 1.0 / (f.x**2 * zc)) / (f.x**2 * zc**2)))
+        res[3] = nan_max(res[3], _rel_dense(np.conj(_alpha_hat_dense(f, zc)), a))
+        circle = np.exp(2j * np.pi * rng.uniform()) / f.x
+        b = 1j * circle * _alpha_hat_dense(f, circle)
+        res[4] = nan_max(res[4], _rel_dense(_creal_dense(n1, b), b))
+    passed = bool(np.max(res) < 1e-10)
+    return SymmetryReport(n1, *res, passed)
+
+
+def _omega_hat_report_loop(d, lambda_samples=20, seed=0):
+    """The per-sample omega_hat_symmetry_report, kept as its reference."""
+    n1 = d.n_plus_1
+    rng = np.random.default_rng(seed)
+    om = omega_pow(n1, 1)
+    r_cyc = 0.0
+    r_anti = 0.0
+    for _ in range(lambda_samples):
+        lam = np.exp(rng.uniform(-1, 1)) * np.exp(2j * np.pi * rng.uniform())
+        fmat = _omega_hat_dense(d, lam)
+        r_cyc = nan_max(r_cyc, _rel_dense(_tau_dense(n1, fmat),
+                                          om * _omega_hat_dense(d, om * lam)))
+        r_anti = nan_max(r_anti, _rel_dense(_sigma_dense(n1, fmat),
+                                            -_omega_hat_dense(d, -lam)))
+    passed = bool(nan_max(r_cyc, r_anti) < 1e-10)
+    return OmegaHatSymmetryReport(n1, r_cyc, r_anti, passed)
+
+
+def _assert_reports_identical(got, expect):
+    assert type(got) is type(expect)
+    for name in got.__dataclass_fields__:
+        g, e = getattr(got, name), getattr(expect, name)
+        assert type(g) is type(e), name
+        assert g == e or (np.isnan(g) and np.isnan(e)), (name, g, e)
+
+
+def _field_variants(n1, rng):
+    """A symmetric field, one breaking v_i + v_(n-i) = 0, and one with a
+    NaN value."""
+    f = random_field(n1, rng)
+    w_asym = f.w.copy()
+    w_asym[0] += 0.3
+    w_nan = f.w.copy()
+    w_nan[n1 // 2] = np.nan
+    with pytest.warns(UserWarning):
+        asym = TodaField(n1, w_asym, f.x, f.xwx)
+    with pytest.warns(UserWarning):
+        nanf = TodaField(n1, w_nan, f.x, f.xwx)
+    return f, asym, nanf
+
+
+def _omega_variants(n1, rng):
+    """Index-symmetric c, asymmetric c, and a NaN coefficient."""
+    k = np.empty(n1)
+    c = np.empty(n1)
+    k[0], c[0] = rng.uniform(-0.5, 2), rng.uniform(0.5, 2)
+    for j in range(1, n1 // 2 + 1):
+        k[j] = rng.uniform(-0.5, 2)
+        c[j] = rng.uniform(0.5, 2)
+        k[(n1 - j) % n1] = k[j]
+        c[(n1 - j) % n1] = c[j]
+    z = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+    c_asym = c.copy()
+    c_asym[1] += 0.5
+    nand = OmegaHatData(n1, c, k, z)
+    object.__setattr__(nand, "c", np.where(np.arange(n1) == 1, np.nan, c))
+    return OmegaHatData(n1, c, k, z), OmegaHatData(n1, c_asym, k, z), nand
+
+
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_stacked_reports_equal_the_sample_loops(n1):
+    rng = np.random.default_rng(5000 + n1)
+    fields = _field_variants(n1, rng)
+    datas = _omega_variants(n1, rng)
+    for samples, seed in ((1, n1), (5, 2 * n1 + 1), (20, 3 * n1 + 2)):
+        for f in fields:
+            _assert_reports_identical(symmetry_report(f, samples, seed),
+                                      _symmetry_report_loop(f, samples, seed))
+        for d in datas:
+            _assert_reports_identical(omega_hat_symmetry_report(d, samples, seed),
+                                      _omega_hat_report_loop(d, samples, seed))
+
+
+def test_loop_equality_covers_failing_and_nan_reports():
+    rng = np.random.default_rng(5004)
+    sym, asym, nanf = _field_variants(4, rng)
+    assert symmetry_report(sym, 5, 0).passed
+    assert not symmetry_report(asym, 5, 0).passed
+    assert np.isnan(symmetry_report(nanf, 5, 0).cyclic)
+    osym, oasym, onan = _omega_variants(4, rng)
+    assert omega_hat_symmetry_report(osym, 5, 0).passed
+    assert not omega_hat_symmetry_report(oasym, 5, 0).passed
+    assert np.isnan(omega_hat_symmetry_report(onan, 5, 0).cyclic)
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_build_w_equals_the_entry_loop(n1):
+    rng = np.random.default_rng(6000 + n1)
+    for scale in (1.0, 30.0, 1e3):
+        w = rng.uniform(-scale, scale, n1)
+        with pytest.warns(UserWarning):
+            f = TodaField(n1, w, 1.0, np.zeros(n1))
+        with np.errstate(over="ignore"):  # e^{|w| ~ 1e3} is inf in both
+            assert np.array_equal(build_W(f), _w_loop(f))
+
+
+@pytest.mark.parametrize("zeta", [0.7 - 0.4j, 1.0, 2, np.complex128(0.3 + 1j), -1.5])
+def test_single_builders_equal_the_dense_formulas(zeta):
+    rng = np.random.default_rng(7)
+    f = random_field(6, rng)
+    d = _omega_variants(6, rng)[0]
+    assert np.array_equal(build_alpha_hat(f, zeta), _alpha_hat_dense(f, zeta))
+    assert np.array_equal(build_omega_hat(d, zeta), _omega_hat_dense(d, zeta))
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_reports_refuse_fewer_than_one_sample(samples):
+    f = TodaField(3, np.zeros(3), 1.0, np.zeros(3))
+    d = OmegaHatData(3, np.ones(3), np.zeros(3), 1.0 + 0j)
+    with pytest.raises(ValueError, match="at least one sample"):
+        symmetry_report(f, zeta_samples=samples)
+    with pytest.raises(ValueError, match="at least one sample"):
+        omega_hat_symmetry_report(d, lambda_samples=samples)
+
+
+@pytest.mark.parametrize("n1", [3, 4, 7, 12, 25])
+def test_index_flips_equal_the_reversal_products(n1):
+    rng = np.random.default_rng(8000 + n1)
+    stack = rng.normal(size=(9, n1, n1)) + 1j * rng.normal(size=(9, n1, n1))
+    sig = _sigma(stack)
+    cre = _creal(stack)
+    for j, mat in enumerate(stack):
+        assert np.array_equal(sig[j], _sigma_dense(n1, mat))
+        assert np.array_equal(cre[j], _creal_dense(n1, mat))
 
 
 # ---------------------------------------------------------------------------
