@@ -41,6 +41,7 @@ from .linalg import (
     nan_max,
     omega_diag,
     omega_pow,
+    rel_residual,
     shift_matrix,
     signed_shift_matrix,
 )
@@ -127,15 +128,6 @@ def _creal(mats: np.ndarray) -> np.ndarray:
     return np.conj(mats)[..., ::-1, ::-1]
 
 
-def _rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Worst over a stack of max|lhs - rhs| / max(1, max|rhs|) per member;
-    NaN when any member's residual is NaN."""
-    axes = (-2, -1)
-    rel = (np.max(np.abs(lhs - rhs), axis=axes)
-           / np.fmax(1.0, np.max(np.abs(rhs), axis=axes)))
-    return nan_max(0.0, *rel.tolist())
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     n_plus_1: int
@@ -170,11 +162,11 @@ def symmetry_report(f: TodaField, zeta_samples: int = 20,
         f, [z for col in zip(*args) for z in col]).reshape(6, zeta_samples, n1, n1)
     b = np.array(circ)[:, None, None] * a_circ
     res = np.array([
-        _rel(_tau(a), om * a_om),
-        _rel(_sigma(a), -a_neg),
-        _rel(_creal(a), -a_c / np.array(jac)[:, None, None]),
-        _rel(np.conj(a_zc), a),
-        _rel(_creal(b), b),
+        rel_residual(_tau(a), om * a_om),
+        rel_residual(_sigma(a), -a_neg),
+        rel_residual(_creal(a), -a_c / np.array(jac)[:, None, None]),
+        rel_residual(np.conj(a_zc), a),
+        rel_residual(_creal(b), b),
     ])
     passed = bool(np.max(res) < 1e-10)
     return SymmetryReport(n1, *res, passed)
@@ -330,8 +322,8 @@ def omega_hat_symmetry_report(d: OmegaHatData, lambda_samples: int = 20,
     fmat, f_om, f_neg = _omega_hat_stack(
         d, lams + [om * lam for lam in lams] + [-lam for lam in lams]
     ).reshape(3, lambda_samples, n1, n1)
-    r_cyc = _rel(_tau(fmat), om * f_om)
-    r_anti = _rel(_sigma(fmat), -f_neg)
+    r_cyc = rel_residual(_tau(fmat), om * f_om)
+    r_anti = rel_residual(_sigma(fmat), -f_neg)
     passed = bool(nan_max(r_cyc, r_anti) < 1e-10)
     return OmegaHatSymmetryReport(n1, r_cyc, r_anti, passed)
 

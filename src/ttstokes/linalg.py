@@ -38,6 +38,7 @@ __all__ = [
     "elementary",
     "max_abs",
     "nan_max",
+    "rel_residual",
 ]
 
 
@@ -103,6 +104,15 @@ def nan_max(*values):
     return max(values)
 
 
+def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Worst over a stack of max|lhs - rhs| / max(1, max|rhs|) per member;
+    NaN when any member's residual is NaN."""
+    axes = (-2, -1)
+    rel = (np.max(np.abs(lhs - rhs), axis=axes)
+           / np.fmax(1.0, np.max(np.abs(rhs), axis=axes)))
+    return nan_max(0.0, *rel.tolist())
+
+
 def _modulus(z: np.ndarray) -> np.ndarray:
     """Entrywise |z| as np.hypot of the parts.
 
@@ -119,25 +129,34 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 def char_poly(M) -> np.ndarray:
     """Monic characteristic polynomial det(mu I - M) in increasing order.
 
+    M is one square matrix or a stack (S, dim, dim) of them; a stack gives
+    one coefficient row per member, each equal to the member's own call.
     Faddeev-LeVerrier recursion: B_0 = I, then A_k = M B_{k-1},
     c_{dim-k} = -tr(A_k)/k, B_k = A_k + c_{dim-k} I. No eigenvalue solve is
     involved, which keeps this route independent of :func:`eigenvalues`.
     Each B_k is A_k with c_{dim-k} added in place on a view of its diagonal.
+    The coefficients and the diagonal view are held with the stack axis
+    last, so that c broadcasts over the diagonal as it is, and a single
+    matrix needs no extra axis.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    dim = M.shape[0]
-    coeffs = np.zeros(dim + 1, dtype=complex)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError(
+            f"expected a square matrix or a stack of them, got shape {M.shape}"
+        )
+    dim = M.shape[-1]
+    lead = M.shape[:-2]
+    flat = lead + (dim * dim,)
+    coeffs = np.zeros((dim + 1,) + lead, dtype=complex)
     coeffs[dim] = 1.0
     B = np.eye(dim, dtype=complex)
     for k in range(1, dim + 1):
         B = M @ B
-        diag = B.reshape(-1)[:: dim + 1]
-        c = -diag.sum() / k
+        diag = B.reshape(flat).T[:: dim + 1]
+        c = -np.add.reduce(diag) / k
         coeffs[dim - k] = c
         diag += c
-    return coeffs
+    return coeffs.T
 
 
 def poly_eval(coeffs, x: complex) -> complex:

@@ -130,23 +130,27 @@ def _table_rows(n_plus_1: int, which: str) -> list[Root]:
     """Index sequences in their table order (left to right).
 
     Each set is two arithmetic runs of pairs; the case split is on the parity
-    of n+1 and then on the parity of m (half the size, rounded down).
+    of n+1 and then on the parity of m (half the size, rounded down). Each
+    case maps a table name to a function building its runs, so that only
+    the requested table is built.
     """
     _check_size(n_plus_1)
+    if which not in ("head", "second", "tail"):
+        raise ValueError(f"which must be head, second, or tail, got {which!r}")
     if n_plus_1 % 2 == 0:
         m = n_plus_1 // 2
         if m % 2 == 0:
             c = m // 2
             seqs = {
-                "head": (
+                "head": lambda: (
                     [(2 * c - 1 - j, j) for j in range(c)],
                     [(2 * c + j, 4 * c - 1 - j) for j in range(c)],
                 ),
-                "second": (
+                "second": lambda: (
                     [(2 * c - 1 + j, 4 * c - 1 - j) for j in range(c)],
                     [(2 * c - 2 - j, j) for j in range(c - 1)],
                 ),
-                "tail": (
+                "tail": lambda: (
                     [(4 * c - 1 - j, 2 * c + 1 + j) for j in range(c - 1)],
                     [(j, 2 * c - j) for j in range(c)],
                 ),
@@ -154,15 +158,15 @@ def _table_rows(n_plus_1: int, which: str) -> list[Root]:
         else:
             c = (m - 1) // 2
             seqs = {
-                "head": (
+                "head": lambda: (
                     [(2 * c + 1 + j, 4 * c + 1 - j) for j in range(c)],
                     [(2 * c - j, j) for j in range(c)],
                 ),
-                "second": (
+                "second": lambda: (
                     [(2 * c - 1 - j, j) for j in range(c)],
                     [(2 * c + j, 4 * c + 1 - j) for j in range(c + 1)],
                 ),
-                "tail": (
+                "tail": lambda: (
                     [(j, 2 * c + 1 - j) for j in range(c + 1)],
                     [(4 * c + 1 - j, 2 * c + 2 + j) for j in range(c)],
                 ),
@@ -172,15 +176,15 @@ def _table_rows(n_plus_1: int, which: str) -> list[Root]:
         if m % 2 == 0:
             c = m // 2
             seqs = {
-                "head": (
+                "head": lambda: (
                     [(2 * c - j, j) for j in range(c)],
                     [(2 * c + 1 + j, 4 * c - j) for j in range(c)],
                 ),
-                "second": (
+                "second": lambda: (
                     [(2 * c + j, 4 * c - j) for j in range(c)],
                     [(2 * c - 1 - j, j) for j in range(c)],
                 ),
-                "tail": (
+                "tail": lambda: (
                     [(4 * c - j, 2 * c + 2 + j) for j in range(c - 1)],
                     [(j, 2 * c + 1 - j) for j in range(c + 1)],
                 ),
@@ -188,22 +192,20 @@ def _table_rows(n_plus_1: int, which: str) -> list[Root]:
         else:
             c = (m - 1) // 2
             seqs = {
-                "head": (
+                "head": lambda: (
                     [(2 * c + 1 - j, j) for j in range(c + 1)],
                     [(2 * c + 2 + j, 4 * c + 2 - j) for j in range(c)],
                 ),
-                "second": (
+                "second": lambda: (
                     [(2 * c - j, j) for j in range(c)],
                     [(2 * c + 1 + j, 4 * c + 2 - j) for j in range(c + 1)],
                 ),
-                "tail": (
+                "tail": lambda: (
                     [(j, 2 * c + 2 - j) for j in range(c + 1)],
                     [(4 * c + 2 - j, 2 * c + 3 + j) for j in range(c)],
                 ),
             }
-    if which not in seqs:
-        raise ValueError(f"which must be head, second, or tail, got {which!r}")
-    a, b = seqs[which]
+    a, b = seqs[which]()
     return a + b
 
 

@@ -76,12 +76,14 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _modulus,
     char_poly,
     cyclic_for,
     eigenvalues,
     match_multisets,
     max_abs,
     nan_max,
+    rel_residual,
 )
 from .roots import Root, table_supported_roots
 from .stokes import build_m0, monodromy_support, random_stokes_params
@@ -160,13 +162,16 @@ class SectionCalibration:
         return tuple(k for k, s in enumerate(self.signs) if s < 0)
 
     def chi_of_t(self, t) -> np.ndarray:
+        """chi(s(t)) read off the relabeling; t is (n,) or a stack (S, n)."""
         t = np.asarray(t)
-        return np.array(self.chi_signs) * t[np.array(self.chi_sources)]
+        return np.array(self.chi_signs) * t[..., np.array(self.chi_sources)]
 
     def t_of_chi(self, e) -> np.ndarray:
+        """The inverse relabeling; e is (n,) or a stack (S, n)."""
         e = np.asarray(e, dtype=complex)
-        t = np.zeros(len(e), dtype=complex)
-        t[np.array(self.chi_sources)] = np.array(self.chi_signs) * e
+        t = np.zeros(e.shape, dtype=complex)
+        # transposed, the coordinate axis comes first for (n,) and (S, n)
+        t.T[np.array(self.chi_sources)] = (np.array(self.chi_signs) * e).T
         return t
 
 
@@ -333,17 +338,16 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
         n_plus_1, order, signs, sources, chi_signs, sigmas, *slots
     )
 
-    # verify on random coefficients
+    # verify on random coefficients, the three samples as one stack
     rng = np.random.default_rng(0)
-    for _ in range(3):
-        t = rng.normal(size=n) + 1j * rng.normal(size=n)
-        e = chi(steinberg_section(cal, t))
-        err = max_abs(e - cal.chi_of_t(t))
-        if err > tol.bound(max(1.0, max_abs(t))):
-            raise CalibrationError(
-                f"relabeling verification failed at size {n_plus_1} "
-                f"(residual {err:.3e})"
-            )
+    t = np.stack([rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)])
+    err = np.abs(chi(steinberg_section(cal, t)) - cal.chi_of_t(t)).max(axis=1)
+    failed = np.flatnonzero(err > tol.bound(np.fmax(1.0, np.abs(t).max(axis=1))))
+    if failed.size:
+        raise CalibrationError(
+            f"relabeling verification failed at size {n_plus_1} "
+            f"(residual {err[failed[0]]:.3e})"
+        )
     return cal
 
 
@@ -351,14 +355,16 @@ def steinberg_section(cal: SectionCalibration, t) -> np.ndarray:
     """Section value s(t) = prod_k (I + t_k E_{root_k}) sigma_k.
 
     Built as the cyclic shift plus each signed t_k in its calibrated slot,
-    which equals the product exactly (see the module docstring).
+    which equals the product exactly (see the module docstring). A stack of
+    coordinates (S, n) gives the stack (S, n+1, n+1) of section values.
     """
     t = np.asarray(t, dtype=complex)
-    n = cal.n_plus_1 - 1
-    if t.shape != (n,):
-        raise ValueError(f"expected {n} coordinates, got shape {t.shape}")
-    M = cyclic_for(cal.n_plus_1).astype(complex)
-    M[cal.slot_rows, cal.slot_cols] += cal.slot_signs * t
+    n1 = cal.n_plus_1
+    if t.ndim not in (1, 2) or t.shape[-1] != n1 - 1:
+        raise ValueError(f"expected {n1 - 1} coordinates, got shape {t.shape}")
+    M = np.empty(t.shape[:-1] + (n1, n1), dtype=complex)
+    M[...] = cyclic_for(n1)
+    M[..., cal.slot_rows, cal.slot_cols] += cal.slot_signs * t
     return M
 
 
@@ -367,18 +373,20 @@ def chi(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     With char poly mu^{n+1} - e_1 mu^n + e_2 mu^{n-1} - ..., this returns the
     e_k for k = 1..n, leaving out e_{n+1} which is pinned by det = 1. A
-    determinant away from 1 triggers a warning, not an error, since chi is
-    still well defined.
+    stack (S, n+1, n+1) gives one row (S, n). A determinant away from 1
+    triggers a warning, not an error, since chi is still well defined; a
+    stack warns once per such member, in member order.
     """
     coeffs = char_poly(M)
-    n1 = len(coeffs) - 1
-    det = (-1) ** n1 * coeffs[0]
-    if abs(det - 1.0) > tol.bound(max(1.0, abs(det))):
+    n1 = coeffs.shape[-1] - 1
+    det = (-1) ** n1 * coeffs[..., 0]
+    bad = _modulus(det - 1.0) > tol.bound(np.fmax(1.0, _modulus(det)))
+    for d in np.atleast_1d(det)[np.atleast_1d(bad)]:
         warnings.warn(
-            f"chi applied to a matrix with determinant {det}, expected 1",
+            f"chi applied to a matrix with determinant {d}, expected 1",
             stacklevel=2,
         )
-    return np.array([(-1) ** k * coeffs[n1 - k] for k in range(1, n1)])
+    return coeffs[..., n1 - 1:0:-1] * (-1) ** np.arange(1, n1)
 
 
 def reconstruct_from_chi(cal: SectionCalibration, e) -> np.ndarray:
@@ -410,25 +418,25 @@ def cross_section_check(
     direction: random constrained Stokes coefficients, the fundamental
     monodromy must be reproduced exactly by the section at its own chi.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     n1 = cal.n_plus_1
     n = n1 - 1
     mask = monodromy_support(n1)
-    worst_section = 0.0
-    worst_monodromy = 0.0
+    ts, m0s = [], []
     for _ in range(samples):
-        t = rng.normal(size=n) + 1j * rng.normal(size=n)
-        M = steinberg_section(cal, t)
-        scale = max(1.0, max_abs(M))
-        off = max_abs(M[~mask]) / scale
-        rt = max_abs(reconstruct_from_chi(cal, chi(M)) - M) / scale
-        worst_section = nan_max(worst_section, off, rt)
+        ts.append(rng.normal(size=n) + 1j * rng.normal(size=n))
+        m0s.append(build_m0(random_stokes_params(n1, rng)).matrix)
 
-        p = random_stokes_params(n1, rng)
-        M0 = build_m0(p).matrix
-        scale0 = max(1.0, max_abs(M0))
-        back = reconstruct_from_chi(cal, chi(M0))
-        worst_monodromy = nan_max(worst_monodromy, max_abs(back - M0) / scale0)
+    M = steinberg_section(cal, np.stack(ts))
+    off = np.abs(M[:, ~mask]).max(axis=1, initial=0.0)
+    off /= np.fmax(1.0, np.abs(M).max(axis=(1, 2)))
+    worst_section = nan_max(
+        0.0, *off.tolist(), rel_residual(reconstruct_from_chi(cal, chi(M)), M)
+    )
+    M0 = np.stack(m0s)
+    worst_monodromy = rel_residual(reconstruct_from_chi(cal, chi(M0)), M0)
     passed = worst_section <= tol.bound(1.0) * 10 and worst_monodromy <= tol.bound(1.0) * 10
     return CrossSectionReport(n1, samples, worst_section, worst_monodromy, passed)
 
@@ -468,6 +476,8 @@ def unitary_conjugacy_check(
     k1's eigenbasis up to V, so g k1 g^{-1} = V k1 V* must again be unitary
     with the same spectrum. Both facts are verified numerically.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

@@ -238,22 +238,24 @@ def full_monodromy(m0: MonodromyMatrix) -> np.ndarray:
 # sampling coefficients compatible with the family relations
 # ---------------------------------------------------------------------------
 
-def _permutation_action(Pm: np.ndarray, idx: int) -> tuple[int, float]:
-    """Image index and sign of basis vector ``idx`` under a signed permutation."""
-    col = Pm[:, idx]
-    (rows,) = np.nonzero(np.abs(col) > 0.5)
-    r = int(rows[0])
-    return r, float(np.sign(col[r].real))
+def _permutation_action(Pm: np.ndarray) -> tuple[list[int], list[float]]:
+    """Image index and sign of every basis vector under a signed permutation:
+    Pm e_j = sign[j] e_{image[j]}."""
+    image = np.argmax(np.abs(Pm) > 0.5, axis=0)
+    sign = np.sign(Pm[image, np.arange(len(image))].real)
+    return image.tolist(), sign.tolist()
 
 
-def _paired_block(block: list[Root], Pm: np.ndarray, rng, real: bool, scale: float):
+def _paired_block(block: list[Root], action, rng, real: bool, scale: float):
     """Draw coefficients for one even-size block.
 
     The half-period transpose-inverse relation pairs the block's roots with
-    each other through conjugation by the m-th shift power; paired roots get
+    each other through conjugation by the m-th shift power, whose
+    :func:`_permutation_action` is ``action``; paired roots get
     opposite-signed coefficients and a self-paired root with positive sign is
     forced to zero.
     """
+    image, sgn = action
     block_set = set(block)
     coeffs: dict[Root, complex] = {}
 
@@ -266,10 +268,8 @@ def _paired_block(block: list[Root], Pm: np.ndarray, rng, real: bool, scale: flo
         if alpha in coeffs:
             continue
         i, j = alpha
-        pi, si = _permutation_action(Pm, i)
-        pj, sj = _permutation_action(Pm, j)
-        beta = (pj, pi)
-        sign = si * sj
+        beta = (image[j], image[i])
+        sign = sgn[i] * sgn[j]
         if beta == alpha:
             coeffs[alpha] = 0.0 if sign > 0 else draw()
             continue
@@ -305,8 +305,9 @@ def random_stokes_params(
     Pm = np.linalg.matrix_power(P, m)
 
     if n_plus_1 % 2 == 0:
-        head_coeffs = _paired_block(head, Pm, rng, real, scale)
-        second_coeffs = _paired_block(second, Pm, rng, real, scale)
+        action = _permutation_action(Pm)
+        head_coeffs = _paired_block(head, action, rng, real, scale)
+        second_coeffs = _paired_block(second, action, rng, real, scale)
     else:
         if real:
             head_coeffs = {r: complex(rng.normal() * scale) for r in head}

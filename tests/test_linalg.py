@@ -379,6 +379,33 @@ def test_char_poly_equals_the_loop_on_random_matrices():
         assert np.array_equal(char_poly(M), _char_poly_loop(M)), M.shape
 
 
+@pytest.mark.parametrize("S", [1, 5, 50])
+def test_stacked_char_poly_equals_the_member_calls(S):
+    # NaN and inf members stay confined to their own rows (up to the sign
+    # bit of a NaN, which no comparison sees)
+    rng = np.random.default_rng(930 + S)
+    for dim in range(3, 41):
+        stack = rng.normal(size=(S, dim, dim)) + 1j * rng.normal(size=(S, dim, dim))
+        stack[0, 0, dim - 1] = np.nan
+        if S > 1:
+            stack[S - 1, 1, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = char_poly(stack)
+            members = [char_poly(M) for M in stack]
+        assert got.shape == (S, dim + 1)
+        assert np.array_equal(got, np.stack(members), equal_nan=True), dim
+        assert np.isnan(got[0, :dim]).all() and not np.isnan(got[1:S - 1]).any()
+        # real input in a stack of one hands back what the loop does
+        real = rng.normal(size=(dim, dim))
+        assert np.array_equal(char_poly(real[None])[0], _char_poly_loop(real))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 2, 3, 3), ()])
+def test_char_poly_rejects_what_is_no_square_matrix_or_stack(shape):
+    with pytest.raises(ValueError, match="square matrix or a stack"):
+        char_poly(np.zeros(shape))
+
+
 @pytest.mark.parametrize("n1", [3, 4, 5, 8, 12, 16])
 def test_char_poly_equals_the_loop_on_section_values(n1):
     cal = calibrate(n1)

@@ -10,6 +10,7 @@ that range are checked structurally.
 
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,17 +19,21 @@ from hypothesis import given, settings, strategies as st
 from ttstokes import reference as ref
 from ttstokes import steinberg
 from ttstokes.linalg import (
+    DEFAULT_TOL,
     NumericalError,
     Tolerance,
     cyclic_for,
     eigenvalues,
     elementary,
     match_multisets,
+    max_abs,
+    nan_max,
     shift_matrix,
     signed_shift_matrix,
 )
 from ttstokes.steinberg import (
     CalibrationError,
+    SectionCalibration,
     _relabeling,
     _section_slots,
     _solve_flips,
@@ -225,8 +230,8 @@ def test_relabeling_rejects_two_slots_in_one_coefficient():
 
 @pytest.mark.parametrize("n1", range(3, 19))
 def test_calibrate_calls_char_poly_three_times(n1, monkeypatch):
-    # only the random verification evaluates chi; the relabeling itself is
-    # read off the slots
+    # only the random verification evaluates chi, on its three samples as one
+    # stack; the relabeling itself is read off the slots
     calls = []
     real = steinberg.char_poly
 
@@ -236,7 +241,7 @@ def test_calibrate_calls_char_poly_three_times(n1, monkeypatch):
 
     monkeypatch.setattr(steinberg, "char_poly", counting)
     calibrate(n1)
-    assert len(calls) == 3
+    assert calls == [(3, n1, n1)]
 
 
 PRIME = 2**31 - 1
@@ -429,6 +434,118 @@ def test_relabeling_maps_match_their_loops(n1):
     assert np.array_equal(cal.chi_of_t(cal.t_of_chi(e)), e)
 
 
+# ---------------------------------------------------------------------------
+# stacked kernels against their member calls
+# ---------------------------------------------------------------------------
+
+def slot_calibration(n1):
+    """A calibration carrying only the integer slot data, so that sizes whose
+    floating-point verification fails in calibrate are covered too."""
+    slots, (sources, signs) = integer_slot_data(n1)
+    return SectionCalibration(n1, (), (), sources, signs, (), *slots)
+
+
+def recorded(fn, *args):
+    """fn(*args) with the texts of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(invalid="ignore"):
+            out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+def member_calls(fn, stack, *head):
+    """fn applied to each member of the stack, stacked, with the warnings."""
+    outs, texts = [], []
+    for member in stack:
+        out, caught = recorded(fn, *head, member)
+        outs.append(out)
+        texts += caught
+    return np.stack(outs), texts
+
+
+@pytest.mark.parametrize("S", [1, 5, 50])
+def test_stacked_section_kernels_equal_the_member_calls(S):
+    for n1 in range(3, 41):
+        cal = slot_calibration(n1)
+        n = n1 - 1
+        rng = np.random.default_rng([S, n1])
+        t = rng.normal(size=(S, n)) + 1j * rng.normal(size=(S, n))
+        # one NaN member and one with determinant 2^(n+1); a stack of one
+        # takes them in turn over the sizes
+        nan_at, scaled_at = (0, S - 1) if S > 1 else ((0, None) if n1 % 2 else (None, 0))
+        if nan_at is not None:
+            t[nan_at, n // 2] = np.nan
+
+        M = steinberg_section(cal, t)
+        assert M.shape == (S, n1, n1) and M.dtype == complex
+        assert np.array_equal(M, member_calls(steinberg_section, t, cal)[0], equal_nan=True)
+        if scaled_at is not None:
+            M[scaled_at] *= 2.0
+
+        e, texts = recorded(chi, M)
+        e_members, member_texts = member_calls(chi, M)
+        assert e.shape == (S, n)
+        assert np.array_equal(e, e_members, equal_nan=True), n1
+        assert texts == member_texts
+        # the scaled member warns once; past about 20 rounding moves other
+        # members' determinants off 1 as well, and they warn too
+        if n1 <= 20:
+            assert len(texts) == (scaled_at is not None)
+        else:
+            assert len(texts) >= (scaled_at is not None)
+        if nan_at is not None:
+            assert np.isnan(e[nan_at]).all() and not np.isnan(np.delete(e, nan_at, 0)).any()
+
+        back = reconstruct_from_chi(cal, e)
+        assert np.array_equal(back, member_calls(reconstruct_from_chi, e, cal)[0],
+                              equal_nan=True)
+        assert np.array_equal(cal.chi_of_t(t), member_calls(cal.chi_of_t, t)[0],
+                              equal_nan=True)
+        assert np.array_equal(cal.t_of_chi(e), member_calls(cal.t_of_chi, e)[0],
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 4), (2, 1, 3), (5, 4)])
+def test_section_rejects_coordinates_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match="expected 3 coordinates"):
+        steinberg_section(calibrate(4), np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 3), (2, 2, 4, 4)])
+def test_chi_rejects_what_is_no_square_matrix_or_stack(shape):
+    with pytest.raises(ValueError, match="square matrix or a stack"):
+        chi(np.zeros(shape))
+
+
+def _calibration_check_loop(cal, tol=DEFAULT_TOL):
+    """The random verification of calibrate, one sample at a time."""
+    n = cal.n_plus_1 - 1
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        t = rng.normal(size=n) + 1j * rng.normal(size=n)
+        e = chi(steinberg_section(cal, t))
+        err = max_abs(e - cal.chi_of_t(t))
+        if err > tol.bound(max(1.0, max_abs(t))):
+            raise CalibrationError(
+                f"relabeling verification failed at size {cal.n_plus_1} "
+                f"(residual {err:.3e})"
+            )
+
+
+@pytest.mark.parametrize("n1", [29, 30, 32, 38, 64])
+def test_calibrate_fails_at_the_first_failing_sample(n1):
+    with pytest.raises(CalibrationError) as loop:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _calibration_check_loop(slot_calibration(n1))
+    with pytest.raises(CalibrationError) as got:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            calibrate(n1)
+    assert str(got.value) == str(loop.value)
+
+
 def test_reconstruct_zero_gives_shift():
     got = reconstruct_from_chi(calibrate(4), [0.0, 0.0, 0.0])
     assert np.array_equal(got, signed_shift_matrix(4).astype(complex))
@@ -478,6 +595,57 @@ def test_cross_section_check_reference_sizes(n1):
 def test_cross_section_check_all_sizes(n1):
     rep = cross_section_check(calibrate(n1), samples=25, seed=n1)
     assert rep.passed, (n1, rep)
+
+
+def _cross_section_check_loop(cal, samples=100, seed=0, tol=DEFAULT_TOL):
+    """The cross-section check one sample at a time, in the draw order of
+    the stacked one."""
+    rng = np.random.default_rng(seed)
+    n1 = cal.n_plus_1
+    n = n1 - 1
+    mask = monodromy_support(n1)
+    worst_section = 0.0
+    worst_monodromy = 0.0
+    for _ in range(samples):
+        t = rng.normal(size=n) + 1j * rng.normal(size=n)
+        M = steinberg_section(cal, t)
+        scale = max(1.0, max_abs(M))
+        off = max_abs(M[~mask]) / scale
+        rt = max_abs(reconstruct_from_chi(cal, chi(M)) - M) / scale
+        worst_section = nan_max(worst_section, off, rt)
+
+        p = random_stokes_params(n1, rng)
+        M0 = build_m0(p).matrix
+        scale0 = max(1.0, max_abs(M0))
+        back = reconstruct_from_chi(cal, chi(M0))
+        worst_monodromy = nan_max(worst_monodromy, max_abs(back - M0) / scale0)
+    passed = worst_section <= tol.bound(1.0) * 10 and worst_monodromy <= tol.bound(1.0) * 10
+    return steinberg.CrossSectionReport(n1, samples, worst_section, worst_monodromy, passed)
+
+
+@pytest.mark.parametrize("samples", [1, 5, 20])
+def test_cross_section_check_equals_the_loop(samples):
+    # 22..28 fail the check; their residuals must be the loop's all the same
+    for n1 in range(3, 29):
+        cal = calibrate(n1)
+        seed = 10 * n1 + samples
+        for tol in (DEFAULT_TOL, Tolerance(1e-15, 1e-15)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = cross_section_check(cal, samples=samples, seed=seed, tol=tol)
+                want = _cross_section_check_loop(cal, samples=samples, seed=seed, tol=tol)
+            assert [type(v) for v in dataclasses.astuple(got)] == [
+                type(v) for v in dataclasses.astuple(want)]
+            assert got == want, (n1, got, want)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sample_checks_refuse_fewer_than_one_sample(samples):
+    # an empty check has no residual and must not report a pass
+    with pytest.raises(ValueError, match="at least one sample"):
+        cross_section_check(calibrate(4), samples=samples)
+    with pytest.raises(ValueError, match="at least one sample"):
+        unitary_conjugacy_check(5, samples=samples)
 
 
 def test_section_lands_in_monodromy_support():
