@@ -283,8 +283,8 @@ def shift_matrix(n_plus_1: int) -> np.ndarray:
     (n+1)-th roots of unity.
     """
     P = np.zeros((n_plus_1, n_plus_1))
-    for i in range(n_plus_1 - 1):
-        P[i, i + 1] = 1.0
+    # the superdiagonal is every (n+2)-th entry of the flattened matrix
+    P.reshape(-1)[1::n_plus_1 + 1] = 1.0
     P[n_plus_1 - 1, 0] = 1.0
     return P
 

@@ -31,57 +31,96 @@ from .steinberg import SectionCalibration, reconstruct_from_chi
 from .stokes import MonodromyMatrix
 
 _SYM_TOL = 1e-9
+_PLUS_MINUS_I = np.array([1j, -1j])
+
+
+def _antisymmetric(n_plus_1: int, v, name: str) -> np.ndarray:
+    """``v`` as a float array of shape (n+1,) or a stack (S, n+1), checked
+    for v_i + v_(n-i) = 0 on the last axis.
+
+    The test is written so that a NaN fails it; an infinite entry meets its
+    partner in a NaN or infinite sum and fails too.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != n_plus_1:
+        raise ValueError(f"expected {n_plus_1} entries, got {v.shape}")
+    worst = np.abs(v + v[..., ::-1]).max(initial=0.0)
+    if not worst <= _SYM_TOL:
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} entries must be finite")
+        raise ValueError(f"{name}_i + {name}_(n-i) = 0 violated by {worst:.3e}")
+    return v
 
 
 @dataclass(frozen=True)
 class GammaVector:
-    """Anti-symmetric parameter vector, gamma_i + gamma_{n-i} = 0."""
+    """Anti-symmetric parameter vector, gamma_i + gamma_{n-i} = 0.
+
+    ``gamma`` is one vector (n+1,) or a stack (S, n+1) of them, one member
+    per row; the functions of this module take either.
+    """
 
     n_plus_1: int
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
-        if g.shape != (self.n_plus_1,):
-            raise ValueError(f"expected {self.n_plus_1} entries, got {g.shape}")
-        worst = np.max(np.abs(g + g[::-1]))
-        if worst > _SYM_TOL:
-            raise ValueError(f"gamma_i + gamma_(n-i) = 0 violated by {worst:.3e}")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(
+            self, "gamma", _antisymmetric(self.n_plus_1, self.gamma, "gamma"))
 
     @classmethod
     def zero(cls, n_plus_1: int) -> "GammaVector":
         return cls(n_plus_1, np.zeros(n_plus_1))
 
 
-def polytope_contains(g: GammaVector, tol: float = 1e-9) -> bool:
+def _member_result(ok: np.ndarray):
+    """A bool for one vector, the bool array for a stack."""
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def _in_polytope(gam: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """:func:`polytope_contains` as a numpy bool, 0-d for one vector."""
+    diffs = np.concatenate([gam[..., 1:] - gam[..., :-1],
+                            gam[..., :1] - gam[..., -1:]], axis=-1)
+    return diffs.min(axis=-1) >= -2.0 - tol
+
+
+def polytope_contains(g: GammaVector, tol: float = 1e-9):
     """Cyclic gap constraints: each consecutive difference of gamma is >= -2,
-    including the wrap-around gamma_0 - gamma_n >= -2."""
-    gam = g.gamma
-    diffs = np.append(gam[1:] - gam[:-1], gam[0] - gam[-1])
-    return bool(np.min(diffs) >= -2.0 - tol)
+    including the wrap-around gamma_0 - gamma_n >= -2.
+
+    A bool for one vector, one bool per member for a stack.
+    """
+    return _member_result(_in_polytope(g.gamma, tol))
 
 
 def eigenvalues_from_gamma(g: GammaVector) -> np.ndarray:
     """Eigenvalues of the fundamental monodromy, as a list of unit-modulus
     complex numbers in conjugate pairs (plus the fixed eigenvalue 1 when the
-    size is odd)."""
-    if not polytope_contains(g):
-        warnings.warn("gamma outside the polytope: eigenvalues may collide "
-                      "or leave the expected arcs", stacklevel=2)
+    size is odd).
+
+    A stack (S, n+1) gives one list per row, shape (S, n+1). Each member
+    outside the polytope warns once, in member order.
+    """
+    inside = _in_polytope(g.gamma)
+    if not inside.all():
+        for k in np.flatnonzero(~inside.reshape(-1)).tolist():
+            member = "" if g.gamma.ndim == 1 else f" (member {k})"
+            warnings.warn(f"gamma outside the polytope{member}: eigenvalues "
+                          "may collide or leave the expected arcs", stacklevel=2)
     n1 = g.n_plus_1
     m = n1 // 2
-    lams = []
+    two_j = np.arange(0, 2 * m, 2)
+    # the same operations, in the same order, as one pair at a time
     if n1 % 2 == 0:
-        for j in range(m):
-            a = np.pi * (g.gamma[j] + 2 * j + 1) / n1
-            lams.extend([np.exp(1j * a), np.exp(-1j * a)])
+        a = np.pi * (g.gamma[..., :m] + two_j + 1) / n1
     else:
-        for j in range(m):
-            a = np.pi * (g.gamma[j] - (n1 - 1) + 2 * j) / n1
-            lams.extend([np.exp(1j * a), np.exp(-1j * a)])
-        lams.append(1.0 + 0.0j)
-    return np.array(lams)
+        a = np.pi * (g.gamma[..., :m] - (n1 - 1) + two_j) / n1
+    lead = a.shape[:-1]
+    lams = np.empty(lead + (n1,), dtype=complex)
+    # exp(1j a_j), exp(-1j a_j) side by side, then the 1 of an odd size
+    lams[..., :2 * m] = np.exp(a[..., None] * _PLUS_MINUS_I).reshape(lead + (2 * m,))
+    lams[..., 2 * m:] = 1.0
+    return lams
 
 
 def shift_vector(n_plus_1: int) -> np.ndarray:
@@ -96,28 +135,25 @@ def shift_vector(n_plus_1: int) -> np.ndarray:
 @dataclass(frozen=True)
 class AlcovePoint:
     """Normalized coordinates rho, anti-symmetric like gamma; ``in_alcove``
-    tests the defining chain of inequalities."""
+    tests the defining chain of inequalities. Like gamma, ``rho`` is one
+    point (n+1,) or a stack (S, n+1)."""
 
     n_plus_1: int
     rho: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rho, dtype=float)
-        if r.shape != (self.n_plus_1,):
-            raise ValueError(f"expected {self.n_plus_1} entries, got {r.shape}")
-        worst = np.max(np.abs(r + r[::-1]))
-        if worst > _SYM_TOL:
-            raise ValueError(f"rho_i + rho_(n-i) = 0 violated by {worst:.3e}")
-        object.__setattr__(self, "rho", r)
+        object.__setattr__(
+            self, "rho", _antisymmetric(self.n_plus_1, self.rho, "rho"))
 
-    def in_alcove(self, tol: float = 1e-9) -> bool:
+    def in_alcove(self, tol: float = 1e-9):
+        """A bool for one point, one bool per member for a stack."""
         m = self.n_plus_1 // 2
         if self.n_plus_1 % 2 == 0:
-            seq = np.concatenate([self.rho[m:], self.rho[:m]])
+            seq = np.concatenate([self.rho[..., m:], self.rho[..., :m]], axis=-1)
         else:
             seq = self.rho
-        ok = np.all(seq[1:] - seq[:-1] >= -tol)
-        return bool(ok and seq[-1] <= 2.0 + seq[0] + tol)
+        ok = np.all(seq[..., 1:] - seq[..., :-1] >= -tol, axis=-1)
+        return _member_result(ok & (seq[..., -1] <= 2.0 + seq[..., 0] + tol))
 
 
 def alcove_coords(g: GammaVector) -> AlcovePoint:
@@ -130,35 +166,71 @@ def alcove_to_gamma(p: AlcovePoint) -> GammaVector:
     return GammaVector(p.n_plus_1, gamma)
 
 
-def random_polytope_gamma(n_plus_1: int, rng: np.random.Generator) -> GammaVector:
+def random_polytope_gamma(n_plus_1: int, rng: np.random.Generator,
+                          samples: int | None = None) -> GammaVector:
     """Uniform sample of the polytope, drawn through the alcove chart: the
     free half of rho is a sorted uniform sample of [0, 1] (even size) or of
-    the upper half-chain (odd size), the rest follows by anti-symmetry."""
+    the upper half-chain (odd size), the rest follows by anti-symmetry.
+
+    With ``samples`` = S the result is a stack (S, n+1) from one draw of
+    S x m uniforms, equal row by row to S single draws from the same rng.
+    """
     m = n_plus_1 // 2
-    u = np.sort(rng.uniform(0.0, 1.0, size=m))
-    rho = np.zeros(n_plus_1)
+    lead = () if samples is None else (samples,)
+    u = np.sort(rng.uniform(0.0, 1.0, size=lead + (m,)), axis=-1)
+    rho = np.zeros(lead + (n_plus_1,))
     if n_plus_1 % 2 == 0:
-        rho[:m] = u
-        rho[m:] = -u[::-1]
+        rho[..., :m] = u
+        rho[..., m:] = -u[..., ::-1]
     else:
-        rho[m + 1:] = u
-        rho[:m] = -u[::-1]
+        rho[..., m + 1:] = u
+        rho[..., :m] = -u[..., ::-1]
     return alcove_to_gamma(AlcovePoint(n_plus_1, rho))
 
 
 def s_formulas(n_plus_1: int, g: GammaVector) -> tuple[float, float]:
-    """Closed forms for the two free Stokes coefficients, sizes 4 and 5 only."""
+    """Closed forms for the two free Stokes coefficients, sizes 4 and 5 only.
+
+    A stack of gammas gives two arrays with one value per member.
+    """
     if g.n_plus_1 != n_plus_1:
         raise ValueError("size mismatch between n_plus_1 and gamma")
     if n_plus_1 == 4:
-        c0 = np.cos(np.pi * (g.gamma[0] + 1) / 4)
-        c1 = np.cos(np.pi * (g.gamma[1] + 3) / 4)
+        c0 = np.cos(np.pi * (g.gamma[..., 0] + 1) / 4)
+        c1 = np.cos(np.pi * (g.gamma[..., 1] + 3) / 4)
         return -2 * c0 - 2 * c1, -2 - 4 * c0 * c1
     if n_plus_1 == 5:
-        c0 = np.cos(np.pi * (g.gamma[0] - 4) / 5)
-        c1 = np.cos(np.pi * (g.gamma[1] - 2) / 5)
+        c0 = np.cos(np.pi * (g.gamma[..., 0] - 4) / 5)
+        c1 = np.cos(np.pi * (g.gamma[..., 1] - 2) / 5)
         return 1 + 2 * c0 + 2 * c1, -2 - 2 * c0 - 2 * c1 - 4 * c0 * c1
     raise ValueError("closed forms are only available for sizes 4 and 5")
+
+
+def _section_from_gamma(cal: SectionCalibration, g: GammaVector,
+                        tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalue lists of ``g``, their monic polynomials (complex,
+    increasing order) and the section values with those polynomials, one row
+    or matrix per member of a stack.
+
+    :func:`gamma_to_m0` returns the section values; the verify suite
+    compares all three, so each polynomial is expanded once.
+    """
+    n1 = g.n_plus_1
+    if cal.n_plus_1 != n1:
+        raise ValueError("calibration size does not match gamma size")
+    lams = eigenvalues_from_gamma(g)
+    coeffs = np.array([poly_from_roots(row) for row in lams.reshape(-1, n1)])
+    coeffs = coeffs.reshape(lams.shape[:-1] + (n1 + 1,))
+    # e_k = (-1)^k coeffs[n1 - k] for k = 1..n
+    e = coeffs[..., n1 - 1:0:-1] * (-1) ** np.arange(1, n1)
+    drift = np.abs(e.imag).max(axis=-1)
+    # written so that a NaN drift fails too
+    ok = drift <= tol.bound(np.abs(e).max(axis=-1) + 1.0)
+    if not ok.all():
+        first = np.argmin(np.atleast_1d(ok))
+        raise NumericalError("characteristic coefficients not real: "
+                             f"{np.atleast_1d(drift)[first]:.3e}")
+    return lams, coeffs, reconstruct_from_chi(cal, e.real)
 
 
 def gamma_to_m0(cal: SectionCalibration, g: GammaVector,
@@ -168,17 +240,10 @@ def gamma_to_m0(cal: SectionCalibration, g: GammaVector,
 
     The eigenvalue list is closed under conjugation, so the characteristic
     coefficients are real; a residual imaginary part beyond ``tol`` aborts.
+    A stack of gammas gives the stack (S, n+1, n+1) of monodromies; the
+    first member whose imaginary part is too large raises.
     """
-    n1 = g.n_plus_1
-    if cal.n_plus_1 != n1:
-        raise ValueError("calibration size does not match gamma size")
-    coeffs = poly_from_roots(eigenvalues_from_gamma(g))
-    e = np.array([(-1) ** k * coeffs[n1 - k] for k in range(1, n1)])
-    drift = np.max(np.abs(e.imag))
-    if drift > tol.bound(np.max(np.abs(e)) + 1.0):
-        raise NumericalError(f"characteristic coefficients not real: {drift:.3e}")
-    mat = reconstruct_from_chi(cal, e.real)
-    return MonodromyMatrix(n1, mat)
+    return MonodromyMatrix(g.n_plus_1, _section_from_gamma(cal, g, tol)[2])
 
 
 @dataclass(frozen=True)

@@ -342,7 +342,8 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
     rng = np.random.default_rng(0)
     t = np.stack([rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)])
     err = np.abs(chi(steinberg_section(cal, t)) - cal.chi_of_t(t)).max(axis=1)
-    failed = np.flatnonzero(err > tol.bound(np.fmax(1.0, np.abs(t).max(axis=1))))
+    # written so that a NaN residual fails too
+    failed = np.flatnonzero(~(err <= tol.bound(np.fmax(1.0, np.abs(t).max(axis=1)))))
     if failed.size:
         raise CalibrationError(
             f"relabeling verification failed at size {n_plus_1} "

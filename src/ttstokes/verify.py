@@ -23,7 +23,7 @@ from .connections import (
     symmetry_report,
     toda_rhs,
 )
-from .linalg import char_poly, max_abs, nan_max, poly_from_roots
+from .linalg import DEFAULT_TOL, char_poly, max_abs, nan_max
 from .roots import (
     half_period_roots,
     order_diagram,
@@ -33,10 +33,9 @@ from .roots import (
     table_supported_roots,
 )
 from .solutions import (
+    _section_from_gamma,
     alcove_coords,
     alcove_to_gamma,
-    eigenvalues_from_gamma,
-    gamma_to_m0,
     polytope_contains,
     random_polytope_gamma,
     s_formulas,
@@ -131,35 +130,31 @@ def _suite_steinberg(n_plus_1, samples, seed, tol):
 
 
 def _suite_solutions(n_plus_1, samples, seed, tol):
+    # the samples as one stack (S, n+1), every function called once on it
     rng = np.random.default_rng([seed, n_plus_1, 3])
     cal = calibrate(n_plus_1)
+    g = random_polytope_gamma(n_plus_1, rng, samples)
+    p = alcove_coords(g)
     worst = 0.0
-    checks = 0
-    m0s, expects = [], []
-    for _ in range(samples):
-        g = random_polytope_gamma(n_plus_1, rng)
-        p = alcove_coords(g)
-        if polytope_contains(g) != p.in_alcove():
-            worst = nan_max(worst, 1.0)
-        worst = nan_max(worst, float(np.max(np.abs(alcove_to_gamma(p).gamma - g.gamma))))
-        lams = eigenvalues_from_gamma(g)
-        worst = nan_max(worst, float(np.max(np.abs(np.abs(lams) - 1.0))))
-        m0s.append(gamma_to_m0(cal, g).matrix)
-        expects.append([poly_from_roots(lams)])
-        if n_plus_1 in (4, 5):
-            s1, s2 = s_formulas(n_plus_1, g)
-            if n_plus_1 == 4:
-                expects[-1].append(np.array([1.0, s1, -s2, s1, 1.0]))
-            else:
-                expects[-1].append(np.array([-1.0, s1, s2, -s2, -s1, 1.0]))
-            checks += 1
-        checks += 4
-    # one char poly per monodromy, all from one stacked call; each is
-    # compared with the polynomial of its eigenvalue list and, at sizes 4
-    # and 5, with the closed form
-    polys = char_poly(np.stack(m0s))
-    for poly, row in zip(polys, expects):
-        worst = nan_max(worst, *(max_abs(poly - e) for e in row))
+    if np.any(polytope_contains(g) != p.in_alcove()):
+        worst = 1.0
+    worst = nan_max(worst, float(np.max(np.abs(alcove_to_gamma(p).gamma - g.gamma))))
+    lams, coeffs, m0 = _section_from_gamma(cal, g, DEFAULT_TOL)
+    worst = nan_max(worst, float(np.max(np.abs(np.abs(lams) - 1.0))))
+    # each monodromy's char poly against the polynomial of its eigenvalue
+    # list and, at sizes 4 and 5, against the closed form
+    polys = char_poly(m0)
+    worst = nan_max(worst, *np.max(np.abs(polys - coeffs), axis=1).tolist())
+    checks = 4 * samples
+    if n_plus_1 in (4, 5):
+        s1, s2 = s_formulas(n_plus_1, g)
+        one = np.ones(samples)
+        if n_plus_1 == 4:
+            closed = np.stack([one, s1, -s2, s1, one], axis=1)
+        else:
+            closed = np.stack([-one, s1, s2, -s2, -s1, one], axis=1)
+        worst = nan_max(worst, *np.max(np.abs(polys - closed), axis=1).tolist())
+        checks += samples
     return SuiteResult("solutions", n_plus_1, checks, worst, worst < tol)
 
 

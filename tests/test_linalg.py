@@ -15,6 +15,7 @@ from ttstokes.linalg import (
     NumericalError,
     Tolerance,
     char_poly,
+    cyclic_for,
     eigenvalues,
     fourier_matrix,
     match_multisets,
@@ -139,6 +140,17 @@ def test_shift_matrix_entries():
         [1, 0, 0, 0],
     ], dtype=float)
     assert np.array_equal(P, expect)
+
+
+@pytest.mark.parametrize("n1", range(2, 41))
+def test_shift_matrices_equal_the_entry_by_entry_loop(n1):
+    P = np.zeros((n1, n1))
+    for i in range(n1 - 1):
+        P[i, i + 1] = 1.0
+    P[n1 - 1, 0] = 1.0
+    assert np.array_equal(shift_matrix(n1), P)
+    P[n1 - 1, 0] = -1.0 if n1 % 2 == 0 else 1.0
+    assert np.array_equal(cyclic_for(n1), P)
 
 
 def test_signed_shift_fourth_power_is_minus_identity():

@@ -8,11 +8,15 @@ diagonal), so agreement with eigenvalues_from_gamma is a genuine two-route
 check, not a tautology.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttstokes import solutions
 from ttstokes.linalg import (
+    NumericalError,
     Tolerance,
     char_poly,
     eigenvalues,
@@ -50,6 +54,26 @@ def gv(n1, vals):
 def test_gamma_vector_requires_antisymmetry():
     with pytest.raises(ValueError):
         gv(4, [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("cls", [GammaVector, AlcovePoint])
+@pytest.mark.parametrize("vals", [
+    [np.nan, 0.0, 0.0, np.nan],
+    [np.inf, 0.0, 0.0, -np.inf],
+    [np.inf, 0.0, 0.0, np.inf],
+    [[0.0, 0.0, 0.0, 0.0], [0.5, np.nan, np.nan, -0.5]],
+])
+def test_non_finite_entries_are_rejected(cls, vals):
+    # a NaN sum passed the old `worst > tol` symmetry test
+    with pytest.raises(ValueError, match="finite"):
+        cls(4, np.array(vals))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (2, 2, 4)])
+def test_vectors_and_stacks_of_the_wrong_shape_are_rejected(shape):
+    with pytest.raises(ValueError, match="expected 4 entries"):
+        GammaVector(4, np.zeros(shape))
 
 
 def test_polytope_contains_origin():
@@ -178,6 +202,121 @@ def test_random_polytope_gamma_is_inside(n1):
         assert polytope_contains(g)
         back = alcove_to_gamma(alcove_coords(g))
         np.testing.assert_allclose(back.gamma, g.gamma, atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# stacks (S, n+1): every function equal, member by member, to its own call
+# ---------------------------------------------------------------------------
+
+STACK = 7
+
+
+def members(g):
+    return [GammaVector(g.n_plus_1, row) for row in g.gamma]
+
+
+@pytest.mark.parametrize("n1", range(3, 25))
+def test_stacked_draw_equals_single_draws(n1):
+    rng_stack, rng_loop = np.random.default_rng(n1), np.random.default_rng(n1)
+    g = random_polytope_gamma(n1, rng_stack, STACK)
+    assert g.gamma.shape == (STACK, n1)
+    loop = [random_polytope_gamma(n1, rng_loop).gamma for _ in range(STACK)]
+    assert np.array_equal(g.gamma, np.stack(loop))
+    # the generator is left in the same state
+    assert rng_stack.uniform() == rng_loop.uniform()
+
+
+def test_an_empty_stack_is_drawn_and_mapped():
+    cal = calibrate(5)
+    g = random_polytope_gamma(5, np.random.default_rng(0), 0)
+    assert g.gamma.shape == (0, 5)
+    assert eigenvalues_from_gamma(g).shape == (0, 5)
+    assert gamma_to_m0(cal, g).matrix.shape == (0, 5, 5)
+
+
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_stacked_eigenvalue_table_equals_member_calls(n1):
+    g = random_polytope_gamma(n1, np.random.default_rng(100 + n1), STACK)
+    lams = eigenvalues_from_gamma(g)
+    assert lams.shape == (STACK, n1)
+    assert np.array_equal(lams, np.stack([eigenvalues_from_gamma(h) for h in members(g)]))
+
+
+@pytest.mark.parametrize("n1", range(3, 25))
+def test_stacked_alcove_chart_equals_member_calls(n1):
+    rng = np.random.default_rng(200 + n1)
+    g = random_polytope_gamma(n1, rng, STACK)
+    # push some members out of the polytope
+    g = GammaVector(n1, g.gamma * rng.choice([1.0, 3.0], size=(STACK, 1)))
+    p = alcove_coords(g)
+    back = alcove_to_gamma(p)
+    assert np.array_equal(p.rho, np.stack([alcove_coords(h).rho for h in members(g)]))
+    assert np.array_equal(back.gamma,
+                          np.stack([alcove_to_gamma(alcove_coords(h)).gamma
+                                    for h in members(g)]))
+    inside = polytope_contains(g)
+    assert inside.dtype == bool and inside.tolist() == [
+        polytope_contains(h) for h in members(g)]
+    assert p.in_alcove().tolist() == [alcove_coords(h).in_alcove() for h in members(g)]
+
+
+@pytest.mark.parametrize("n1", [4, 5])
+def test_stacked_closed_forms_equal_member_calls(n1):
+    g = random_polytope_gamma(n1, np.random.default_rng(300 + n1), STACK)
+    s1, s2 = s_formulas(n1, g)
+    loop = np.array([s_formulas(n1, h) for h in members(g)])
+    assert np.array_equal(s1, loop[:, 0]) and np.array_equal(s2, loop[:, 1])
+
+
+@pytest.mark.parametrize("n1", range(3, 25))
+def test_stacked_gamma_to_m0_equals_member_calls(n1):
+    cal = calibrate(n1)
+    g = random_polytope_gamma(n1, np.random.default_rng(400 + n1), STACK)
+    m0 = gamma_to_m0(cal, g)
+    assert m0.n_plus_1 == n1 and m0.matrix.shape == (STACK, n1, n1)
+    loop = np.stack([gamma_to_m0(cal, h).matrix for h in members(g)])
+    assert np.array_equal(m0.matrix, loop)
+
+
+def test_one_warning_per_member_outside_the_polytope_in_member_order():
+    g = GammaVector(4, np.array([[4.0, 0.0, 0.0, -4.0],
+                                 [0.0, 0.0, 0.0, 0.0],
+                                 [-1.5, 0.0, 0.0, 1.5],
+                                 [0.3, -0.7, 0.7, -0.3],
+                                 [5.0, 1.0, -1.0, -5.0]]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eigenvalues_from_gamma(g)
+    assert [str(w.message) for w in caught] == [
+        f"gamma outside the polytope (member {k}): eigenvalues may collide "
+        "or leave the expected arcs" for k in (0, 2, 4)]
+
+
+def drifting_poly_from_roots(monkeypatch, drifts):
+    """Patch the polynomial expansion to add drifts[k] * 1j to the k-th call."""
+    real = solutions.poly_from_roots
+    calls = []
+
+    def drifting(roots):
+        calls.append(None)
+        return real(roots) + 1j * drifts.get(len(calls) - 1, 0.0)
+
+    monkeypatch.setattr(solutions, "poly_from_roots", drifting)
+
+
+def test_the_first_drifting_member_raises(monkeypatch):
+    cal = calibrate(5)
+    g = random_polytope_gamma(5, np.random.default_rng(3), STACK)
+    drifting_poly_from_roots(monkeypatch, {2: 1e-3, 5: 4e-2})
+    with pytest.raises(NumericalError,
+                       match=r"^characteristic coefficients not real: 1\.000e-03$"):
+        gamma_to_m0(cal, g)
+
+
+def test_a_nan_drift_fails_the_realness_gate(monkeypatch):
+    drifting_poly_from_roots(monkeypatch, {0: np.nan})
+    with pytest.raises(NumericalError, match="not real: nan"):
+        gamma_to_m0(calibrate(4), gv(4, [0.3, -0.7, 0.7, -0.3]))
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,14 @@ def test_calibrate_checks_the_signed_product(monkeypatch):
         calibrate(4)
 
 
+def test_calibrate_fails_a_nan_relabeling_residual(monkeypatch):
+    # every comparison with NaN is false, so a NaN residual passed `err > bound`
+    monkeypatch.setattr(steinberg, "chi",
+                        lambda M: np.full(M.shape[:-1], np.nan, dtype=complex)[..., 1:])
+    with pytest.raises(CalibrationError, match="residual nan"):
+        calibrate(4)
+
+
 def test_relabeling_rejects_two_slots_in_one_coefficient():
     # both diagonal slots close a 1-cycle, so both land in e_1
     slots = (np.array([0, 1]), np.array([0, 1]), np.array([1, 1]))
