@@ -24,13 +24,13 @@ import numpy as np
 
 from . import __version__
 from .linalg import (
+    DEFAULT_TOL,
     ConsistencyError,
     NumericalError,
     Tolerance,
     char_poly,
     cyclic_for,
     max_abs,
-    poly_from_roots,
 )
 from . import reference
 from .roots import (
@@ -42,10 +42,10 @@ from .roots import (
 )
 from .solutions import (
     GammaVector,
+    _section_from_gamma,
     alcove_coords,
     alcove_to_gamma,
     AlcovePoint,
-    eigenvalues_from_gamma,
     gamma_to_m0,
     polytope_contains,
     s_formulas,
@@ -265,16 +265,14 @@ def _cmd_from_gamma(ns):
     inside = polytope_contains(g)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lams = eigenvalues_from_gamma(g)
-        m0 = gamma_to_m0(calibrate(n1), g)
-    coeffs = poly_from_roots(lams)
+        lams, coeffs, m0 = _section_from_gamma(calibrate(n1), g, DEFAULT_TOL)
     rho = alcove_coords(g)
     char_imag = float(np.max(np.abs(coeffs.imag)))
-    mono_imag = float(np.max(np.abs(m0.matrix.imag)))
+    mono_imag = float(np.max(np.abs(m0.imag)))
     residuals = {
         "char_imag": char_imag,
         "monodromy_imag": mono_imag,
-        "char_vs_section": max_abs(char_poly(m0.matrix) - coeffs),
+        "char_vs_section": max_abs(char_poly(m0) - coeffs),
         "alcove_roundtrip": float(np.max(np.abs(
             alcove_to_gamma(rho).gamma - g.gamma))),
     }
@@ -286,7 +284,7 @@ def _cmd_from_gamma(ns):
         "char_poly_increasing": list(coeffs.real),
         "alcove_rho": list(rho.rho),
         "in_alcove": rho.in_alcove(),
-        "monodromy": m0.matrix.real,
+        "monodromy": m0.real,
     }
     if n1 in (4, 5):
         s1, s2 = s_formulas(n1, g)
@@ -301,7 +299,7 @@ def _cmd_from_gamma(ns):
     if "s_values" in payload:
         lines.append("s values: " + _vec_str(payload["s_values"]))
     lines.append("monodromy:")
-    lines.extend(_matrix_lines(m0.matrix))
+    lines.extend(_matrix_lines(m0))
     lines.append("residuals: " + " ".join(
         f"{k}={_fnum(v)}" for k, v in sorted(residuals.items())))
     return payload, residuals, lines, 0

@@ -96,17 +96,24 @@ def build_W(f: TodaField) -> np.ndarray:
 def _alpha_hat_stack(f: TodaField, zetas) -> np.ndarray:
     """alpha_hat at every zeta, as one (len(zetas), n+1, n+1) stack.
 
-    Each square is taken on the scalar as given: an array ``z**2`` can differ
-    from the scalar one in the last bit.
+    Only the 3(n+1) nonzero entries are computed: W^T / zeta^2 on the
+    subdiagonal and corner, x w_x / zeta on the diagonal, x^2 W on the
+    superdiagonal and corner. Each square is taken on the scalar as given:
+    an array ``z**2`` can differ from the scalar one in the last bit.
     """
     z = np.array(zetas, dtype=complex)
     if np.any(z == 0):
         raise ValueError("alpha_hat has a pole at zeta = 0")
     sq = np.array([zeta**2 for zeta in zetas], dtype=complex)
-    w = build_W(f)
-    return (-w.T / sq[:, None, None]
-            - np.diag(f.xwx).astype(complex) / z[:, None, None]
-            + f.x**2 * w)
+    n1 = f.n_plus_1
+    i = np.arange(n1)
+    up = (i + 1) % n1
+    w = build_W(f)[i, up]
+    out = np.zeros((len(z), n1, n1), dtype=complex)
+    out[:, up, i] = -w / sq[:, None]
+    out[:, i, i] = -(f.xwx.astype(complex) / z[:, None])
+    out[:, i, up] = f.x**2 * w
+    return out
 
 
 def build_alpha_hat(f: TodaField, zeta: complex) -> np.ndarray:

@@ -86,7 +86,7 @@ from .linalg import (
     rel_residual,
 )
 from .roots import Root, table_supported_roots
-from .stokes import build_m0, monodromy_support, random_stokes_params
+from .stokes import _stokes_from_normals, _stokes_layout, build_m0, monodromy_support
 
 __all__ = [
     "CalibrationError",
@@ -425,18 +425,18 @@ def cross_section_check(
     n1 = cal.n_plus_1
     n = n1 - 1
     mask = monodromy_support(n1)
-    ts, m0s = [], []
-    for _ in range(samples):
-        ts.append(rng.normal(size=n) + 1j * rng.normal(size=n))
-        m0s.append(build_m0(random_stokes_params(n1, rng)).matrix)
+    # each sample draws n real parts, n imaginary parts, then its Stokes
+    # coefficients, so one draw is split by columns
+    layout = _stokes_layout(n1)
+    z = rng.normal(size=(samples, 2 * n + layout.width(real=False)))
 
-    M = steinberg_section(cal, np.stack(ts))
+    M = steinberg_section(cal, z[:, :n] + 1j * z[:, n:2 * n])
     off = np.abs(M[:, ~mask]).max(axis=1, initial=0.0)
     off /= np.fmax(1.0, np.abs(M).max(axis=(1, 2)))
     worst_section = nan_max(
         0.0, *off.tolist(), rel_residual(reconstruct_from_chi(cal, chi(M)), M)
     )
-    M0 = np.stack(m0s)
+    M0 = build_m0(_stokes_from_normals(layout, z[:, 2 * n:], False, 1.0)).matrix
     worst_monodromy = rel_residual(reconstruct_from_chi(cal, chi(M0)), M0)
     passed = worst_section <= tol.bound(1.0) * 10 and worst_monodromy <= tol.bound(1.0) * 10
     return CrossSectionReport(n1, samples, worst_section, worst_monodromy, passed)

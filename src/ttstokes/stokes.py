@@ -10,6 +10,7 @@ monodromy is its (n+1)-st power with an extra scalar twist in the even case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,9 @@ class StokesParams:
     """Coefficients of the two generating Stokes factors.
 
     Keys must be exactly the head and second supported-root sets. Values may
-    be any complex numbers here; the transpose-inverse constraint of the full
-    family is a property of the family, enforced by :func:`q_family`.
+    be any complex numbers here, or arrays (S,) of them for a stack of S
+    samples; the transpose-inverse constraint of the full family is a
+    property of the family, enforced by :func:`q_family`.
     """
 
     n_plus_1: int
@@ -122,7 +124,8 @@ def build_q(n_plus_1: int, which: str, coeffs: dict[Root, complex]) -> np.ndarra
     """Unipotent Stokes factor I + sum coeffs[(i, j)] E_{ij}.
 
     ``which`` selects the head or second root set and the keys must match it
-    exactly. Insertion order of the dict is irrelevant.
+    exactly. Insertion order of the dict is irrelevant. Values that are
+    arrays of shape (S,) give the stack (S, n+1, n+1), scattered in one go.
     """
     if which not in ("head", "second"):
         raise ValueError(f"which must be 'head' or 'second', got {which!r}")
@@ -132,26 +135,60 @@ def build_q(n_plus_1: int, which: str, coeffs: dict[Root, complex]) -> np.ndarra
             f"coefficient keys {sorted(set(coeffs))} do not match the {which} "
             f"root set {sorted(expect)}"
         )
-    q = np.eye(n_plus_1, dtype=complex)
-    for (i, j), c in coeffs.items():
-        q[i, j] = complex(c)
+    rows, cols = np.array(list(coeffs)).T
+    vals = np.array(list(coeffs.values()), dtype=complex)
+    q = np.zeros(vals.shape[1:] + (n_plus_1, n_plus_1), dtype=complex)
+    diag = np.arange(n_plus_1)
+    q[..., diag, diag] = 1.0
+    q[..., rows, cols] = np.moveaxis(vals, 0, -1)
     return q
+
+
+def _member(stacked: bool, k) -> str:
+    """Names member ``k`` of a stack in an error message."""
+    return f" of member {k}" if stacked else ""
 
 
 def build_m0(params: StokesParams, tol: Tolerance = DEFAULT_TOL) -> MonodromyMatrix:
     """Fundamental monodromy q1 q2 P, with P the (signed) cyclic shift.
 
     The result always has determinant 1; a violation indicates numerical
-    trouble and raises NumericalError.
+    trouble and raises NumericalError. Coefficient stacks (see
+    :func:`build_q`) give the stack (S, n+1, n+1), and the first member with
+    a determinant away from 1 raises.
     """
     n1 = params.n_plus_1
     q1 = build_q(n1, "head", params.head_coeffs)
     q2 = build_q(n1, "second", params.second_coeffs)
     M = q1 @ q2 @ cyclic_for(n1).astype(complex)
     det = np.linalg.det(M)
-    if not abs(det - 1.0) <= tol.bound(max(1.0, abs(det))):
-        raise NumericalError(f"monodromy determinant {det} is not 1")
+    # written so that a NaN determinant fails too
+    failed = np.flatnonzero(~(np.abs(det - 1.0) <= tol.bound(np.fmax(1.0, np.abs(det)))))
+    if failed.size:
+        k = failed[0]
+        raise NumericalError(f"monodromy determinant {np.atleast_1d(det)[k]}"
+                             f"{_member(M.ndim > 2, k)} is not 1")
     return MonodromyMatrix(n1, M)
+
+
+def _shift_action(n_plus_1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers P^0 .. P^(n+1) of the shift as integer tables.
+
+    Row j gives P^j as a signed permutation, (P^j v)_a = sign[j, a]
+    v_{perm[j, a]}, composed step by step from the action of
+    :func:`~ttstokes.linalg.cyclic_for`.
+    """
+    P = cyclic_for(n_plus_1)
+    a = np.arange(n_plus_1)
+    step = np.argmax(np.abs(P) > 0.5, axis=1)
+    step_sign = P[a, step].astype(np.int64)
+    perm = np.empty((n_plus_1 + 1, n_plus_1), dtype=np.int64)
+    sign = np.empty_like(perm)
+    perm[0], sign[0] = a, 1
+    for j in range(n_plus_1):
+        perm[j + 1] = perm[j][step]
+        sign[j + 1] = step_sign * sign[j][step]
+    return perm, sign
 
 
 def q_family(
@@ -164,60 +201,77 @@ def q_family(
 
     Keys are the direction indices ell = 0 .. 2n+1; even indices come from
     q1, odd from q2, and the values are views into one stacked array.
-    Non-finite q1 or q2 raises ConsistencyError. Three structural relations
-    are verified over the whole stack, and a violation raises
-    ConsistencyError naming the first failing direction:
+    Stacks q1, q2 of shape (S, n+1, n+1) give values of that shape, member
+    by member. Non-finite q1 or q2 raises ConsistencyError. Two structural
+    relations are verified over the whole stack, with each member's bound
+    scaled by its own entries; a violation raises ConsistencyError naming
+    the first failing direction and, in a stack, the first failing member:
 
     * each member is unipotent and supported on its direction's pattern;
-    * advancing ell by n+1 gives the transpose inverse;
-    * conjugation is periodic, the (n+1)-st shift power acting trivially.
+    * advancing ell by n+1 gives the transpose inverse.
+
+    Conjugation is periodic because the (n+1)-st shift power is +-I, which
+    is asserted exactly on the shift's signed permutation.
     """
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
     if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
         raise ConsistencyError("Stokes factors q1 and q2 must be finite")
-    scale = max(1.0, max_abs(q1), max_abs(q2))
-    bound = tol.bound(scale)
-
-    # P^j is a signed permutation, (P^j v)_a = sign_j(a) v_{(a+j) mod (n+1)}
-    # with sign -1 where a+j wraps past n and n+1 is even, so P^j q P^jT is a
-    # signed gather of q, as exact as the dense product. Member 2j + h is
-    # the j-th conjugate of q1 (h = 0) or q2 (h = 1).
-    shifted = np.arange(n_plus_1)[:, None] + np.arange(n_plus_1)  # [j, a] = a + j
-    perm = shifted % n_plus_1
-    sign = np.where((shifted >= n_plus_1) & (n_plus_1 % 2 == 0), -1.0, 1.0)
-    gathered = np.stack([q1, q2])[:, perm[:, :, None], perm[:, None, :]]
-    stack = (sign[:, :, None] * sign[:, None, :] * gathered).swapaxes(0, 1)
-    stack = stack.reshape(2 * n_plus_1, n_plus_1, n_plus_1)
-
-    off = np.abs(np.where(q_patterns(n_plus_1), 0.0, stack)).max(axis=(1, 2))
-    diag_err = np.abs(np.diagonal(stack, axis1=1, axis2=2) - 1.0).max(axis=1)
-    failed = np.flatnonzero(~((off <= bound) & (diag_err <= bound)))
-    if failed.size:
-        ell = int(failed[0])
-        if not off[ell] <= bound:
-            raise ConsistencyError(
-                f"Stokes factor {ell} has weight {off[ell]:.3e} outside its pattern"
-            )
-        raise ConsistencyError(f"Stokes factor {ell} is not unipotent")
-
-    lhs = stack[n_plus_1:]
-    rhs = np.linalg.inv(stack[:n_plus_1].transpose(0, 2, 1))
-    err = np.abs(lhs - rhs).max(axis=(1, 2))
-    failed = np.flatnonzero(~(err <= bound))
-    if failed.size:
-        ell = int(failed[0])
-        raise ConsistencyError(
-            f"transpose-inverse relation fails between factors {ell} and "
-            f"{ell + n_plus_1} (residual {err[ell]:.3e})"
+    n1 = n_plus_1
+    perm, sign = _shift_action(n1)
+    if not (np.array_equal(perm[n1], perm[0]) and np.all(sign[n1] == sign[n1, 0])):
+        raise AssertionError(
+            f"shift conjugation is not periodic: the {n1}-th shift power is not +-I"
         )
 
-    Pfull = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1)
-    per = max_abs(Pfull @ q1 @ Pfull.T - q1)
-    if not per <= bound:
-        raise ConsistencyError(f"shift conjugation is not periodic (residual {per:.3e})")
+    # P^j q P^jT is a signed gather of q, as exact as the dense product.
+    # Member 2j + h is the j-th conjugate of q1 (h = 0) or q2 (h = 1).
+    qs = np.stack([q1, q2], axis=-3)
+    lead = qs.shape[:-3]
+    perm, sign = perm[:n1], sign[:n1]
+    stack = qs[..., np.arange(2)[:, None, None], perm[:, None, :, None],
+               perm[:, None, None, :]]
+    stack *= sign[:, None, :, None] * sign[:, None, None, :]
+    stack = stack.reshape(lead + (2 * n1, n1, n1))
+    bound = tol.bound(np.fmax(1.0, np.abs(qs).max(axis=(-3, -2, -1))))
+    bound = np.reshape(bound, (-1, 1))
+    stacked = bool(lead)
 
-    return {ell: stack[ell] for ell in range(2 * n_plus_1)}
+    mag = np.abs(stack)
+    mag[..., q_patterns(n1)] = 0.0
+    off = mag.max(axis=(-2, -1)).reshape(-1, 2 * n1)
+    del mag
+    diag_err = np.abs(np.diagonal(stack, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
+    shape_ok = (off <= bound) & (diag_err.reshape(-1, 2 * n1) <= bound)
+    misshapen = np.flatnonzero(~shape_ok.all(axis=1))
+
+    # the transpose inverse, on the members before the first misshapen one
+    # (a factor off its pattern may be singular), raised in member order
+    checked = stack if misshapen.size == 0 else stack.reshape(-1, 2 * n1, n1, n1)[:misshapen[0]]
+    if checked.size:
+        rhs = np.linalg.inv(checked[..., :n1, :, :].swapaxes(-1, -2))
+        rhs -= checked[..., n1:, :, :]
+        err = np.abs(rhs).max(axis=(-2, -1)).reshape(-1, n1)
+        del rhs
+        failed = np.flatnonzero(~(err <= bound[:len(err)]).all(axis=1))
+        if failed.size:
+            k = failed[0]
+            ell = int(np.flatnonzero(~(err[k] <= bound[k]))[0])
+            raise ConsistencyError(
+                f"transpose-inverse relation fails between factors {ell} and "
+                f"{ell + n1}{_member(stacked, k)} (residual {err[k, ell]:.3e})"
+            )
+    if misshapen.size:
+        k = misshapen[0]
+        ell = int(np.flatnonzero(~shape_ok[k])[0])
+        if not off[k, ell] <= bound[k, 0]:
+            raise ConsistencyError(
+                f"Stokes factor {ell}{_member(stacked, k)} has weight "
+                f"{off[k, ell]:.3e} outside its pattern"
+            )
+        raise ConsistencyError(f"Stokes factor {ell}{_member(stacked, k)} is not unipotent")
+
+    return {ell: stack[..., ell, :, :] for ell in range(2 * n1)}
 
 
 def full_monodromy(m0: MonodromyMatrix) -> np.ndarray:
@@ -246,42 +300,112 @@ def _permutation_action(Pm: np.ndarray) -> tuple[list[int], list[float]]:
     return image.tolist(), sign.tolist()
 
 
-def _paired_block(block: list[Root], action, rng, real: bool, scale: float):
-    """Draw coefficients for one even-size block.
+class _Layout(NamedTuple):
+    """Where each sampled coefficient comes from, built once per size.
 
-    The half-period transpose-inverse relation pairs the block's roots with
-    each other through conjugation by the m-th shift power, whose
-    :func:`_permutation_action` is ``action``; paired roots get
-    opposite-signed coefficients and a self-paired root with positive sign is
-    forced to zero.
+    ``draws`` coefficients are drawn per sample, each from one standard
+    normal (real) or two (real part, then imaginary part). For odd n+1 they
+    are the head coefficients in table order and ``Pm`` is the m-th shift
+    power that derives the second factor. For even n+1 the head slots and
+    then the second slots take draw ``source[k]`` times ``sign[k]``, or are
+    forced to zero where ``source[k]`` is -1.
     """
-    image, sgn = action
-    block_set = set(block)
-    coeffs: dict[Root, complex] = {}
 
-    def draw() -> complex:
-        if real:
-            return complex(rng.normal() * scale)
-        return complex(rng.normal(), rng.normal()) * scale
+    n_plus_1: int
+    head: list[Root]
+    second: list[Root]
+    draws: int
+    Pm: np.ndarray
+    source: np.ndarray | None
+    sign: np.ndarray | None
 
-    for alpha in block:
-        if alpha in coeffs:
-            continue
-        i, j = alpha
-        beta = (image[j], image[i])
-        sign = sgn[i] * sgn[j]
-        if beta == alpha:
-            coeffs[alpha] = 0.0 if sign > 0 else draw()
-            continue
-        if beta not in block_set:
+    def width(self, real: bool) -> int:
+        """Standard normals drawn per sample."""
+        return self.draws if real else 2 * self.draws
+
+
+def _stokes_layout(n_plus_1: int) -> _Layout:
+    """The sampling layout of one size.
+
+    At even n+1 the half-period transpose-inverse relation pairs each
+    block's roots with each other through conjugation by the m-th shift
+    power: paired roots get opposite-signed coefficients, and a self-paired
+    root with positive sign is forced to zero. Slots are visited in table
+    order and a new draw is taken for each slot not yet assigned.
+    """
+    head = table_supported_roots(n_plus_1, "head")
+    second = table_supported_roots(n_plus_1, "second")
+    Pm = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1 // 2)
+    if n_plus_1 % 2:
+        return _Layout(n_plus_1, head, second, len(head), Pm, None, None)
+    image, sgn = _permutation_action(Pm)
+    source, sign = [], []
+    draws = 0
+    for block in (head, second):
+        slot = {r: k for k, r in enumerate(block)}
+        src = [None] * len(block)
+        sg = [0.0] * len(block)
+        for k, (i, j) in enumerate(block):
+            if src[k] is not None:
+                continue
+            beta = (image[j], image[i])
+            s = sgn[i] * sgn[j]
+            if beta == (i, j):
+                if s > 0:
+                    src[k] = -1
+                else:
+                    src[k], sg[k] = draws, 1.0
+                    draws += 1
+                continue
+            if beta not in slot:
+                raise AssertionError(
+                    f"pairing sent {(i, j)} outside its block (to {beta}); "
+                    "the constraint bookkeeping is wrong"
+                )
+            src[k], sg[k] = draws, 1.0
+            src[slot[beta]], sg[slot[beta]] = draws, -s
+            draws += 1
+        source += src
+        sign += sg
+    return _Layout(n_plus_1, head, second, draws, Pm, np.array(source), np.array(sign))
+
+
+def _stokes_from_normals(layout: _Layout, z, real: bool, scale: float) -> StokesParams:
+    """Coefficients from the standard normals ``z`` of one sample, shape
+    (layout.width(real),), or of a stack, shape (S, layout.width(real))."""
+    z = np.asarray(z, dtype=float)
+    if real:
+        drawn = (z * scale).astype(complex)
+    else:
+        drawn = np.empty(z.shape[:-1] + (layout.draws,), dtype=complex)
+        drawn.real = z[..., 0::2] * scale
+        drawn.imag = z[..., 1::2] * scale
+    n1 = layout.n_plus_1
+    nh = len(layout.head)
+    if layout.source is not None:
+        coeffs = np.zeros(drawn.shape[:-1] + (len(layout.source),), dtype=complex)
+        hit = layout.source >= 0
+        coeffs[..., hit] = layout.sign[hit] * drawn[..., layout.source[hit]]
+        head, second = coeffs[..., :nh], coeffs[..., nh:]
+    else:
+        head = drawn
+        q1 = build_q(n1, "head", dict(zip(layout.head, np.moveaxis(head, -1, 0))))
+        q2 = layout.Pm.T @ np.linalg.inv(q1.swapaxes(-1, -2)) @ layout.Pm
+        rows, cols = np.array(layout.second).T
+        second = q2[..., rows, cols]
+        # everything q2 carries must sit on the second-direction slots
+        q2[..., rows, cols] = 0.0
+        diag = np.arange(n1)
+        q2[..., diag, diag] -= 1.0
+        if np.any(np.abs(q2).max(axis=(-2, -1)) > 1e-9):
             raise AssertionError(
-                f"pairing sent {alpha} outside its block (to {beta}); "
-                "the constraint bookkeeping is wrong"
+                "derived second factor has weight outside the second root set"
             )
-        c = draw()
-        coeffs[alpha] = c
-        coeffs[beta] = -sign * c
-    return coeffs
+    return StokesParams(
+        n1,
+        dict(zip(layout.head, np.moveaxis(head, -1, 0))),
+        dict(zip(layout.second, np.moveaxis(second, -1, 0))),
+    )
 
 
 def random_stokes_params(
@@ -289,6 +413,7 @@ def random_stokes_params(
     rng: np.random.Generator,
     real: bool = False,
     scale: float = 1.0,
+    samples: int | None = None,
 ) -> StokesParams:
     """Sample Stokes coefficients satisfying the family constraints.
 
@@ -297,36 +422,15 @@ def random_stokes_params(
     constrained parameter space: for even n+1 both blocks are internally
     paired; for odd n+1 the head block is free and the second factor is the
     conjugated transpose inverse of the first.
-    """
-    head = table_supported_roots(n_plus_1, "head")
-    second = table_supported_roots(n_plus_1, "second")
-    P = cyclic_for(n_plus_1)
-    m = n_plus_1 // 2
-    Pm = np.linalg.matrix_power(P, m)
 
-    if n_plus_1 % 2 == 0:
-        action = _permutation_action(Pm)
-        head_coeffs = _paired_block(head, action, rng, real, scale)
-        second_coeffs = _paired_block(second, action, rng, real, scale)
-    else:
-        if real:
-            head_coeffs = {r: complex(rng.normal() * scale) for r in head}
-        else:
-            head_coeffs = {
-                r: complex(rng.normal(), rng.normal()) * scale for r in head
-            }
-        q1 = build_q(n_plus_1, "head", head_coeffs)
-        q2 = Pm.T @ np.linalg.inv(q1.T) @ Pm
-        second_coeffs = {r: complex(q2[r]) for r in second}
-        # everything q2 carries must sit on the second-direction slots
-        probe = np.eye(n_plus_1, dtype=complex)
-        for r, c in second_coeffs.items():
-            probe[r] = c
-        if max_abs(q2 - probe) > 1e-9:
-            raise AssertionError(
-                "derived second factor has weight outside the second root set"
-            )
-    return StokesParams(n_plus_1, head_coeffs, second_coeffs)
+    With ``samples`` = S every coefficient is an array (S,), from one draw
+    of standard normals, equal member by member to S single draws from the
+    same rng.
+    """
+    layout = _stokes_layout(n_plus_1)
+    width = layout.width(real)
+    size = width if samples is None else (samples, width)
+    return _stokes_from_normals(layout, rng.normal(size=size), real, scale)
 
 
 def reality_conjugator(n_plus_1: int) -> np.ndarray:
@@ -349,12 +453,14 @@ def reality_residual(family: dict[int, np.ndarray]) -> float:
     The relation pairs the factor at ell with the inverse of the factor at
     -ell-2 (even sizes) or -ell-1 (odd sizes), conjugated by the reality
     involution; indices are mod 2(n+1). Meaningful for real coefficients
-    only, which is the case the relation is stated for.
+    only, which is the case the relation is stated for. A stacked family
+    (see :func:`q_family`) gives the worst residual over its members.
     """
-    n_plus_1 = family[0].shape[0]
+    n_plus_1 = family[0].shape[-1]
     period = 2 * n_plus_1
-    stack = np.stack([family[ell] for ell in range(period)])
     off = 2 if n_plus_1 % 2 == 0 else 1
     partners = (-np.arange(period) - off) % period
     C = reality_conjugator(n_plus_1)
-    return max_abs(C @ np.linalg.inv(stack[partners]) @ C - stack)
+    lhs = C @ np.linalg.inv(np.stack([family[p] for p in partners], axis=-3)) @ C
+    lhs -= np.stack([family[ell] for ell in range(period)], axis=-3)
+    return max_abs(lhs)

@@ -42,11 +42,13 @@ from .solutions import (
 )
 from .steinberg import calibrate, cross_section_check, regular_centralizer_dim
 from .stokes import (
+    StokesParams,
+    _stokes_from_normals,
+    _stokes_layout,
     build_m0,
     build_q,
     full_monodromy,
     q_family,
-    random_stokes_params,
     reality_residual,
 )
 
@@ -83,33 +85,42 @@ def _suite_roots(n_plus_1, samples, seed, tol):
 
 
 def _suite_stokes(n_plus_1, samples, seed, tol):
+    # the trials as one stack; each trial draws its complex coefficients,
+    # then its real ones, so one draw is split by columns
     rng = np.random.default_rng([seed, n_plus_1, 1])
     period = 2 * n_plus_1
-    worst = 0.0
-    checks = 0
-    for trial in range(max(1, samples // 5)):
-        p = random_stokes_params(n_plus_1, rng, scale=0.7)
-        m0 = build_m0(p)
-        worst = nan_max(worst, abs(np.linalg.det(m0.matrix) - 1.0))
-        q1 = build_q(n_plus_1, "head", p.head_coeffs)
-        q2 = build_q(n_plus_1, "second", p.second_coeffs)
-        fam = q_family(n_plus_1, q1, q2)
-        stack = np.stack([fam[ell] for ell in range(period)])
-        rhs = np.linalg.inv(stack[:n_plus_1]).transpose(0, 2, 1)
-        err = np.abs(stack[n_plus_1:] - rhs).max(axis=(1, 2))
-        err /= np.maximum(1.0, np.abs(rhs).max(axis=(1, 2)))
-        worst = nan_max(worst, *err.tolist())
-        pr = random_stokes_params(n_plus_1, rng, real=True, scale=0.7)
-        fam_r = q_family(
-            n_plus_1,
-            build_q(n_plus_1, "head", pr.head_coeffs),
-            build_q(n_plus_1, "second", pr.second_coeffs),
-        )
-        worst = nan_max(worst, reality_residual(fam_r))
-        checks += n_plus_1 + 3
+    trials = max(1, samples // 5)
+    layout = _stokes_layout(n_plus_1)
+    width = layout.width(real=False)
+    z = rng.normal(size=(trials, width + layout.width(real=True)))
+    p = _stokes_from_normals(layout, z[:, :width], False, 0.7)
+    m0 = build_m0(p)
+    # the modulus of each scalar: numpy's array modulus of a complex can
+    # differ from the scalar one in the last bit
+    worst = nan_max(0.0, *(abs(d - 1.0) for d in np.linalg.det(m0.matrix)))
+    fam = q_family(
+        n_plus_1,
+        build_q(n_plus_1, "head", p.head_coeffs),
+        build_q(n_plus_1, "second", p.second_coeffs),
+    )
+    stack = np.stack([fam[ell] for ell in range(period)], axis=1)
+    del fam
+    rhs = np.linalg.inv(stack[:, :n_plus_1]).swapaxes(-1, -2)
+    err = np.abs(stack[:, n_plus_1:] - rhs).max(axis=(-2, -1))
+    err /= np.maximum(1.0, np.abs(rhs).max(axis=(-2, -1)))
+    worst = nan_max(worst, *err.ravel().tolist())
+    # the complex family is freed before the real one is built
+    del stack, rhs
+    pr = _stokes_from_normals(layout, z[:, width:], True, 0.7)
+    fam_r = q_family(
+        n_plus_1,
+        build_q(n_plus_1, "head", pr.head_coeffs),
+        build_q(n_plus_1, "second", pr.second_coeffs),
+    )
+    worst = nan_max(worst, reality_residual(fam_r))
+    checks = trials * (n_plus_1 + 3)
     zero_head = {r: 0.0 for r in table_supported_roots(n_plus_1, "head")}
     zero_second = {r: 0.0 for r in table_supported_roots(n_plus_1, "second")}
-    from .stokes import StokesParams
     trivial = full_monodromy(build_m0(StokesParams(n_plus_1, zero_head, zero_second)))
     worst = nan_max(worst, max_abs(trivial - np.eye(n_plus_1)))
     checks += 1

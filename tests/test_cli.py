@@ -192,6 +192,19 @@ def test_gamma_free_expansion(capsys):
                                [1, 0.5, 0, -0.5, -1], atol=1e-12)
 
 
+def test_from_gamma_expands_its_polynomial_once(capsys, monkeypatch):
+    from ttstokes import solutions
+    calls = []
+    for name in ("eigenvalues_from_gamma", "poly_from_roots"):
+        real = getattr(solutions, name)
+        monkeypatch.setattr(solutions, name, lambda *a, _n=name, _f=real, **k:
+                            calls.append(_n) or _f(*a, **k))
+    code, out, _ = run_cli(capsys, "from-gamma", "--n", "6",
+                           "--gamma-free", "0.1,0.2,0.3", "--format", "json")
+    assert code == 0
+    assert sorted(calls) == ["eigenvalues_from_gamma", "poly_from_roots"]
+
+
 # ---------------------------------------------------------------------------
 # alcove
 # ---------------------------------------------------------------------------

@@ -519,6 +519,18 @@ def test_single_builders_equal_the_dense_formulas(zeta):
     assert np.array_equal(build_omega_hat(d, zeta), _omega_hat_dense(d, zeta))
 
 
+@pytest.mark.parametrize("n1", [3, 4, 7, 12])
+def test_the_alpha_hat_stack_scatters_the_dense_formula(n1):
+    from ttstokes.connections import _alpha_hat_stack
+    f = random_field(n1, np.random.default_rng(40 + n1))
+    zetas = [0.7 - 0.4j, 1.0, 2, np.complex128(0.3 + 1j), -1.5]
+    stack = _alpha_hat_stack(f, zetas)
+    assert stack.shape == (5, n1, n1)
+    for a, zeta in zip(stack, zetas):
+        assert np.array_equal(a, _alpha_hat_dense(f, zeta))
+        assert np.count_nonzero(a) <= 3 * n1
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_reports_refuse_fewer_than_one_sample(samples):
     f = TodaField(3, np.zeros(3), 1.0, np.zeros(3))

@@ -343,14 +343,34 @@ def test_q_family_failure_kinds_match_the_member_loop(monkeypatch):
     unpaired[2, 3] = 0.5
     assert "transpose-inverse relation fails" in _assert_same_family_outcome(
         4, unpaired, ref.stokes_q2_4(0.2))
-    # no shift matrix breaks periodicity while the other gates hold, so the
-    # shift power is corrupted where both versions take it
+    # the (n+1)-st power of any signed (n+1)-cycle is +-I, so periodicity is
+    # an exact assertion on the shift's signed permutation; it fires for a
+    # shift that is not a single cycle (rows 0 and 1 swapped fix index 1)
     pairs = {n1: _random_factors(n1, np.random.default_rng(n1), real=False)
              for n1 in (4, 5)}
-    power = np.linalg.matrix_power
-    monkeypatch.setattr(np.linalg, "matrix_power", lambda M, k: 2.0 * power(M, k))
     for n1, (q1, q2) in pairs.items():
-        assert "not periodic" in _assert_same_family_outcome(n1, q1, q2)
+        broken = cyclic_for(n1)[[1, 0] + list(range(2, n1))]
+        monkeypatch.setattr(stokes, "cyclic_for", lambda n, b=broken: b)
+        with pytest.raises(AssertionError, match="not periodic"):
+            q_family(n1, q1, q2)
+
+
+def test_q_family_takes_the_shift_powers_once_as_integer_tables(monkeypatch):
+    for n1 in (3, 4, 7, 8):
+        perm, sign = stokes._shift_action(n1)
+        assert perm.dtype == sign.dtype == np.int64
+        for j in range(n1 + 1):
+            dense = np.zeros((n1, n1))
+            dense[np.arange(n1), perm[j]] = sign[j]
+            assert np.array_equal(dense, np.linalg.matrix_power(cyclic_for(n1), j))
+    calls = []
+    action = stokes._shift_action
+    monkeypatch.setattr(stokes, "_shift_action",
+                        lambda n1: calls.append(n1) or action(n1))
+    monkeypatch.setattr(np.linalg, "matrix_power", None)  # no dense power
+    q1, q2 = ref.stokes_q1_5(0.8, 0.35), ref.stokes_q2_5(0.8, 0.35)
+    q_family(5, np.stack([q1] * 3), np.stack([q2] * 3))
+    assert calls == [5]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -455,6 +475,202 @@ def test_reality_residual_of_a_nan_family_is_nan(n1):
     # the builtin max would drop every NaN and report 0.0
     fam = {ell: np.full((n1, n1), np.nan) for ell in range(2 * n1)}
     assert np.isnan(reality_residual(fam))
+
+
+# ---------------------------------------------------------------------------
+# sample stacks against the per-sample loops they replaced
+# ---------------------------------------------------------------------------
+
+def _paired_block_loop(block, action, rng, real, scale):
+    image, sgn = action
+    block_set = set(block)
+    coeffs = {}
+
+    def draw():
+        if real:
+            return complex(rng.normal() * scale)
+        return complex(rng.normal(), rng.normal()) * scale
+
+    for alpha in block:
+        if alpha in coeffs:
+            continue
+        i, j = alpha
+        beta = (image[j], image[i])
+        sign = sgn[i] * sgn[j]
+        if beta == alpha:
+            coeffs[alpha] = 0.0 if sign > 0 else draw()
+            continue
+        assert beta in block_set
+        c = draw()
+        coeffs[alpha] = c
+        coeffs[beta] = -sign * c
+    return coeffs
+
+
+def _random_stokes_params_loop(n_plus_1, rng, real=False, scale=1.0):
+    """The one-sample sampler that the stacked one replaced, kept as its
+    reference: a Python loop per root, a dense shift power per call and, at
+    odd sizes, one inverse per sample."""
+    head = table_supported_roots(n_plus_1, "head")
+    second = table_supported_roots(n_plus_1, "second")
+    Pm = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1 // 2)
+    if n_plus_1 % 2 == 0:
+        action = stokes._permutation_action(Pm)
+        return StokesParams(n_plus_1,
+                            _paired_block_loop(head, action, rng, real, scale),
+                            _paired_block_loop(second, action, rng, real, scale))
+    if real:
+        head_coeffs = {r: complex(rng.normal() * scale) for r in head}
+    else:
+        head_coeffs = {r: complex(rng.normal(), rng.normal()) * scale for r in head}
+    q1 = build_q(n_plus_1, "head", head_coeffs)
+    q2 = Pm.T @ np.linalg.inv(q1.T) @ Pm
+    second_coeffs = {r: complex(q2[r]) for r in second}
+    probe = np.eye(n_plus_1, dtype=complex)
+    for r, c in second_coeffs.items():
+        probe[r] = c
+    assert max_abs(q2 - probe) <= 1e-9
+    return StokesParams(n_plus_1, head_coeffs, second_coeffs)
+
+
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_the_stacked_sampler_equals_single_draws(n1):
+    for real in (False, True):
+        for scale in (0.7, 1.0):
+            seed = [n1, int(real), int(10 * scale)]
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            stack = random_stokes_params(n1, rng, real=real, scale=scale, samples=6)
+            singles = [_random_stokes_params_loop(n1, ref_rng, real, scale)
+                       for _ in range(6)]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for which in ("head", "second"):
+                got = getattr(stack, f"{which}_coeffs")
+                want = [getattr(p, f"{which}_coeffs") for p in singles]
+                assert list(got) == table_supported_roots(n1, which)
+                for r, col in got.items():
+                    assert col.shape == (6,) and col.dtype == complex
+                    expect = np.array([w[r] for w in want], dtype=complex)
+                    # bit for bit, signed zeros included
+                    assert np.array_equal(np.ascontiguousarray(col).view(np.uint64),
+                                          expect.view(np.uint64))
+            one = random_stokes_params(n1, rng, real=real, scale=scale)
+            want = _random_stokes_params_loop(n1, ref_rng, real, scale)
+            assert one.head_coeffs == want.head_coeffs
+            assert one.second_coeffs == want.second_coeffs
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _first_member_failure(calls):
+    """Index, kind and message of the first member call that raises."""
+    for k, call in enumerate(calls):
+        try:
+            call()
+        except (ConsistencyError, NumericalError) as exc:
+            return k, type(exc), str(exc)
+    return None
+
+
+def _assert_names_the_first_failing_member(stacked, members):
+    """The stacked call raises what its first failing member raises alone,
+    with that member named."""
+    k, kind, message = _first_member_failure(members)
+    assert "member" not in message
+    with pytest.raises(kind) as exc:
+        stacked()
+    got = str(exc.value)
+    assert f" of member {k}" in got
+    assert got.replace(f" of member {k}", "") == message
+    return message
+
+
+def _family_calls(n1, q1, q2):
+    return (lambda: q_family(n1, q1, q2),
+            [lambda k=k: q_family(n1, q1[k], q2[k]) for k in range(len(q1))])
+
+
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_the_stacked_family_equals_member_calls(n1):
+    rng = np.random.default_rng(7000 + n1)
+    for real in (False, True):
+        p = random_stokes_params(n1, rng, real=real, samples=4)
+        q1 = build_q(n1, "head", p.head_coeffs)
+        q2 = build_q(n1, "second", p.second_coeffs)
+        m0 = build_m0(p).matrix
+        fam = q_family(n1, q1, q2)
+        assert m0.shape == q1.shape == (4, n1, n1)
+        for k in range(4):
+            one = StokesParams(n1, {r: c[k] for r, c in p.head_coeffs.items()},
+                               {r: c[k] for r, c in p.second_coeffs.items()})
+            assert np.array_equal(build_q(n1, "head", one.head_coeffs), q1[k])
+            assert np.array_equal(build_m0(one).matrix, m0[k])
+            single = q_family(n1, q1[k], q2[k])
+            for ell, q in single.items():
+                assert np.array_equal(fam[ell][k], q)
+        if real:
+            worst = nan_max(*(reality_residual(q_family(n1, a, b))
+                              for a, b in zip(q1, q2)))
+            assert reality_residual(fam) == worst
+
+
+def test_the_stacked_build_m0_names_the_first_failing_member():
+    p = random_stokes_params(5, np.random.default_rng(3), samples=5)
+    for k in (3, 1):
+        p.head_coeffs[(2, 0)][k] = np.nan
+    members = [StokesParams(5, {r: c[k] for r, c in p.head_coeffs.items()},
+                            {r: c[k] for r, c in p.second_coeffs.items()})
+               for k in range(5)]
+    with np.errstate(all="ignore"):
+        message = _assert_names_the_first_failing_member(
+            lambda: build_m0(p), [lambda m=m: build_m0(m) for m in members])
+    assert "determinant" in message
+
+
+@pytest.mark.parametrize("n1", range(3, 13))
+def test_stacked_family_failures_name_the_first_failing_member(n1):
+    # corrupted members of a stack: the stack must raise what the first
+    # failing member raises alone, naming that member
+    rng = np.random.default_rng(8000 + n1)
+    failures = 0
+    for trial in range(20):
+        p = random_stokes_params(n1, rng, real=bool(trial % 2), samples=5)
+        q1 = build_q(n1, "head", p.head_coeffs)
+        q2 = build_q(n1, "second", p.second_coeffs)
+        for _ in range(rng.integers(1, 3)):
+            target = q1 if rng.integers(2) else q2
+            k, i, j = rng.integers(5), *rng.integers(n1, size=2)
+            target[k, i, j] += rng.choice([1e-12, 1e-3, 1.0])
+        stacked, members = _family_calls(n1, q1, q2)
+        if _first_member_failure(members) is None:
+            stacked()
+            continue
+        failures += 1
+        _assert_names_the_first_failing_member(stacked, members)
+    assert failures > 0
+
+
+def test_each_stacked_family_gate_names_the_first_failing_member():
+    # member 1 breaks one gate and member 3 is off its pattern: member 1's
+    # failure is raised, whichever gate it is
+    q1 = np.stack([ref.stokes_q1_5(0.6, -1.1)] * 4)
+    q2 = np.stack([ref.stokes_q2_5(0.6, -1.1)] * 4)
+    unpaired = np.eye(5, dtype=complex)
+    unpaired[2, 0] = 0.3
+    breaks = {
+        "outside its pattern": lambda q: q.__setitem__((0, 1), 0.01),
+        "is not unipotent": lambda q: q.__setitem__((3, 3), 1.5),
+        "transpose-inverse relation fails": lambda q: q.__setitem__(..., unpaired),
+    }
+    for text, brk in breaks.items():
+        a = q1.copy()
+        brk(a[1])
+        a[3, 0, 1] = 0.5
+        assert text in _assert_names_the_first_failing_member(*_family_calls(5, a, q2))
+    # an unpaired member after a misshapen one is not reached
+    a = q1.copy()
+    a[1, 0, 1] = 0.5
+    a[3] = unpaired
+    assert "outside its pattern" in _assert_names_the_first_failing_member(
+        *_family_calls(5, a, q2))
 
 
 # ---------------------------------------------------------------------------

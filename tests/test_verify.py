@@ -1,14 +1,14 @@
 """The verify suites' own guards: no vacuous pass for an empty sample, and
 no pass for a NaN residual (the builtin max would drop it); the stokes
-suite's inverses taken stack by stack; the solutions suite on one gamma
-stack per size, equal to the per-sample loop it replaced."""
+suite's inverses taken stack by stack; the stokes and solutions suites on one sample stack per
+size, equal to the per-sample loops they replaced."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ttstokes import solutions, steinberg, verify
+from ttstokes import solutions, steinberg, stokes, verify
 from ttstokes.linalg import char_poly, max_abs, nan_max, poly_from_roots
 from ttstokes.solutions import (
     alcove_coords,
@@ -19,7 +19,17 @@ from ttstokes.solutions import (
     random_polytope_gamma,
     s_formulas,
 )
+from ttstokes.roots import table_supported_roots
 from ttstokes.steinberg import calibrate, cross_section_check
+from ttstokes.stokes import (
+    StokesParams,
+    build_m0,
+    build_q,
+    full_monodromy,
+    q_family,
+    random_stokes_params,
+    reality_residual,
+)
 from ttstokes.verify import SuiteResult, run_suites
 
 
@@ -60,9 +70,70 @@ def test_the_stokes_suite_inverts_each_family_as_one_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: dims.append(np.ndim(a)) or inv(a))
     (res,) = run_suites([6], samples=10, seed=1, suites=["stokes"])
     assert res.passed
-    # two trials, each: two q_family gates, the transpose-inverse check and
-    # reality_residual
-    assert dims == [3] * 8
+    # one stack of both trials: two q_family gates, the transpose-inverse
+    # check and reality_residual, each on (trials, members, n+1, n+1)
+    assert dims == [4] * 4
+
+
+def _suite_stokes_loop(n_plus_1, samples, seed, tol):
+    """The stokes suite one trial at a time: the reference for the stacked
+    suite."""
+    rng = np.random.default_rng([seed, n_plus_1, 1])
+    period = 2 * n_plus_1
+    worst = 0.0
+    checks = 0
+    for trial in range(max(1, samples // 5)):
+        p = random_stokes_params(n_plus_1, rng, scale=0.7)
+        m0 = build_m0(p)
+        worst = nan_max(worst, abs(np.linalg.det(m0.matrix) - 1.0))
+        q1 = build_q(n_plus_1, "head", p.head_coeffs)
+        q2 = build_q(n_plus_1, "second", p.second_coeffs)
+        fam = q_family(n_plus_1, q1, q2)
+        stack = np.stack([fam[ell] for ell in range(period)])
+        rhs = np.linalg.inv(stack[:n_plus_1]).transpose(0, 2, 1)
+        err = np.abs(stack[n_plus_1:] - rhs).max(axis=(1, 2))
+        err /= np.maximum(1.0, np.abs(rhs).max(axis=(1, 2)))
+        worst = nan_max(worst, *err.tolist())
+        pr = random_stokes_params(n_plus_1, rng, real=True, scale=0.7)
+        fam_r = q_family(
+            n_plus_1,
+            build_q(n_plus_1, "head", pr.head_coeffs),
+            build_q(n_plus_1, "second", pr.second_coeffs),
+        )
+        worst = nan_max(worst, reality_residual(fam_r))
+        checks += n_plus_1 + 3
+    zero_head = {r: 0.0 for r in table_supported_roots(n_plus_1, "head")}
+    zero_second = {r: 0.0 for r in table_supported_roots(n_plus_1, "second")}
+    trivial = full_monodromy(build_m0(StokesParams(n_plus_1, zero_head, zero_second)))
+    worst = nan_max(worst, max_abs(trivial - np.eye(n_plus_1)))
+    checks += 1
+    return SuiteResult("stokes", n_plus_1, checks, worst, worst < tol)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_the_stacked_stokes_suite_equals_the_per_trial_loop(seed, monkeypatch):
+    sizes = range(3, 25)
+    stacked = run_suites(sizes, samples=50, seed=seed, suites=["stokes"])
+    assert all(r.passed and r.note == "" for r in stacked)
+    monkeypatch.setitem(verify.SUITES, "stokes", _suite_stokes_loop)
+    assert stacked == run_suites(sizes, samples=50, seed=seed, suites=["stokes"])
+
+
+@pytest.mark.parametrize("samples", [10, 50])
+def test_the_stokes_and_steinberg_suites_make_one_call_per_stack(samples, monkeypatch):
+    calls = []
+    for module, name in ((verify, "build_m0"), (verify, "q_family"),
+                         (verify, "reality_residual"), (steinberg, "build_m0"),
+                         (stokes, "random_stokes_params")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real, **k:
+                            calls.append(_n) or _f(*a, **k))
+    res = run_suites([6, 7], samples=samples, seed=1, suites=["steinberg", "stokes"])
+    assert all(r.passed for r in res)
+    # per size: the stack and the trivial monodromy, the complex and the
+    # real family, one reality check, and the cross-section stack
+    assert sorted(calls) == sorted(
+        ["build_m0"] * 6 + ["q_family"] * 4 + ["reality_residual"] * 2)
 
 
 def _suite_solutions_loop(n_plus_1, samples, seed, tol):
