@@ -21,6 +21,7 @@ from .linalg import (
     Tolerance,
     cyclic_for,
     max_abs,
+    nan_max,
     omega_pow,
     omega_powers,
 )
@@ -292,14 +293,6 @@ def full_monodromy(m0: MonodromyMatrix) -> np.ndarray:
 # sampling coefficients compatible with the family relations
 # ---------------------------------------------------------------------------
 
-def _permutation_action(Pm: np.ndarray) -> tuple[list[int], list[float]]:
-    """Image index and sign of every basis vector under a signed permutation:
-    Pm e_j = sign[j] e_{image[j]}."""
-    image = np.argmax(np.abs(Pm) > 0.5, axis=0)
-    sign = np.sign(Pm[image, np.arange(len(image))].real)
-    return image.tolist(), sign.tolist()
-
-
 class _Layout(NamedTuple):
     """Where each sampled coefficient comes from, built once per size.
 
@@ -315,7 +308,7 @@ class _Layout(NamedTuple):
     head: list[Root]
     second: list[Root]
     draws: int
-    Pm: np.ndarray
+    Pm: np.ndarray | None
     source: np.ndarray | None
     sign: np.ndarray | None
 
@@ -335,10 +328,15 @@ def _stokes_layout(n_plus_1: int) -> _Layout:
     """
     head = table_supported_roots(n_plus_1, "head")
     second = table_supported_roots(n_plus_1, "second")
-    Pm = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1 // 2)
     if n_plus_1 % 2:
+        Pm = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1 // 2)
         return _Layout(n_plus_1, head, second, len(head), Pm, None, None)
-    image, sgn = _permutation_action(Pm)
+    # P^m sends e_{perm[a]} to sign[a] e_a: invert the row action
+    perm, sign = _shift_action(n_plus_1)
+    image, sgn = np.empty_like(perm[0]), np.empty_like(sign[0])
+    image[perm[n_plus_1 // 2]] = np.arange(n_plus_1)
+    sgn[perm[n_plus_1 // 2]] = sign[n_plus_1 // 2]
+    image, sgn = image.tolist(), sgn.tolist()
     source, sign = [], []
     draws = 0
     for block in (head, second):
@@ -367,7 +365,8 @@ def _stokes_layout(n_plus_1: int) -> _Layout:
             draws += 1
         source += src
         sign += sg
-    return _Layout(n_plus_1, head, second, draws, Pm, np.array(source), np.array(sign))
+    return _Layout(n_plus_1, head, second, draws, None, np.array(source),
+                   np.array(sign))
 
 
 def _stokes_from_normals(layout: _Layout, z, real: bool, scale: float) -> StokesParams:
@@ -413,7 +412,6 @@ def random_stokes_params(
     rng: np.random.Generator,
     real: bool = False,
     scale: float = 1.0,
-    samples: int | None = None,
 ) -> StokesParams:
     """Sample Stokes coefficients satisfying the family constraints.
 
@@ -423,14 +421,11 @@ def random_stokes_params(
     paired; for odd n+1 the head block is free and the second factor is the
     conjugated transpose inverse of the first.
 
-    With ``samples`` = S every coefficient is an array (S,), from one draw
-    of standard normals, equal member by member to S single draws from the
-    same rng.
+    Stacks of samples come from :func:`_stokes_from_normals` with one
+    (S, width) draw, equal member by member to S calls on the same rng.
     """
     layout = _stokes_layout(n_plus_1)
-    width = layout.width(real)
-    size = width if samples is None else (samples, width)
-    return _stokes_from_normals(layout, rng.normal(size=size), real, scale)
+    return _stokes_from_normals(layout, rng.normal(size=layout.width(real)), real, scale)
 
 
 def reality_conjugator(n_plus_1: int) -> np.ndarray:
@@ -459,8 +454,11 @@ def reality_residual(family: dict[int, np.ndarray]) -> float:
     n_plus_1 = family[0].shape[-1]
     period = 2 * n_plus_1
     off = 2 if n_plus_1 % 2 == 0 else 1
-    partners = (-np.arange(period) - off) % period
     C = reality_conjugator(n_plus_1)
-    lhs = C @ np.linalg.inv(np.stack([family[p] for p in partners], axis=-3)) @ C
-    lhs -= np.stack([family[ell] for ell in range(period)], axis=-3)
-    return max_abs(lhs)
+    # one direction at a time, so no copy of the whole family is made
+    worst = 0.0
+    for ell in range(period):
+        lhs = C @ np.linalg.inv(family[(-ell - off) % period]) @ C
+        lhs -= family[ell]
+        worst = nan_max(worst, max_abs(lhs))
+    return worst

@@ -23,7 +23,14 @@ from .connections import (
     symmetry_report,
     toda_rhs,
 )
-from .linalg import DEFAULT_TOL, char_poly, max_abs, nan_max
+from .linalg import (
+    DEFAULT_TOL,
+    ConsistencyError,
+    NumericalError,
+    char_poly,
+    max_abs,
+    nan_max,
+)
 from .roots import (
     half_period_roots,
     order_diagram,
@@ -84,40 +91,56 @@ def _suite_roots(n_plus_1, samples, seed, tol):
     return SuiteResult("roots", n_plus_1, checks, float(bad), bad == 0)
 
 
-def _suite_stokes(n_plus_1, samples, seed, tol):
-    # the trials as one stack; each trial draws its complex coefficients,
-    # then its real ones, so one draw is split by columns
-    rng = np.random.default_rng([seed, n_plus_1, 1])
-    period = 2 * n_plus_1
-    trials = max(1, samples // 5)
-    layout = _stokes_layout(n_plus_1)
+# complex entries in one chunk's Stokes family stack (2 MB): the stokes
+# suite checks its trials in chunks of about this size, so its memory does
+# not grow with the sample count
+_CHUNK_ENTRIES = 1 << 17
+
+
+def _stokes_trials(layout, z):
+    """Worst residual of the stokes suite's trials whose standard normals
+    are the rows of ``z``: a trial's complex draw, then its real draw."""
+    n1 = layout.n_plus_1
     width = layout.width(real=False)
-    z = rng.normal(size=(trials, width + layout.width(real=True)))
     p = _stokes_from_normals(layout, z[:, :width], False, 0.7)
     m0 = build_m0(p)
     # the modulus of each scalar: numpy's array modulus of a complex can
     # differ from the scalar one in the last bit
     worst = nan_max(0.0, *(abs(d - 1.0) for d in np.linalg.det(m0.matrix)))
-    fam = q_family(
-        n_plus_1,
-        build_q(n_plus_1, "head", p.head_coeffs),
-        build_q(n_plus_1, "second", p.second_coeffs),
-    )
-    stack = np.stack([fam[ell] for ell in range(period)], axis=1)
-    del fam
-    rhs = np.linalg.inv(stack[:, :n_plus_1]).swapaxes(-1, -2)
-    err = np.abs(stack[:, n_plus_1:] - rhs).max(axis=(-2, -1))
-    err /= np.maximum(1.0, np.abs(rhs).max(axis=(-2, -1)))
-    worst = nan_max(worst, *err.ravel().tolist())
+    fam = q_family(n1, build_q(n1, "head", p.head_coeffs),
+                   build_q(n1, "second", p.second_coeffs))
+    for ell in range(n1):
+        rhs = np.linalg.inv(fam[ell]).swapaxes(-1, -2)
+        err = np.abs(fam[ell + n1] - rhs).max(axis=(-2, -1))
+        err /= np.maximum(1.0, np.abs(rhs).max(axis=(-2, -1)))
+        worst = nan_max(worst, *err.tolist())
     # the complex family is freed before the real one is built
-    del stack, rhs
+    del fam, rhs
     pr = _stokes_from_normals(layout, z[:, width:], True, 0.7)
-    fam_r = q_family(
-        n_plus_1,
-        build_q(n_plus_1, "head", pr.head_coeffs),
-        build_q(n_plus_1, "second", pr.second_coeffs),
-    )
-    worst = nan_max(worst, reality_residual(fam_r))
+    fam = q_family(n1, build_q(n1, "head", pr.head_coeffs),
+                   build_q(n1, "second", pr.second_coeffs))
+    return nan_max(worst, reality_residual(fam))
+
+
+def _suite_stokes(n_plus_1, samples, seed, tol):
+    # each trial draws its complex coefficients, then its real ones, so one
+    # draw is split by columns; the trials are checked as sample stacks
+    rng = np.random.default_rng([seed, n_plus_1, 1])
+    trials = max(1, samples // 5)
+    layout = _stokes_layout(n_plus_1)
+    z = rng.normal(size=(trials, layout.width(real=False) + layout.width(real=True)))
+    chunk = max(1, _CHUNK_ENTRIES // (2 * n_plus_1 ** 3))
+    worst = 0.0
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        try:
+            worst = nan_max(worst, _stokes_trials(layout, z[start:stop]))
+        except (ConsistencyError, NumericalError) as exc:
+            if not start:
+                raise
+            raise type(exc)(
+                f"{exc} (in trials {start}..{stop - 1}; member 0 is trial {start})"
+            ) from exc
     checks = trials * (n_plus_1 + 3)
     zero_head = {r: 0.0 for r in table_supported_roots(n_plus_1, "head")}
     zero_second = {r: 0.0 for r in table_supported_roots(n_plus_1, "second")}

@@ -407,8 +407,9 @@ def test_stacked_family_calls_no_q_pattern_and_one_inverse(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     fam = q_family(6, *_random_factors(6, np.random.default_rng(6), real=True))
     assert calls == {"q_pattern": 0, "inv": [3]}
+    # one inverse per direction, so no copy of the whole family is made
     reality_residual(fam)
-    assert calls["inv"] == [3, 3]
+    assert calls["inv"] == [3] + [2] * 12
 
 
 def test_q_family_rejects_unpaired_coefficients():
@@ -481,6 +482,22 @@ def test_reality_residual_of_a_nan_family_is_nan(n1):
 # sample stacks against the per-sample loops they replaced
 # ---------------------------------------------------------------------------
 
+def _stacked_params(n1, rng, real=False, scale=1.0, samples=1):
+    """S samples as the suites draw them: one (S, width) block of normals
+    through the layout."""
+    layout = stokes._stokes_layout(n1)
+    z = rng.normal(size=(samples, layout.width(real)))
+    return stokes._stokes_from_normals(layout, z, real, scale)
+
+
+def _permutation_action(Pm):
+    """Image index and sign of every basis vector under a signed permutation:
+    Pm e_j = sign[j] e_{image[j]}."""
+    image = np.argmax(np.abs(Pm) > 0.5, axis=0)
+    sign = np.sign(Pm[image, np.arange(len(image))].real)
+    return image.tolist(), sign.tolist()
+
+
 def _paired_block_loop(block, action, rng, real, scale):
     image, sgn = action
     block_set = set(block)
@@ -515,7 +532,7 @@ def _random_stokes_params_loop(n_plus_1, rng, real=False, scale=1.0):
     second = table_supported_roots(n_plus_1, "second")
     Pm = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1 // 2)
     if n_plus_1 % 2 == 0:
-        action = stokes._permutation_action(Pm)
+        action = _permutation_action(Pm)
         return StokesParams(n_plus_1,
                             _paired_block_loop(head, action, rng, real, scale),
                             _paired_block_loop(second, action, rng, real, scale))
@@ -539,7 +556,7 @@ def test_the_stacked_sampler_equals_single_draws(n1):
         for scale in (0.7, 1.0):
             seed = [n1, int(real), int(10 * scale)]
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            stack = random_stokes_params(n1, rng, real=real, scale=scale, samples=6)
+            stack = _stacked_params(n1, rng, real=real, scale=scale, samples=6)
             singles = [_random_stokes_params_loop(n1, ref_rng, real, scale)
                        for _ in range(6)]
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -558,6 +575,17 @@ def test_the_stacked_sampler_equals_single_draws(n1):
             assert one.head_coeffs == want.head_coeffs
             assert one.second_coeffs == want.second_coeffs
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_only_odd_size_layouts_take_a_dense_shift_power(monkeypatch):
+    # even sizes pair their slots through the shift's integer action
+    powers = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, m: powers.append(len(a)) or matrix_power(a, m))
+    layouts = {n1: stokes._stokes_layout(n1) for n1 in range(3, 13)}
+    assert powers == [3, 5, 7, 9, 11]
+    assert all((layout.Pm is None) == (n1 % 2 == 0) for n1, layout in layouts.items())
 
 
 def _first_member_failure(calls):
@@ -592,7 +620,7 @@ def _family_calls(n1, q1, q2):
 def test_the_stacked_family_equals_member_calls(n1):
     rng = np.random.default_rng(7000 + n1)
     for real in (False, True):
-        p = random_stokes_params(n1, rng, real=real, samples=4)
+        p = _stacked_params(n1, rng, real=real, samples=4)
         q1 = build_q(n1, "head", p.head_coeffs)
         q2 = build_q(n1, "second", p.second_coeffs)
         m0 = build_m0(p).matrix
@@ -613,7 +641,7 @@ def test_the_stacked_family_equals_member_calls(n1):
 
 
 def test_the_stacked_build_m0_names_the_first_failing_member():
-    p = random_stokes_params(5, np.random.default_rng(3), samples=5)
+    p = _stacked_params(5, np.random.default_rng(3), samples=5)
     for k in (3, 1):
         p.head_coeffs[(2, 0)][k] = np.nan
     members = [StokesParams(5, {r: c[k] for r, c in p.head_coeffs.items()},
@@ -632,7 +660,7 @@ def test_stacked_family_failures_name_the_first_failing_member(n1):
     rng = np.random.default_rng(8000 + n1)
     failures = 0
     for trial in range(20):
-        p = random_stokes_params(n1, rng, real=bool(trial % 2), samples=5)
+        p = _stacked_params(n1, rng, real=bool(trial % 2), samples=5)
         q1 = build_q(n1, "head", p.head_coeffs)
         q2 = build_q(n1, "second", p.second_coeffs)
         for _ in range(rng.integers(1, 3)):

@@ -1,9 +1,13 @@
 """The verify suites' own guards: no vacuous pass for an empty sample, and
 no pass for a NaN residual (the builtin max would drop it); the stokes
-suite's inverses taken stack by stack; the stokes and solutions suites on one sample stack per
-size, equal to the per-sample loops they replaced."""
+suite's inverses taken stack by stack; the stokes and solutions suites on
+one sample stack per size, equal to the per-sample loops they replaced; the
+stokes suite's chunks of trials, its bounded memory and the notes of its
+failing trials."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,9 +74,11 @@ def test_the_stokes_suite_inverts_each_family_as_one_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: dims.append(np.ndim(a)) or inv(a))
     (res,) = run_suites([6], samples=10, seed=1, suites=["stokes"])
     assert res.passed
-    # one stack of both trials: two q_family gates, the transpose-inverse
-    # check and reality_residual, each on (trials, members, n+1, n+1)
-    assert dims == [4] * 4
+    # one stack of both trials: each q_family gate inverts (trials, members,
+    # n+1, n+1) once; the transpose-inverse check (n+1 directions) and
+    # reality_residual (2(n+1) directions) invert (trials, n+1, n+1) one
+    # direction at a time, so neither copies the whole family
+    assert dims == [4] + [3] * 6 + [4] + [3] * 12
 
 
 def _suite_stokes_loop(n_plus_1, samples, seed, tol):
@@ -117,6 +123,98 @@ def test_the_stacked_stokes_suite_equals_the_per_trial_loop(seed, monkeypatch):
     assert all(r.passed and r.note == "" for r in stacked)
     monkeypatch.setitem(verify.SUITES, "stokes", _suite_stokes_loop)
     assert stacked == run_suites(sizes, samples=50, seed=seed, suites=["stokes"])
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_chunked_stokes_suite_equals_the_per_trial_loop(seed, monkeypatch):
+    sizes = range(3, 13)
+    want = run_suites(sizes, samples=50, seed=seed, suites=["stokes"])
+    # one trial per chunk, then chunks of 3 trials at n+1 = 5
+    for entries in (1, 3 * 2 * 5 ** 3):
+        monkeypatch.setattr(verify, "_CHUNK_ENTRIES", entries)
+        assert run_suites(sizes, samples=50, seed=seed, suites=["stokes"]) == want
+    monkeypatch.setitem(verify.SUITES, "stokes", _suite_stokes_loop)
+    assert run_suites(sizes, samples=50, seed=seed, suites=["stokes"]) == want
+
+
+def test_the_stokes_suite_memory_does_not_grow_with_the_sample_count():
+    # 10 and 200 trials at n+1 = 24, in chunks of 4: a single stack of 200
+    # trials would hold a complex family of about 110 MB
+    peaks = []
+    for samples in (50, 1000):
+        tracemalloc.start()
+        try:
+            (res,) = run_suites([24], samples=samples, seed=1, suites=["stokes"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.passed
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+class _NanNormals:
+    """A generator whose standard normals at the given stream positions are
+    NaN, however the stream is cut into draws."""
+
+    def __init__(self, rng, positions):
+        self.rng, self.positions, self.drawn = rng, positions, 0
+
+    def normal(self, size=None):
+        z = np.array(self.rng.normal(size=size), dtype=float)
+        for at in self.positions:
+            if 0 <= at - self.drawn < z.size:
+                z.reshape(-1)[at - self.drawn] = np.nan
+        self.drawn += z.size
+        return z if z.ndim else float(z)
+
+
+def _stokes_notes(monkeypatch, n1, positions):
+    """The stacked and the per-trial stokes suite's results at size n1 when
+    the normals at ``positions`` of the stream are NaN."""
+    default_rng = np.random.default_rng
+    with monkeypatch.context() as m, np.errstate(all="ignore"):
+        m.setattr(np.random, "default_rng",
+                  lambda seed: _NanNormals(default_rng(seed), positions))
+        (got,) = run_suites([n1], samples=50, seed=1, suites=["stokes"])
+        m.setitem(verify.SUITES, "stokes", _suite_stokes_loop)
+        (want,) = run_suites([n1], samples=50, seed=1, suites=["stokes"])
+    assert not got.passed and dataclasses.replace(got, note=want.note) == want
+    return got.note, want.note
+
+
+@pytest.mark.parametrize("n1", [4, 5, 6, 7])
+def test_a_failing_trial_gives_the_per_trial_note_naming_its_member(n1, monkeypatch):
+    layout = stokes._stokes_layout(n1)
+    row = layout.width(real=False) + layout.width(real=True)
+    for trial in (0, 3, 9):
+        # a NaN in the trial's complex draw fails build_m0, which names it
+        got, want = _stokes_notes(monkeypatch, n1, [trial * row])
+        assert want.startswith("NumericalError: monodromy determinant")
+        assert f" of member {trial} " in got
+        assert got.replace(f" of member {trial}", "") == want
+        # a NaN in its real draw fails q_family's finiteness gate, unnamed
+        got, want = _stokes_notes(monkeypatch, n1, [trial * row + row - 1])
+        assert got == want == "ConsistencyError: Stokes factors q1 and q2 must be finite"
+
+
+def test_a_later_chunk_names_its_trials(monkeypatch):
+    layout = stokes._stokes_layout(4)
+    row = layout.width(real=False) + layout.width(real=True)
+    monkeypatch.setattr(verify, "_CHUNK_ENTRIES", 3 * 2 * 4 ** 3)  # 3 trials
+    got, want = _stokes_notes(monkeypatch, 4, [7 * row])
+    assert got == want.replace(" is not 1", " of member 1 is not 1") + (
+        " (in trials 6..8; member 0 is trial 6)")
+
+
+def test_the_stacked_suite_reports_the_first_gate_over_all_trials(monkeypatch):
+    # trial 1's real draw and trial 2's complex draw are NaN: the per-trial
+    # loop meets trial 1's real family first, while the stack runs build_m0
+    # over every trial before it builds a real family
+    layout = stokes._stokes_layout(4)
+    row = layout.width(real=False) + layout.width(real=True)
+    got, want = _stokes_notes(monkeypatch, 4, [2 * row - 1, 2 * row])
+    assert want == "ConsistencyError: Stokes factors q1 and q2 must be finite"
+    assert got == "NumericalError: monodromy determinant (nan+nanj) of member 2 is not 1"
 
 
 @pytest.mark.parametrize("samples", [10, 50])
