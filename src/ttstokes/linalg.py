@@ -38,6 +38,7 @@ __all__ = [
     "elementary",
     "max_abs",
     "nan_max",
+    "rel_residuals",
     "rel_residual",
 ]
 
@@ -104,13 +105,18 @@ def nan_max(*values):
     return max(values)
 
 
-def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Worst over a stack of max|lhs - rhs| / max(1, max|rhs|) per member;
-    NaN when any member's residual is NaN."""
+def rel_residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """max|lhs - rhs| / max(1, max|rhs|) of each matrix, over the last two
+    axes: one value per member, in the stack's leading shape."""
     axes = (-2, -1)
-    rel = (np.max(np.abs(lhs - rhs), axis=axes)
-           / np.fmax(1.0, np.max(np.abs(rhs), axis=axes)))
-    return nan_max(0.0, *rel.tolist())
+    return (np.max(np.abs(lhs - rhs), axis=axes)
+            / np.fmax(1.0, np.max(np.abs(rhs), axis=axes)))
+
+
+def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Worst of :func:`rel_residuals` over one matrix or a stack of any
+    leading shape; NaN when any member's residual is NaN."""
+    return nan_max(0.0, *rel_residuals(lhs, rhs).reshape(-1).tolist())
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:

@@ -72,6 +72,20 @@ class GammaVector:
         return cls(n_plus_1, np.zeros(n_plus_1))
 
 
+def _member(ndim: int, k: int) -> str:
+    """Names member ``k`` in a message about a stack of vectors (ndim 2)."""
+    return "" if ndim == 1 else f" (member {k})"
+
+
+def _check_members(ok: np.ndarray, msg: str) -> None:
+    """Raise ValueError(msg) unless every member is ok: ``ok`` is one bool
+    for one vector, one per member for a stack, whose error names the first
+    failing member."""
+    bad = np.flatnonzero(~np.reshape(ok, -1))
+    if bad.size:
+        raise ValueError(msg + _member(np.ndim(ok) + 1, int(bad[0])))
+
+
 def _member_result(ok: np.ndarray):
     """A bool for one vector, the bool array for a stack."""
     return bool(ok) if ok.ndim == 0 else ok
@@ -250,36 +264,44 @@ def gamma_to_m0(cal: SectionCalibration, g: GammaVector,
 class AsymptoticDataK:
     """Exponents k of the asymptotic data.  Entries are real, >= -1, and
     symmetric under i -> n+1-i (index 0 unconstrained); N is the total
-    degree n+1+sum(k)."""
+    degree n+1+sum(k).
+
+    ``k`` (and ``c``, when given) is one vector (n+1,) or a stack (S, n+1),
+    one member per row; a stack's error names its first failing member.
+    """
 
     n_plus_1: int
     k: np.ndarray
     c: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
+        n1 = self.n_plus_1
         kk = np.asarray(self.k, dtype=float)
-        if kk.shape != (self.n_plus_1,):
-            raise ValueError(f"expected {self.n_plus_1} exponents, got {kk.shape}")
-        if not (np.isfinite(kk).all() and np.all(kk >= -1.0 - 1e-12)):
-            raise ValueError("exponents must be finite and >= -1")
-        for j in range(1, self.n_plus_1):
-            partner = (self.n_plus_1 - j) % self.n_plus_1
-            if abs(kk[j] - kk[partner]) > _SYM_TOL:
-                raise ValueError(f"k[{j}] != k[{partner}] breaks the required symmetry")
-        if self.n_plus_1 + np.sum(kk) <= 1e-12:
-            raise ValueError("total degree N must be positive")
+        if kk.ndim not in (1, 2) or kk.shape[-1] != n1:
+            raise ValueError(f"expected {n1} exponents, got {kk.shape}")
+        _check_members(np.isfinite(kk).all(-1) & np.all(kk >= -1.0 - 1e-12, axis=-1),
+                       "exponents must be finite and >= -1")
+        # column j - 1 compares k[j] with its partner k[n+1-j]
+        bad = np.abs(kk[..., 1:] - kk[..., :0:-1]) > _SYM_TOL
+        if bad.any():
+            member, j = divmod(int(np.argmax(bad)), n1 - 1)
+            raise ValueError(f"k[{j + 1}] != k[{n1 - j - 1}] breaks the required "
+                             f"symmetry{_member(kk.ndim, member)}")
+        _check_members(n1 + np.sum(kk, axis=-1) > 1e-12, "total degree N must be positive")
         object.__setattr__(self, "k", kk)
         if self.c is not None:
             cc = np.asarray(self.c, dtype=float)
-            if cc.shape != (self.n_plus_1,):
+            if cc.shape != kk.shape:
                 raise ValueError("coefficient vector c has wrong length")
-            if not (np.isfinite(cc).all() and np.all(cc > 0)):
-                raise ValueError("coefficients c must be finite and positive")
+            _check_members(np.isfinite(cc).all(-1) & np.all(cc > 0, axis=-1),
+                           "coefficients c must be finite and positive")
             object.__setattr__(self, "c", cc)
 
     @property
-    def N(self) -> float:
-        return self.n_plus_1 + float(np.sum(self.k))
+    def N(self):
+        """The total degree: a float, or an (S,) array for a stack."""
+        n = self.n_plus_1 + np.sum(self.k, axis=-1)
+        return float(n) if n.ndim == 0 else n
 
 
 def gamma_from_k(a: AsymptoticDataK) -> GammaVector:
@@ -287,11 +309,11 @@ def gamma_from_k(a: AsymptoticDataK) -> GammaVector:
 
     The scaled exponents give the consecutive differences of an auxiliary
     vector; anchoring by anti-symmetry fixes the constant and gamma is minus
-    twice the result.
+    twice the result.  Stacked exponents give a stack of gamma vectors.
     """
     n1 = a.n_plus_1
-    delta = 1.0 - n1 * (a.k + 1.0) / a.N
-    partial = np.cumsum(delta)
-    m_last = -delta[0] / 2.0
-    m_vec = np.append(m_last + partial[:-1], m_last)
+    delta = 1.0 - n1 * (a.k + 1.0) / np.expand_dims(a.N, -1)
+    partial = np.cumsum(delta, axis=-1)
+    m_last = -delta[..., :1] / 2.0
+    m_vec = np.concatenate([m_last + partial[..., :-1], m_last], axis=-1)
     return GammaVector(n1, -2.0 * m_vec)

@@ -115,10 +115,13 @@ class StokesParams:
 
 @dataclass
 class MonodromyMatrix:
-    """Fundamental monodromy together with its size tag."""
+    """Fundamental monodromy together with its size tag, and the Stokes
+    factors (q1, q2) it is the product of, when it was built from them."""
 
     n_plus_1: int
     matrix: np.ndarray
+    factors: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
 
 def build_q(n_plus_1: int, which: str, coeffs: dict[Root, complex]) -> np.ndarray:
@@ -156,7 +159,8 @@ def build_m0(params: StokesParams, tol: Tolerance = DEFAULT_TOL) -> MonodromyMat
     The result always has determinant 1; a violation indicates numerical
     trouble and raises NumericalError. Coefficient stacks (see
     :func:`build_q`) give the stack (S, n+1, n+1), and the first member with
-    a determinant away from 1 raises.
+    a determinant away from 1 raises. The result carries q1 and q2 as its
+    ``factors``.
     """
     n1 = params.n_plus_1
     q1 = build_q(n1, "head", params.head_coeffs)
@@ -169,7 +173,7 @@ def build_m0(params: StokesParams, tol: Tolerance = DEFAULT_TOL) -> MonodromyMat
         k = failed[0]
         raise NumericalError(f"monodromy determinant {np.atleast_1d(det)[k]}"
                              f"{_member(M.ndim > 2, k)} is not 1")
-    return MonodromyMatrix(n1, M)
+    return MonodromyMatrix(n1, M, (q1, q2))
 
 
 def _shift_action(n_plus_1: int) -> tuple[np.ndarray, np.ndarray]:

@@ -91,10 +91,27 @@ def _suite_roots(n_plus_1, samples, seed, tol):
     return SuiteResult("roots", n_plus_1, checks, float(bad), bad == 0)
 
 
-# complex entries in one chunk's Stokes family stack (2 MB): the stokes
-# suite checks its trials in chunks of about this size, so its memory does
-# not grow with the sample count
+# complex entries in one chunk's largest stack (2 MB): the stokes and
+# connections suites check their trials in chunks of about this size, so
+# their memory does not grow with the sample count
 _CHUNK_ENTRIES = 1 << 17
+
+
+def _in_chunks(trials, chunk, check):
+    """Worst of ``check(start, stop)`` over consecutive chunks of at most
+    ``chunk`` trials; an error in a later chunk names its trials."""
+    worst = 0.0
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        try:
+            worst = nan_max(worst, check(start, stop))
+        except (ConsistencyError, NumericalError) as exc:
+            if not start:
+                raise
+            raise type(exc)(
+                f"{exc} (in trials {start}..{stop - 1}; member 0 is trial {start})"
+            ) from exc
+    return worst
 
 
 def _stokes_trials(layout, z):
@@ -107,15 +124,14 @@ def _stokes_trials(layout, z):
     # the modulus of each scalar: numpy's array modulus of a complex can
     # differ from the scalar one in the last bit
     worst = nan_max(0.0, *(abs(d - 1.0) for d in np.linalg.det(m0.matrix)))
-    fam = q_family(n1, build_q(n1, "head", p.head_coeffs),
-                   build_q(n1, "second", p.second_coeffs))
+    fam = q_family(n1, *m0.factors)
     for ell in range(n1):
         rhs = np.linalg.inv(fam[ell]).swapaxes(-1, -2)
         err = np.abs(fam[ell + n1] - rhs).max(axis=(-2, -1))
         err /= np.maximum(1.0, np.abs(rhs).max(axis=(-2, -1)))
         worst = nan_max(worst, *err.tolist())
     # the complex family is freed before the real one is built
-    del fam, rhs
+    del fam, rhs, m0
     pr = _stokes_from_normals(layout, z[:, width:], True, 0.7)
     fam = q_family(n1, build_q(n1, "head", pr.head_coeffs),
                    build_q(n1, "second", pr.second_coeffs))
@@ -130,17 +146,7 @@ def _suite_stokes(n_plus_1, samples, seed, tol):
     layout = _stokes_layout(n_plus_1)
     z = rng.normal(size=(trials, layout.width(real=False) + layout.width(real=True)))
     chunk = max(1, _CHUNK_ENTRIES // (2 * n_plus_1 ** 3))
-    worst = 0.0
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        try:
-            worst = nan_max(worst, _stokes_trials(layout, z[start:stop]))
-        except (ConsistencyError, NumericalError) as exc:
-            if not start:
-                raise
-            raise type(exc)(
-                f"{exc} (in trials {start}..{stop - 1}; member 0 is trial {start})"
-            ) from exc
+    worst = _in_chunks(trials, chunk, lambda a, b: _stokes_trials(layout, z[a:b]))
     checks = trials * (n_plus_1 + 3)
     zero_head = {r: 0.0 for r in table_supported_roots(n_plus_1, "head")}
     zero_second = {r: 0.0 for r in table_supported_roots(n_plus_1, "second")}
@@ -150,8 +156,7 @@ def _suite_stokes(n_plus_1, samples, seed, tol):
     return SuiteResult("stokes", n_plus_1, checks, worst, worst < tol)
 
 
-def _suite_steinberg(n_plus_1, samples, seed, tol):
-    cal = calibrate(n_plus_1)
+def _suite_steinberg(n_plus_1, samples, seed, tol, cal):
     rep = cross_section_check(cal, samples=samples, seed=seed)
     worst = nan_max(rep.section_residual, rep.monodromy_residual)
     checks = 2 * samples + 1
@@ -163,10 +168,9 @@ def _suite_steinberg(n_plus_1, samples, seed, tol):
     return SuiteResult("steinberg", n_plus_1, checks, worst, worst < tol)
 
 
-def _suite_solutions(n_plus_1, samples, seed, tol):
+def _suite_solutions(n_plus_1, samples, seed, tol, cal):
     # the samples as one stack (S, n+1), every function called once on it
     rng = np.random.default_rng([seed, n_plus_1, 3])
-    cal = calibrate(n_plus_1)
     g = random_polytope_gamma(n_plus_1, rng, samples)
     p = alcove_coords(g)
     worst = 0.0
@@ -192,49 +196,65 @@ def _suite_solutions(n_plus_1, samples, seed, tol):
     return SuiteResult("solutions", n_plus_1, checks, worst, worst < tol)
 
 
-def _random_field(n_plus_1, rng):
-    m = n_plus_1 // 2
-    w = np.zeros(n_plus_1)
-    v = np.zeros(n_plus_1)
-    for i in range(m):
-        w[i] = rng.uniform(-1, 1)
-        w[n_plus_1 - 1 - i] = -w[i]
-        v[i] = rng.uniform(-1, 1)
-        v[n_plus_1 - 1 - i] = -v[i]
-    return TodaField(n_plus_1, w, float(np.exp(rng.uniform(-0.5, 0.5))), v)
+def _connection_trials(n_plus_1, u, seed):
+    """Worst residual of the connections suite's trials whose uniforms are
+    the rows of ``u``, trial t's zeta and lambda samples drawn from
+    ``seed + t``; the values are taken in the per-trial loop's order."""
+    n1 = n_plus_1
+    m = n1 // 2
+    trials = len(u)
+    # the field: (w_i, x w_x,i) pairs for i < m, mirrored with a sign, then x
+    w = np.zeros((trials, n1))
+    v = np.zeros((trials, n1))
+    w[:, :m] = u[:, 0:2 * m:2]
+    v[:, :m] = u[:, 1:2 * m:2]
+    w[:, n1 - m:] = -w[:, m - 1::-1]
+    v[:, n1 - m:] = -v[:, m - 1::-1]
+    f = TodaField(n1, w, np.exp(u[:, 2 * m]), v)
+    # then (k_j, c_j) pairs for j <= m, mirrored to n+1-j, then z
+    k = np.empty((trials, n1))
+    c = np.empty((trials, n1))
+    k[:, :m + 1] = u[:, 2 * m + 1:4 * m + 3:2]
+    c[:, :m + 1] = u[:, 2 * m + 2:4 * m + 3:2]
+    k[:, n1 - m:] = k[:, m:0:-1]
+    c[:, n1 - m:] = c[:, m:0:-1]
+    d = OmegaHatData(n1, c, k, u[:, -2] + 1j * u[:, -1])
+
+    rep = symmetry_report(f, zeta_samples=5, seed=seed)
+    drep = diagonalizer_check(f)
+    w_mat = build_W(f)
+    comm = np.swapaxes(w_mat, -1, -2) @ w_mat - w_mat @ np.swapaxes(w_mat, -1, -2)
+    i = np.arange(n1)
+    on_diag = np.zeros_like(comm)
+    on_diag[:, i, i] = comm[:, i, i]
+    orep = omega_hat_symmetry_report(d, lambda_samples=5, seed=seed)
+    # the symmetry residuals stay numpy floats, as the one-field report gives
+    # them: the type of the worst value decides how verify prints its verdict
+    sym = np.stack([rep.cyclic, rep.anti, rep.reality, rep.conj, rep.real_form], axis=1)
+    rest = np.stack([
+        drep.fourier_residual, drep.w_residual, drep.wt_residual, drep.bridge_residual,
+        np.where(drep.pattern_ok, 0.0, 1.0),
+        np.max(np.abs(comm - on_diag), axis=(1, 2)),
+        np.abs(np.sum(toda_rhs(f), axis=1)),
+        orep.cyclic, orep.anti,
+    ], axis=1).tolist()
+    return nan_max(0.0, *(x for row, more in zip(sym, rest) for x in (*row, *more)))
 
 
 def _suite_connections(n_plus_1, samples, seed, tol):
+    # each trial draws its field, then k and c, then z, a fixed number of
+    # uniforms in all, so one draw with per-column bounds is the loop's stream
     rng = np.random.default_rng([seed, n_plus_1, 4])
-    worst = 0.0
-    checks = 0
-    for trial in range(max(1, samples // 5)):
-        f = _random_field(n_plus_1, rng)
-        rep = symmetry_report(f, zeta_samples=5, seed=seed + trial)
-        worst = nan_max(worst, rep.cyclic, rep.anti, rep.reality, rep.conj, rep.real_form)
-        drep = diagonalizer_check(f)
-        worst = nan_max(worst, drep.fourier_residual, drep.w_residual,
-                    drep.wt_residual, drep.bridge_residual)
-        if not drep.pattern_ok:
-            worst = nan_max(worst, 1.0)
-        w = build_W(f)
-        comm = w.T @ w - w @ w.T
-        worst = nan_max(worst, max_abs(comm - np.diag(np.diag(comm))))
-        worst = nan_max(worst, abs(float(np.sum(toda_rhs(f)))))
-        k = np.empty(n_plus_1)
-        c = np.empty(n_plus_1)
-        k[0], c[0] = rng.uniform(-0.5, 2), rng.uniform(0.5, 2)
-        for j in range(1, n_plus_1 // 2 + 1):
-            k[j] = rng.uniform(-0.5, 2)
-            c[j] = rng.uniform(0.5, 2)
-            k[(n_plus_1 - j) % n_plus_1] = k[j]
-            c[(n_plus_1 - j) % n_plus_1] = c[j]
-        d = OmegaHatData(n_plus_1, c, k,
-                         complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)))
-        orep = omega_hat_symmetry_report(d, lambda_samples=5, seed=seed + trial)
-        worst = nan_max(worst, orep.cyclic, orep.anti)
-        checks += 13
-    return SuiteResult("connections", n_plus_1, checks, worst, worst < tol)
+    trials = max(1, samples // 5)
+    m = n_plus_1 // 2
+    lows = [-1.0] * (2 * m) + [-0.5] + [-0.5, 0.5] * (m + 1) + [0.5, -1.0]
+    highs = [1.0] * (2 * m) + [0.5] + [2.0] * (2 * m + 2) + [2.0, 1.0]
+    u = rng.uniform(lows, highs, size=(trials, len(lows)))
+    # the largest stack of a chunk is alpha_hat at 30 zetas per trial
+    chunk = max(1, _CHUNK_ENTRIES // (30 * n_plus_1 ** 2))
+    worst = _in_chunks(trials, chunk,
+                       lambda a, b: _connection_trials(n_plus_1, u[a:b], seed + a))
+    return SuiteResult("connections", n_plus_1, 13 * trials, worst, worst < tol)
 
 
 SUITES = {
@@ -244,6 +264,23 @@ SUITES = {
     "steinberg": _suite_steinberg,
     "stokes": _suite_stokes,
 }
+
+
+# the suites that take the size's calibration as a fifth argument
+_CALIBRATED = ("solutions", "steinberg")
+
+
+def _calibration(cals, n_plus_1):
+    """``calibrate(n_plus_1)``, built at most once per ``cals`` dict: a size
+    whose calibration raised raises the same error again."""
+    if n_plus_1 not in cals:
+        try:
+            cals[n_plus_1] = calibrate(n_plus_1)
+        except Exception as exc:  # reported by run_suites for each suite
+            cals[n_plus_1] = exc
+    if isinstance(cals[n_plus_1], Exception):
+        raise cals[n_plus_1]
+    return cals[n_plus_1]
 
 
 def run_suites(
@@ -268,10 +305,14 @@ def run_suites(
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"available: {', '.join(sorted(SUITES))}")
     out = []
+    cals = {}  # this call's calibrations, each size's built once
     for name in names:
         for n1 in sorted(sizes):
             try:
-                out.append(SUITES[name](n1, samples, seed, tol))
+                args = (n1, samples, seed, tol)
+                if name in _CALIBRATED:
+                    args += (_calibration(cals, n1),)
+                out.append(SUITES[name](*args))
             except Exception as exc:  # suite bug or genuine violation
                 out.append(SuiteResult(name, n1, 0, float("inf"), False,
                                        f"{type(exc).__name__}: {exc}"))

@@ -589,3 +589,150 @@ def test_toda_rhs_formula():
         expect = (np.exp(2 * (f.w[j] - f.w[j - 1]))
                   - np.exp(2 * (f.w[(j + 1) % 6] - f.w[j])))
         assert rhs[j] == pytest.approx(expect, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacks of fields and of omega_hat data against their member calls
+# ---------------------------------------------------------------------------
+
+def _stacked(n1, members):
+    """The TodaField stack of the given member fields."""
+    return TodaField(n1, np.stack([f.w for f in members]),
+                     np.array([f.x for f in members]),
+                     np.stack([f.xwx for f in members]))
+
+
+def _stacked_data(n1, members):
+    """The OmegaHatData stack of the given members."""
+    return OmegaHatData(n1, np.stack([d.c for d in members]),
+                        np.stack([d.k for d in members]),
+                        np.array([d.z for d in members]))
+
+
+def _member_fields(n1, rng, size):
+    """``size`` symmetric fields, with member 1 asymmetric and member 3 NaN
+    when there are that many."""
+    fields = [random_field(n1, rng) for _ in range(size)]
+    if size > 3:
+        _, fields[1], fields[3] = _field_variants(n1, rng)
+    return fields
+
+
+def _member_datas(n1, rng, size):
+    """``size`` index-symmetric data, member 1 with asymmetric c when there
+    are that many."""
+    datas = [_omega_variants(n1, rng)[0] for _ in range(size)]
+    if size > 1:
+        datas[1] = _omega_variants(n1, rng)[1]
+    return datas
+
+
+def _assert_member(stacked, j, single):
+    """Member j of a stacked report equals the member's own report, bit for
+    bit and with the types one member's report has always had."""
+    assert type(stacked) is type(single)
+    for name in single.__dataclass_fields__:
+        g, e = getattr(stacked, name), getattr(single, name)
+        if name != "n_plus_1":
+            assert isinstance(g, np.ndarray) and g.shape == (len(g),), name
+            g = g[j]
+        assert g == e or (np.isnan(g) and np.isnan(e)), (name, j, g, e)
+
+
+@pytest.mark.filterwarnings("ignore:field breaks")
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_stacked_calls_equal_the_member_calls(n1):
+    rng = np.random.default_rng(9000 + n1)
+    for size in (1, 5, 50):
+        fields = _member_fields(n1, rng, size)
+        datas = _member_datas(n1, rng, size)
+        f, d = _stacked(n1, fields), _stacked_data(n1, datas)
+        seed = int(rng.integers(1000))
+        zeta = complex(*rng.normal(size=2))
+        rep = symmetry_report(f, zeta_samples=5, seed=seed)
+        drep = diagonalizer_check(f)
+        orep = omega_hat_symmetry_report(d, lambda_samples=5, seed=seed)
+        w, rhs, alpha = build_W(f), toda_rhs(f), build_alpha_hat(f, zeta)
+        omega = build_omega_hat(d, zeta)
+        assert w.shape == alpha.shape == omega.shape == (size, n1, n1)
+        assert rhs.shape == d.m.shape == (size, n1) and d.N.shape == (size,)
+        for j, (fj, dj) in enumerate(zip(fields, datas)):
+            _assert_member(rep, j, symmetry_report(fj, zeta_samples=5, seed=seed + j))
+            _assert_member(drep, j, diagonalizer_check(fj))
+            _assert_member(orep, j, omega_hat_symmetry_report(dj, lambda_samples=5,
+                                                              seed=seed + j))
+            assert np.array_equal(w[j], build_W(fj), equal_nan=True)
+            assert np.array_equal(rhs[j], toda_rhs(fj), equal_nan=True)
+            assert np.array_equal(alpha[j], build_alpha_hat(fj, zeta), equal_nan=True)
+            assert np.array_equal(omega[j], build_omega_hat(dj, zeta))
+            assert np.array_equal(d.m[j], dj.m) and d.N[j] == dj.N
+            assert f.x[j] == fj.x and d.z[j] == dj.z
+
+
+@pytest.mark.filterwarnings("ignore:field breaks")
+def test_stacked_reports_fail_only_their_broken_members():
+    rng = np.random.default_rng(9100)
+    f = _stacked(5, _member_fields(5, rng, 5))
+    rep = symmetry_report(f, zeta_samples=5, seed=3)
+    assert rep.passed.tolist() == [True, False, True, False, True]
+    assert np.isnan(rep.cyclic).tolist() == [False, False, False, True, False]
+    drep = diagonalizer_check(f)
+    assert drep.passed.tolist() == [True, True, True, False, True]
+    assert drep.pattern_ok.tolist() == [True] * 5
+    orep = omega_hat_symmetry_report(_stacked_data(5, _member_datas(5, rng, 3)), 5, 3)
+    assert orep.passed.tolist() == [True, False, True]
+
+
+def test_a_stack_warns_once_per_breaking_member_in_member_order():
+    w = np.zeros((4, 4))
+    w[2, 0] = 0.5
+    v = np.zeros((4, 4))
+    v[3, 1] = np.nan
+    with pytest.warns(UserWarning) as rec:
+        TodaField(4, w, np.ones(4), v)
+    tail = "; anti-symmetry and reality identities will fail"
+    assert [str(r.message) for r in rec] == [
+        "field breaks v_i + v_(n-i) = 0 by 5.000e-01 (member 2)" + tail,
+        "field breaks v_i + v_(n-i) = 0 by nan (member 3)" + tail,
+    ]
+    # one field keeps the text it always had
+    with pytest.warns(UserWarning) as rec:
+        TodaField(4, w[2], 1.0, v[2])
+    assert [str(r.message) for r in rec] == [
+        "field breaks v_i + v_(n-i) = 0 by 5.000e-01" + tail]
+
+
+@pytest.mark.parametrize("w, x, xwx, match", [
+    (np.zeros((2, 4)), 1.0, np.zeros((2, 4)), "one radius per member"),
+    (np.zeros((2, 4)), np.ones(3), np.zeros((2, 4)), "one radius per member"),
+    (np.zeros(4), np.ones(1), np.zeros(4), "one radius per member"),
+    (np.zeros((2, 4)), np.ones(2), np.zeros(4), "length n_plus_1"),
+    (np.zeros((2, 3)), np.ones(2), np.zeros((2, 3)), "length n_plus_1"),
+    (np.zeros((1, 2, 4)), np.ones((1, 2)), np.zeros((1, 2, 4)), "length n_plus_1"),
+    (np.zeros((3, 4)), np.array([1.0, 2.0, np.inf]), np.zeros((3, 4)),
+     r"finite square, got inf \(member 2\)"),
+    (np.zeros((3, 4)), np.array([1.0, -2.0, 0.0]), np.zeros((3, 4)),
+     r"got -2.0 \(member 1\)"),
+])
+def test_toda_field_stack_shape_and_radius_errors(w, x, xwx, match):
+    with pytest.raises(ValueError, match=match):
+        TodaField(4, w, x, xwx)
+
+
+@pytest.mark.parametrize("c, k, z, match", [
+    (np.ones((2, 4)), np.zeros((2, 4)), 1.0, "one value per member"),
+    (np.ones((2, 4)), np.zeros((2, 4)), np.ones(3), "one value per member"),
+    (np.ones((2, 4)), np.zeros(4), np.ones(2), "does not match"),
+    (np.ones((2, 3)), np.zeros((2, 4)), np.ones(2), "length n_plus_1"),
+    (np.array([[1.0] * 4, [1.0, 0.0, 1.0, 1.0]]), np.zeros((2, 4)), np.ones(2),
+     r"finite and positive \(member 1\)"),
+    (np.ones((3, 4)), np.zeros((3, 4)), np.array([1.0, 0.0, 1.0]),
+     r"finite and nonzero \(member 1\)"),
+    (np.ones((2, 4)), np.array([[0.0] * 4, [0.0, 1.0, 0.0, 2.0]]), np.ones(2),
+     r"k\[1\] != k\[3\] breaks the required symmetry \(member 1\)"),
+    (np.ones((2, 4)), np.array([[0.0] * 4, [0.0, -2.0, 0.0, -2.0]]), np.ones(2),
+     r"finite and >= -1 \(member 1\)"),
+])
+def test_omega_hat_data_stack_errors_name_the_member(c, k, z, match):
+    with pytest.raises(ValueError, match=match):
+        OmegaHatData(4, c, k, z)

@@ -25,6 +25,8 @@ from ttstokes.linalg import (
     omega_powers,
     poly_eval,
     poly_from_roots,
+    rel_residual,
+    rel_residuals,
     reversal_matrix,
     shift_matrix,
     signed_shift_matrix,
@@ -202,6 +204,39 @@ def test_nan_max_propagates_nan_in_any_position():
     assert np.isnan(nan_max(1.0, np.float64(nan), 2.0))
     assert nan_max(1e-12, 3.0, 2.0) == 3.0
     assert nan_max(0.5) == 0.5
+
+
+def _rel_loop(lhs, rhs):
+    """max|lhs - rhs| / max(1, max|rhs|) of one matrix, entry by entry."""
+    diff = max(abs(complex(a - b)) for a, b in zip(lhs.ravel(), rhs.ravel()))
+    return diff / max(1.0, max(abs(complex(b)) for b in rhs.ravel()))
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (3, 5)])
+def test_rel_residual_takes_one_matrix_or_any_leading_shape(lead):
+    # one matrix raised a TypeError (a float is not iterable), and a 4-D
+    # stack compared a list with a float
+    rng = np.random.default_rng(len(lead))
+    rhs = 3.0 * (rng.normal(size=lead + (4, 4)) + 1j * rng.normal(size=lead + (4, 4)))
+    lhs = rhs + 1e-3 * rng.normal(size=lead + (4, 4))
+    per = rel_residuals(lhs, rhs)
+    assert per.shape == lead
+    want = [_rel_loop(a, b) for a, b in zip(lhs.reshape(-1, 4, 4), rhs.reshape(-1, 4, 4))]
+    np.testing.assert_allclose(per.reshape(-1), want, rtol=1e-14)
+    worst = rel_residual(lhs, rhs)
+    assert type(worst) is float and worst == per.max()
+    # the scale is never below 1
+    assert rel_residual(np.full((2, 2), 0.5), np.zeros((2, 2))) == 0.5
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (3, 5)])
+def test_rel_residual_is_nan_when_a_member_is(lead):
+    rhs = np.ones(lead + (3, 3))
+    lhs = rhs.copy()
+    lhs.reshape(-1)[-1] = np.nan
+    assert rel_residual(rhs, rhs) == 0.0
+    assert np.isnan(rel_residual(lhs, rhs))
+    assert np.isnan(rel_residuals(lhs, rhs).reshape(-1)[-1])
 
 
 # ---------------------------------------------------------------------------

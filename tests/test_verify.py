@@ -1,9 +1,10 @@
 """The verify suites' own guards: no vacuous pass for an empty sample, and
 no pass for a NaN residual (the builtin max would drop it); the stokes
-suite's inverses taken stack by stack; the stokes and solutions suites on
-one sample stack per size, equal to the per-sample loops they replaced; the
-stokes suite's chunks of trials, its bounded memory and the notes of its
-failing trials."""
+suite's inverses taken stack by stack; the stokes, solutions and
+connections suites on one sample stack per size, equal to the per-sample
+loops they replaced; the chunks of trials of the stokes and connections
+suites, their bounded memory and the notes of failing trials; one
+calibration per size for each run."""
 
 import dataclasses
 import math
@@ -12,7 +13,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttstokes import solutions, steinberg, stokes, verify
+from ttstokes import connections, solutions, steinberg, stokes, verify
+from ttstokes.connections import (
+    OmegaHatData,
+    TodaField,
+    build_W,
+    diagonalizer_check,
+    omega_hat_symmetry_report,
+    symmetry_report,
+    toda_rhs,
+)
 from ttstokes.linalg import char_poly, max_abs, nan_max, poly_from_roots
 from ttstokes.solutions import (
     alcove_coords,
@@ -24,7 +34,7 @@ from ttstokes.solutions import (
     s_formulas,
 )
 from ttstokes.roots import table_supported_roots
-from ttstokes.steinberg import calibrate, cross_section_check
+from ttstokes.steinberg import CalibrationError, calibrate, cross_section_check
 from ttstokes.stokes import (
     StokesParams,
     build_m0,
@@ -234,11 +244,10 @@ def test_the_stokes_and_steinberg_suites_make_one_call_per_stack(samples, monkey
         ["build_m0"] * 6 + ["q_family"] * 4 + ["reality_residual"] * 2)
 
 
-def _suite_solutions_loop(n_plus_1, samples, seed, tol):
+def _suite_solutions_loop(n_plus_1, samples, seed, tol, cal):
     """The solutions suite one sample at a time: the reference for the
     stacked suite."""
     rng = np.random.default_rng([seed, n_plus_1, 3])
-    cal = calibrate(n_plus_1)
     worst = 0.0
     checks = 0
     m0s, expects = [], []
@@ -292,3 +301,191 @@ def test_the_solutions_suite_makes_one_call_per_stack(monkeypatch):
     assert sorted(calls) == sorted(
         ["random_polytope_gamma", "eigenvalues_from_gamma", "char_poly"]
         + ["poly_from_roots"] * 10)
+
+
+def test_each_size_is_calibrated_once_per_call(monkeypatch):
+    calls = []
+    real = verify.calibrate
+    monkeypatch.setattr(verify, "calibrate", lambda n1: calls.append(n1) or real(n1))
+    res = run_suites([4, 5], samples=5, seed=1, suites=["solutions", "steinberg"])
+    assert all(r.passed for r in res)
+    assert sorted(calls) == [4, 5]
+    # nothing outlives the call: the next one calibrates again
+    run_suites([4], samples=5, seed=1, suites=["steinberg"])
+    assert sorted(calls) == [4, 4, 5]
+    # a run without the two suites calibrates nothing
+    run_suites([4], samples=5, seed=1, suites=["connections", "roots", "stokes"])
+    assert len(calls) == 3
+
+
+def test_a_failing_calibration_gives_both_cells_its_note(monkeypatch):
+    calls = []
+
+    def fail(n1):
+        calls.append(n1)
+        raise CalibrationError(f"cannot calibrate size {n1}")
+
+    monkeypatch.setattr(verify, "calibrate", fail)
+    res = run_suites([4], samples=5, seed=1)
+    assert calls == [4]
+    for r in res:
+        if r.suite in ("solutions", "steinberg"):
+            assert r == SuiteResult(r.suite, 4, 0, math.inf, False,
+                                    "CalibrationError: cannot calibrate size 4")
+        else:
+            assert r.passed
+
+
+def test_the_stokes_suite_builds_each_factor_stack_once(monkeypatch):
+    calls = []
+    for module in (stokes, verify):
+        real = module.build_q
+        monkeypatch.setattr(module, "build_q",
+                            lambda *a, _f=real: calls.append(a[1]) or _f(*a))
+    (res,) = run_suites([6], samples=50, seed=1, suites=["stokes"])
+    assert res.passed
+    # the complex stack (build_m0, whose factors feed q_family), the real
+    # stack and the trivial monodromy; the even-size sampler builds none
+    assert sorted(calls) == ["head"] * 3 + ["second"] * 3
+
+
+def _random_field(n_plus_1, rng):
+    m = n_plus_1 // 2
+    w = np.zeros(n_plus_1)
+    v = np.zeros(n_plus_1)
+    for i in range(m):
+        w[i] = rng.uniform(-1, 1)
+        w[n_plus_1 - 1 - i] = -w[i]
+        v[i] = rng.uniform(-1, 1)
+        v[n_plus_1 - 1 - i] = -v[i]
+    return TodaField(n_plus_1, w, float(np.exp(rng.uniform(-0.5, 0.5))), v)
+
+
+def _suite_connections_loop(n_plus_1, samples, seed, tol):
+    """The connections suite one trial at a time: the reference for the
+    stacked suite."""
+    rng = np.random.default_rng([seed, n_plus_1, 4])
+    worst = 0.0
+    checks = 0
+    for trial in range(max(1, samples // 5)):
+        f = _random_field(n_plus_1, rng)
+        rep = symmetry_report(f, zeta_samples=5, seed=seed + trial)
+        worst = nan_max(worst, rep.cyclic, rep.anti, rep.reality, rep.conj, rep.real_form)
+        drep = diagonalizer_check(f)
+        worst = nan_max(worst, drep.fourier_residual, drep.w_residual,
+                        drep.wt_residual, drep.bridge_residual)
+        if not drep.pattern_ok:
+            worst = nan_max(worst, 1.0)
+        w = build_W(f)
+        comm = w.T @ w - w @ w.T
+        worst = nan_max(worst, max_abs(comm - np.diag(np.diag(comm))))
+        worst = nan_max(worst, abs(float(np.sum(toda_rhs(f)))))
+        k = np.empty(n_plus_1)
+        c = np.empty(n_plus_1)
+        k[0], c[0] = rng.uniform(-0.5, 2), rng.uniform(0.5, 2)
+        for j in range(1, n_plus_1 // 2 + 1):
+            k[j] = rng.uniform(-0.5, 2)
+            c[j] = rng.uniform(0.5, 2)
+            k[(n_plus_1 - j) % n_plus_1] = k[j]
+            c[(n_plus_1 - j) % n_plus_1] = c[j]
+        d = OmegaHatData(n_plus_1, c, k,
+                         complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)))
+        orep = omega_hat_symmetry_report(d, lambda_samples=5, seed=seed + trial)
+        worst = nan_max(worst, orep.cyclic, orep.anti)
+        checks += 13
+    return SuiteResult("connections", n_plus_1, checks, worst, worst < tol)
+
+
+def _types(results):
+    # verify prints a numpy verdict as a string, so the types must agree too
+    return [(type(r.max_residual), type(r.passed)) for r in results]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_the_stacked_connections_suite_equals_the_per_trial_loop(seed, monkeypatch):
+    sizes = range(3, 25)
+    with monkeypatch.context() as m:
+        m.setitem(verify.SUITES, "connections", _suite_connections_loop)
+        want = run_suites(sizes, samples=50, seed=seed, suites=["connections"])
+    assert all(r.passed and r.note == "" for r in want)
+    # the default chunks (all ten trials in one up to n+1 = 20), then one
+    # trial per chunk, then chunks of 3 trials at n+1 = 5
+    for entries in (verify._CHUNK_ENTRIES, 1, 3 * 30 * 5 ** 2):
+        monkeypatch.setattr(verify, "_CHUNK_ENTRIES", entries)
+        got = run_suites(sizes, samples=50, seed=seed, suites=["connections"])
+        assert got == want and _types(got) == _types(want)
+
+
+def test_the_connections_suite_memory_does_not_grow_with_the_sample_count():
+    # 10 and 200 trials at n+1 = 24, in chunks of 7: a single stack of 200
+    # trials would hold an alpha_hat stack of about 55 MB
+    peaks = []
+    for samples in (50, 1000):
+        tracemalloc.start()
+        try:
+            (res,) = run_suites([24], samples=samples, seed=1, suites=["connections"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.passed
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_the_connections_suite_makes_one_report_call_per_chunk(monkeypatch):
+    calls = []
+    for name in ("symmetry_report", "diagonalizer_check", "omega_hat_symmetry_report",
+                 "build_W", "toda_rhs"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, _n=name, _f=real, **k:
+                            calls.append(_n) or _f(*a, **k))
+    seeds = []
+    for name, rows in (("symmetry_report", "w"), ("omega_hat_symmetry_report", "c")):
+        counted = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda data, _f=counted, _r=rows, **k:
+                            seeds.append((len(getattr(data, _r)), k["seed"]))
+                            or _f(data, **k))
+    res = run_suites([6, 24], samples=50, seed=1, suites=["connections"])
+    assert all(r.passed for r in res)
+    # ten trials: one chunk at n+1 = 6, two (7 + 3 trials) at n+1 = 24
+    assert sorted(calls) == sorted(
+        ["symmetry_report", "diagonalizer_check", "omega_hat_symmetry_report",
+         "build_W", "toda_rhs"] * 3)
+    # a chunk's member k draws from the seed of its trial: seed + start + k
+    assert seeds == [(10, 1)] * 2 + [(7, 1)] * 2 + [(3, 8)] * 2
+
+
+class _NanUniforms:
+    """A generator whose uniforms at the given stream positions are NaN,
+    however the stream is cut into draws."""
+
+    def __init__(self, rng, positions):
+        self.rng, self.positions, self.drawn = rng, positions, 0
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        u = np.array(self.rng.uniform(low, high, size), dtype=float)
+        for at in self.positions:
+            if 0 <= at - self.drawn < u.size:
+                u.reshape(-1)[at - self.drawn] = np.nan
+        self.drawn += u.size
+        return u if u.ndim else float(u)
+
+
+@pytest.mark.filterwarnings("ignore:field breaks")
+@pytest.mark.parametrize("n1, trial, column", [(4, 0, 0), (5, 3, 1), (9, 9, 2)])
+def test_a_nan_member_fails_the_connections_cell(n1, trial, column, monkeypatch):
+    # a NaN in the field (w, x w_x or x) of one trial: no error, a NaN residual
+    width = 4 * (n1 // 2) + 5
+    default_rng = np.random.default_rng
+
+    def rng(seed):
+        if isinstance(seed, list):  # the suite's own generator
+            return _NanUniforms(default_rng(seed), [trial * width + column])
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    (got,) = run_suites([n1], samples=50, seed=1, suites=["connections"])
+    monkeypatch.setitem(verify.SUITES, "connections", _suite_connections_loop)
+    (want,) = run_suites([n1], samples=50, seed=1, suites=["connections"])
+    for r in (got, want):
+        assert not r.passed and math.isnan(r.max_residual)
+        assert (r.checks, r.note) == (130, "")
