@@ -34,10 +34,11 @@ from .linalg import (
 )
 from . import reference
 from .roots import (
+    _roots_on,
+    direction_map,
     shifted_table_roots,
     singular_direction,
     singular_directions,
-    supported_roots,
     table_supported_roots,
 )
 from .solutions import (
@@ -55,7 +56,6 @@ from .steinberg import (
     calibrate,
     chi,
     cross_section_check,
-    generator_product,
     steinberg_section,
 )
 from .stokes import StokesParams, build_m0, build_q
@@ -216,13 +216,14 @@ def _parse_gamma(ns, n_plus_1: int) -> GammaVector:
 
 def _cmd_directions(ns):
     n1 = ns.n
+    slot_dir = direction_map(n1)
     rows = []
     for d in singular_directions(n1):
         rows.append({
             "ell": d.ell,
             "theta": d.theta,
             "label": str(d.label),
-            "root_count": len(supported_roots(n1, d.ell)),
+            "root_count": len(_roots_on(slot_dir, d.ell)),
         })
     lines = [f"singular directions for n+1 = {n1}",
              f"{'ell':>4} {'theta':>18} {'label':>8} {'roots':>6}"]
@@ -234,10 +235,11 @@ def _cmd_directions(ns):
 
 def _cmd_roots(ns):
     n1 = ns.n
+    slot_dir = direction_map(n1)
     rows = []
     mismatches = 0
     for d in singular_directions(n1):
-        from_arg = sorted(supported_roots(n1, d.ell))
+        from_arg = _roots_on(slot_dir, d.ell)
         agrees = set(from_arg) == shifted_table_roots(n1, d.ell)
         mismatches += 0 if agrees else 1
         rows.append({
@@ -339,8 +341,7 @@ def _cmd_steinberg(ns):
     cal = calibrate(n1)
     rep = cross_section_check(cal, samples=ns.samples, seed=seed,
                               tol=Tolerance(ns.tol, ns.tol))
-    prod_ok = bool(np.array_equal(generator_product(cal.sigmas, n1),
-                                  cyclic_for(n1)))
+    prod_ok = bool(np.array_equal(np.linalg.multi_dot(cal.sigmas), cyclic_for(n1)))
     payload = {
         "root_order": [list(r) for r in cal.root_order],
         "flipped_generators": list(cal.flips),
@@ -405,7 +406,8 @@ def _cmd_golden(ns):
     section_expected = display(**kwargs)
     section = steinberg_section(cal, t)
 
-    prod = generator_product(cal.sigmas, n1)
+    sigmas = cal.sigmas
+    prod = np.linalg.multi_dot(sigmas)
 
     identities = {
         "stokes_factors_display": max(
@@ -422,7 +424,7 @@ def _cmd_golden(ns):
     if n1 == 4:
         gens = reference.weyl_generators_4()
         identities["generators_printed"] = max(
-            max_abs(cal.sigmas[k] - gens[k]) for k in range(3))
+            max_abs(sigmas[k] - gens[k]) for k in range(3))
 
     passed = {k: bool(v < ns.tol) for k, v in identities.items()}
     payload = {
@@ -432,7 +434,7 @@ def _cmd_golden(ns):
         "stokes_factor_2": q2_ref,
         "monodromy": m0.matrix.real,
         "char_poly_increasing": list(char_ref.real),
-        "generators": [s.astype(float) for s in cal.sigmas],
+        "generators": sigmas,
         "section_sample_t": list(t),
         "identities": {k: {"residual": float(v), "passed": passed[k]}
                        for k, v in identities.items()},

@@ -90,7 +90,7 @@ class TodaField:
             warnings.warn(f"field breaks v_i + v_(n-i) = 0 by "
                           f"{np.reshape(worst, -1)[k]:.3e}{_member(w.ndim, k)}; "
                           "anti-symmetry and reality identities will fail",
-                          stacklevel=2)
+                          stacklevel=3)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", xs[0] if w.ndim == 1 else np.array(xs))
         object.__setattr__(self, "xwx", v)

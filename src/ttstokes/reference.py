@@ -1,8 +1,9 @@
 """Hand-transcribed reference data for sizes 4 and 5.
 
 Everything in this module was written down from independent closed-form
-computations before the algorithmic modules existed. Tests treat these as
-golden fixtures; package code never calls into here.
+computations before the algorithmic modules existed. Tests and the command
+line's ``golden`` command treat these as golden fixtures; no algorithmic
+module calls into here.
 
 For size 4 the two Stokes factors carry parameters (s1, s2) and the
 fundamental monodromy has three free entries (x10, x13, x23). For size 5 the

@@ -1,11 +1,12 @@
 """Root-space combinatorics for sl(n+1).
 
 A root alpha_{ij} (i != j) acts on diag(h_0, ..., h_n) as h_i - h_j and is
-stored as the plain tuple (i, j). Each anti-Stokes direction in the relevant
-half-period supports a specific set of these roots; the sets follow either
-from the argument condition on differences of roots of unity or from closed
-form index tables, and the two routes are kept separate so they can be tested
-against each other.
+stored as the plain tuple (i, j). Each root is supported on exactly one of
+the 2(n+1) anti-Stokes directions. The argument condition on differences of
+roots of unity gives them all at once as one integer map (``direction_map``),
+which every supported-root set and Stokes pattern is read from; the closed
+form index tables are a separate route, so the two can be tested against
+each other.
 
 The zigzag order diagram encodes a total order on {0..n} whose consecutive
 pairs reproduce exactly the head and tail supported-root sets, giving a
@@ -31,6 +32,7 @@ __all__ = [
     "all_roots",
     "singular_direction",
     "singular_directions",
+    "direction_map",
     "supported_roots",
     "table_supported_roots",
     "shifted_table_roots",
@@ -84,6 +86,13 @@ class SingularDirection:
         return Fraction(self.n_plus_1 + self.ell, self.n_plus_1)
 
 
+def _direction_angle(n_plus_1: int, ell):
+    """theta_ell for one direction index or an integer array of them."""
+    if n_plus_1 % 2 == 0:
+        return -(ell + 1) * np.pi / n_plus_1
+    return -(2 * ell + 1) * np.pi / (2 * n_plus_1)
+
+
 def singular_direction(n_plus_1: int, ell: int) -> SingularDirection:
     """Direction number ell in the standard enumeration.
 
@@ -91,11 +100,7 @@ def singular_direction(n_plus_1: int, ell: int) -> SingularDirection:
     -(2 ell + 1) pi/(2(n+1)). Directions repeat with period 2(n+1) in ell.
     """
     _check_size(n_plus_1)
-    if n_plus_1 % 2 == 0:
-        theta = -(ell + 1) * np.pi / n_plus_1
-    else:
-        theta = -(2 * ell + 1) * np.pi / (2 * n_plus_1)
-    return SingularDirection(n_plus_1, ell, float(theta))
+    return SingularDirection(n_plus_1, ell, float(_direction_angle(n_plus_1, ell)))
 
 
 def singular_directions(n_plus_1: int) -> list[SingularDirection]:
@@ -103,23 +108,44 @@ def singular_directions(n_plus_1: int) -> list[SingularDirection]:
     return [singular_direction(n_plus_1, ell) for ell in range(2 * n_plus_1)]
 
 
-def supported_roots(n_plus_1: int, ell: int) -> list[Root]:
-    """Roots supported on direction ell, from the argument condition.
+def direction_map(n_plus_1: int) -> np.ndarray:
+    """The direction of every root: entry (i, j) is the ell in 0 .. 2n+1
+    that supports alpha_{ij}, and -1 on the diagonal.
 
     alpha_{ij} is supported at theta_ell iff arg(omega^j - omega^i) agrees
-    with theta_ell mod 2 pi. The comparison is done between points on the
-    unit circle, which avoids branch-cut bookkeeping. The roots come back
-    sorted lexicographically.
+    with theta_ell mod 2 pi. The ell is read off the argument and then
+    checked between points on the unit circle, which avoids branch-cut
+    bookkeeping. Every root lies on exactly one direction; one on none
+    raises AssertionError.
     """
-    d = singular_direction(n_plus_1, ell)
-    target = complex(np.cos(d.theta), np.sin(d.theta))
+    _check_size(n_plus_1)
     w = omega_powers(n_plus_1)
     z = w[None, :] - w[:, None]  # z[i, j] = omega^j - omega^i
-    np.fill_diagonal(z, 1.0)  # any nonzero value; the diagonal is no root
-    mask = np.abs(z / np.abs(z) - target) < _DIRECTION_EPS
-    np.fill_diagonal(mask, False)
-    rows, cols = np.nonzero(mask)  # row-major, so lexicographic
+    off = ~np.eye(n_plus_1, dtype=bool)
+    u = z[off] / np.abs(z[off])
+    # -theta_ell (n+1)/pi is ell + 1 at even size and ell + 1/2 at odd size
+    shift = 0.5 if n_plus_1 % 2 else 1.0
+    ell = np.rint(-np.angle(u) * n_plus_1 / np.pi - shift).astype(np.int64)
+    ell %= 2 * n_plus_1
+    theta = _direction_angle(n_plus_1, ell)
+    if not np.all(np.abs(u - (np.cos(theta) + 1j * np.sin(theta))) < _DIRECTION_EPS):
+        raise AssertionError(f"a root of size {n_plus_1} lies on no singular direction")
+    out = np.full((n_plus_1, n_plus_1), -1, dtype=np.int64)
+    out[off] = ell
+    return out
+
+
+def _roots_on(slot_dir: np.ndarray, ell: int) -> list[Root]:
+    """The roots that the map ``slot_dir`` puts on direction ell (mod 2(n+1)),
+    sorted lexicographically."""
+    rows, cols = np.nonzero(slot_dir == ell % (2 * len(slot_dir)))  # row-major
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+def supported_roots(n_plus_1: int, ell: int) -> list[Root]:
+    """Roots supported on direction ell, from the argument condition (see
+    :func:`direction_map`), sorted lexicographically."""
+    return _roots_on(direction_map(n_plus_1), ell)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +255,15 @@ def shifted_table_roots(n_plus_1: int, ell: int) -> set[Root]:
 
 
 def half_period_roots(n_plus_1: int) -> list[Root]:
-    """Union of the supported sets over the first n+1 directions.
+    """The roots supported on the first n+1 directions, sorted
+    lexicographically.
 
     This is a positive system: it contains exactly one of (i, j), (j, i)
     for every pair.
     """
-    seen: dict[Root, int] = {}
-    for ell in range(n_plus_1):
-        for r in supported_roots(n_plus_1, ell):
-            seen.setdefault(r, ell)
-    out = sorted(seen)
+    slot_dir = direction_map(n_plus_1)
+    rows, cols = np.nonzero((slot_dir >= 0) & (slot_dir < n_plus_1))
+    out = list(zip(rows.tolist(), cols.tolist()))
     if len(out) != n_plus_1 * (n_plus_1 - 1) // 2:
         raise AssertionError(
             f"half-period union has {len(out)} roots, expected "
@@ -371,19 +396,20 @@ def simple_system_check(
         return SimpleSystemCertificate(
             False, "candidate roots are not linearly independent", {}
         )
-    A_int = A.astype(int)
-    coeffs: dict[Root, tuple[int, ...]] = {}
-    for p in positive:
-        target = root_vector(n_plus_1, p)
-        x, *_ = np.linalg.lstsq(A, target.astype(float), rcond=None)
-        x_int = np.rint(x).astype(int)
-        if not np.array_equal(A_int @ x_int, target):
-            return SimpleSystemCertificate(
-                False, f"root {p} is not an integer combination of the candidate", {}
-            )
-        if np.any(x_int < 0):
-            return SimpleSystemCertificate(
-                False, f"root {p} needs a negative coefficient", {}
-            )
-        coeffs[tuple(p)] = tuple(int(v) for v in x_int)
+    # one solve for every positive root; the first root, in ``positive``
+    # order, failing the integer check or else the sign check is reported
+    positive = list(positive)
+    targets = np.array([root_vector(n_plus_1, p) for p in positive])
+    targets = targets.reshape(-1, n_plus_1).T
+    x, *_ = np.linalg.lstsq(A, targets.astype(float), rcond=None)
+    x_int = np.rint(x).astype(int)
+    integral = np.all(A.astype(int) @ x_int == targets, axis=0)
+    failed = np.flatnonzero(~(integral & np.all(x_int >= 0, axis=0)))
+    if failed.size:
+        k = failed[0]
+        p = positive[k]
+        reason = (f"root {p} is not an integer combination of the candidate"
+                  if not integral[k] else f"root {p} needs a negative coefficient")
+        return SimpleSystemCertificate(False, reason, {})
+    coeffs = {tuple(p): tuple(c) for p, c in zip(positive, x_int.T.tolist())}
     return SimpleSystemCertificate(True, None, coeffs)

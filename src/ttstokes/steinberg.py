@@ -15,7 +15,10 @@ permutation, P_k e_j = s_j e_{pi(j)}, and multiplying by sigma_{k+1} swaps
 two of its columns and adjusts their signs. Before generator k (root
 (i_k, j_k)) the walk records a_k = pi(i_k), b_k = pi(j_k) and s_{i_k} s_{j_k};
 at the end it holds the permutation and signs of the whole product. Only
-the signs s_j depend on the generator signs, not the permutation.
+the signs s_j depend on the generator signs, not the permutation. No
+generator matrix is built: a calibration holds integers only, and its
+``sigmas`` builds the dense generators on demand for an independent check
+of the product.
 
 The signs come from a linear solve over GF(2), not a search. Flipping
 sigma_k negates its rows i_k and j_k, i.e. multiplies it on the left by the
@@ -90,12 +93,10 @@ from .stokes import _stokes_from_normals, _stokes_layout, build_m0, monodromy_su
 
 __all__ = [
     "CalibrationError",
-    "WeylRep",
     "SectionCalibration",
     "CrossSectionReport",
     "UnitaryConjugacyReport",
     "calibrate",
-    "generator_product",
     "steinberg_section",
     "chi",
     "reconstruct_from_chi",
@@ -110,30 +111,6 @@ class CalibrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WeylRep:
-    """Signed transposition representing the reflection in one root.
-
-    With indices a < b, the default orientation puts +1 at (a, b) and -1 at
-    (b, a); flipping swaps the two signs. Either choice represents the same
-    Weyl group element.
-    """
-
-    n_plus_1: int
-    root: Root
-    flipped: bool = False
-
-    def matrix(self) -> np.ndarray:
-        i, j = self.root
-        a, b = min(i, j), max(i, j)
-        S = np.eye(self.n_plus_1)
-        S[a, a] = S[b, b] = 0.0
-        hi = -1.0 if self.flipped else 1.0
-        S[a, b] = hi
-        S[b, a] = -hi
-        return S
-
-
-@dataclass(frozen=True)
 class SectionCalibration:
     """Calibrated data of the cross-section for one size.
 
@@ -141,10 +118,9 @@ class SectionCalibration:
     flipped one. ``chi_sources`` and ``chi_signs`` describe the relabeling
     chi(s(t))_k = chi_signs[k] * t[chi_sources[k]]. The section value is
     s(t) = C + sum_k slot_signs[k] * t_k E_{slot_rows[k], slot_cols[k]}
-    with C the cyclic shift (see the module docstring). The calibration is
-    immutable: the generator matrices in ``sigmas`` and the slot arrays are
-    read-only, and they are left out of equality since root order and signs
-    determine them.
+    with C the cyclic shift (see the module docstring). The calibration
+    holds only integers and is immutable: the slot arrays are read-only, and
+    they are left out of equality since root order and signs determine them.
     """
 
     n_plus_1: int
@@ -152,7 +128,6 @@ class SectionCalibration:
     signs: tuple[int, ...]
     chi_sources: tuple[int, ...]
     chi_signs: tuple[int, ...]
-    sigmas: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     slot_rows: np.ndarray = field(repr=False, compare=False)
     slot_cols: np.ndarray = field(repr=False, compare=False)
     slot_signs: np.ndarray = field(repr=False, compare=False)
@@ -160,6 +135,22 @@ class SectionCalibration:
     @property
     def flips(self) -> tuple[int, ...]:
         return tuple(k for k, s in enumerate(self.signs) if s < 0)
+
+    @property
+    def sigmas(self) -> tuple[np.ndarray, ...]:
+        """The generator matrices, read-only, built from the root order and
+        signs: with indices lo < up of root k, sigma_k sends e_up to
+        signs[k] e_lo and e_lo to -signs[k] e_up, fixing the other basis
+        vectors. Their product is C."""
+        out = []
+        for (i, j), sign in zip(self.root_order, self.signs):
+            lo, up = min(i, j), max(i, j)
+            S = np.eye(self.n_plus_1)
+            S[[lo, up], [lo, up]] = 0.0
+            S[lo, up], S[up, lo] = sign, -sign
+            S.setflags(write=False)
+            out.append(S)
+        return tuple(out)
 
     def chi_of_t(self, t) -> np.ndarray:
         """chi(s(t)) read off the relabeling; t is (n,) or a stack (S, n)."""
@@ -173,14 +164,6 @@ class SectionCalibration:
         # transposed, the coordinate axis comes first for (n,) and (S, n)
         t.T[np.array(self.chi_sources)] = (np.array(self.chi_signs) * e).T
         return t
-
-
-def generator_product(mats, n_plus_1: int) -> np.ndarray:
-    """The product of the given generator matrices, left to right."""
-    prod = np.eye(n_plus_1)
-    for m in mats:
-        prod = prod @ m
-    return prod
 
 
 class _Walk(NamedTuple):
@@ -329,14 +312,7 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
         )
     slots = _section_slots(walk)
     sources, chi_signs = _relabeling(slots, int(target[n, 0]))
-    sigmas = tuple(
-        WeylRep(n_plus_1, order[k], k in flips).matrix() for k in range(n)
-    )
-    for s in sigmas:
-        s.setflags(write=False)
-    cal = SectionCalibration(
-        n_plus_1, order, signs, sources, chi_signs, sigmas, *slots
-    )
+    cal = SectionCalibration(n_plus_1, order, signs, sources, chi_signs, *slots)
 
     # verify on random coefficients, the three samples as one stack
     rng = np.random.default_rng(0)

@@ -5,6 +5,8 @@ head and second supported-root sets. Conjugating them by powers of the cyclic
 shift (signed when n+1 is even) produces one Stokes factor per singular
 direction; the fundamental monodromy is q1 q2 times the shift, and the full
 monodromy is its (n+1)-st power with an extra scalar twist in the even case.
+The entries each factor may occupy are read off the direction map of
+:mod:`ttstokes.roots`, which holds the direction of every root slot.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from .linalg import (
     max_abs,
     nan_max,
     omega_pow,
-    omega_powers,
 )
-from .roots import Root, supported_roots, table_supported_roots
+from .roots import Root, direction_map, table_supported_roots
 
 __all__ = [
     "StokesParams",
@@ -57,35 +58,20 @@ def monodromy_support(n_plus_1: int) -> np.ndarray:
 def q_pattern(n_plus_1: int, ell: int) -> np.ndarray:
     """Boolean mask of allowed entries for the Stokes factor at direction ell.
 
-    True on the diagonal and at every supported root slot. Computed from the
-    complementary-angle form of the support condition: entry (i, j) is allowed
-    when arg(omega^i - omega^j) matches (n - ell) pi/(n+1) for even n+1, or
-    (2n + 1 - 2 ell) pi/(2(n+1)) for odd n+1.
+    True on the diagonal and at the slots of the roots supported on
+    direction ell (mod 2(n+1)), read off :func:`~ttstokes.roots.direction_map`.
     """
-    return _support_masks(n_plus_1, ell)
+    pat = direction_map(n_plus_1) == ell % (2 * n_plus_1)
+    np.fill_diagonal(pat, True)
+    return pat
 
 
 def q_patterns(n_plus_1: int) -> np.ndarray:
-    """All 2(n+1) masks of :func:`q_pattern`, stacked: entry ell is the mask
-    of direction ell."""
-    return _support_masks(n_plus_1, np.arange(2 * n_plus_1))
-
-
-def _support_masks(n_plus_1: int, ell) -> np.ndarray:
-    """The masks of :func:`q_pattern` for a direction index or an array of
-    them, the target angles broadcast over the omega^i - omega^j grid."""
-    ell = np.asarray(ell)
-    if n_plus_1 % 2 == 0:
-        ang = (n_plus_1 - 1 - ell) * np.pi / n_plus_1
-    else:
-        ang = (2 * n_plus_1 - 1 - 2 * ell) * np.pi / (2 * n_plus_1)
-    target = (np.cos(ang) + 1j * np.sin(ang))[..., None, None]
-    w = omega_powers(n_plus_1)
-    z = w[:, None] - w[None, :]  # z[i, j] = omega^i - omega^j
-    np.fill_diagonal(z, 1.0)  # any nonzero value; the diagonal is set below
-    pat = np.abs(z / np.abs(z) - target) < 1e-9
+    """All 2(n+1) masks of :func:`q_pattern`, stacked from one direction
+    map: entry ell is the mask of direction ell."""
+    pat = direction_map(n_plus_1) == np.arange(2 * n_plus_1)[:, None, None]
     diag = np.arange(n_plus_1)
-    pat[..., diag, diag] = True
+    pat[:, diag, diag] = True
     return pat
 
 

@@ -32,11 +32,12 @@ from .linalg import (
     nan_max,
 )
 from .roots import (
+    _roots_on,
+    direction_map,
     half_period_roots,
     order_diagram,
     shifted_table_roots,
     simple_system_check,
-    supported_roots,
     table_supported_roots,
 )
 from .solutions import (
@@ -73,17 +74,19 @@ class SuiteResult:
 def _suite_roots(n_plus_1, samples, seed, tol):
     bad = 0
     checks = 0
+    slot_dir = direction_map(n_plus_1)
     for ell in range(2 * n_plus_1):
         checks += 1
-        if set(supported_roots(n_plus_1, ell)) != shifted_table_roots(n_plus_1, ell):
+        if set(_roots_on(slot_dir, ell)) != shifted_table_roots(n_plus_1, ell):
             bad += 1
     diag = order_diagram(n_plus_1)
     head_part, tail_part = diag.simple_roots()
-    cert = simple_system_check(n_plus_1, head_part + tail_part)
+    positive = half_period_roots(n_plus_1)
+    cert = simple_system_check(n_plus_1, head_part + tail_part, positive)
     checks += 1
     if not cert.ok:
         bad += 1
-    pos = set(half_period_roots(n_plus_1))
+    pos = set(positive)
     checks += 1
     if any(diag.is_positive(r) != (r in pos) for r in
            [(i, j) for i in range(n_plus_1) for j in range(n_plus_1) if i != j]):

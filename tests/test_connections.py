@@ -304,6 +304,12 @@ def test_toda_field_warns_on_nan(w, xwx):
         TodaField(3, np.array(w), 1.0, np.array(xwx))
 
 
+def test_toda_field_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="anti-symmetry") as rec:
+        TodaField(3, np.array([0.5, 0.0, 0.0]), 1.0, np.zeros(3))
+    assert [w.filename for w in rec] == [__file__]
+
+
 @pytest.mark.parametrize("c, z", [
     ([np.nan, 1.0, 1.0], 1.0 + 0j),
     ([1.0, np.inf, 1.0], 1.0 + 0j),

@@ -13,9 +13,12 @@ import pytest
 from ttstokes import roots
 from ttstokes.linalg import omega_pow
 from ttstokes.roots import (
+    SimpleSystemCertificate,
     all_roots,
+    direction_map,
     half_period_roots,
     order_diagram,
+    root_vector,
     simple_system_check,
     singular_direction,
     singular_directions,
@@ -260,3 +263,99 @@ def test_diagram_yields_simple_system(n1):
     assert cert.ok, cert.reason
     for coeffs in cert.coefficients.values():
         assert all(0 <= c <= n1 - 1 for c in coeffs)
+
+
+def _simple_system_check_loop(n_plus_1, candidate, positive=None):
+    """The one-solve-per-root check that simple_system_check made before it
+    solved for all positive roots at once, kept as its reference."""
+    candidate = [tuple(r) for r in candidate]
+    if positive is None:
+        positive = half_period_roots(n_plus_1)
+    n = n_plus_1 - 1
+    if len(candidate) != n:
+        return SimpleSystemCertificate(
+            False, f"candidate has {len(candidate)} roots, need {n}", {})
+    A = np.array([root_vector(n_plus_1, r) for r in candidate], dtype=float).T
+    if np.linalg.matrix_rank(A) < n:
+        return SimpleSystemCertificate(
+            False, "candidate roots are not linearly independent", {})
+    A_int = A.astype(int)
+    coeffs = {}
+    for p in positive:
+        target = root_vector(n_plus_1, p)
+        x, *_ = np.linalg.lstsq(A, target.astype(float), rcond=None)
+        x_int = np.rint(x).astype(int)
+        if not np.array_equal(A_int @ x_int, target):
+            return SimpleSystemCertificate(
+                False, f"root {p} is not an integer combination of the candidate", {})
+        if np.any(x_int < 0):
+            return SimpleSystemCertificate(
+                False, f"root {p} needs a negative coefficient", {})
+        coeffs[tuple(p)] = tuple(int(v) for v in x_int)
+    return SimpleSystemCertificate(True, None, coeffs)
+
+
+def _candidates(n1):
+    """The adapted simple system, one with a root flipped, and one with a
+    root moved onto a different pair of indices."""
+    head_part, tail_part = order_diagram(n1).simple_roots()
+    simple = head_part + tail_part
+    k = len(simple) // 2
+    (i, j) = simple[k]
+    flipped = simple[:k] + [(j, i)] + simple[k + 1:]
+    other = next(x for x in range(n1) if x not in (i, j))
+    moved = simple[:k] + [(i, other)] + simple[k + 1:]
+    return simple, flipped, moved
+
+
+@pytest.mark.parametrize("n1", [*range(3, 41), 64])
+def test_simple_system_check_equals_the_per_root_loop(n1):
+    simple, flipped, moved = _candidates(n1)
+    assert simple_system_check(n1, simple).ok
+    assert not simple_system_check(n1, flipped).ok
+    for cand in (simple, flipped, moved):
+        assert simple_system_check(n1, cand) == _simple_system_check_loop(n1, cand)
+
+
+def test_simple_system_check_reports_the_first_failing_root_in_order():
+    cand = [(1, 0), (2, 3), (0, 3)]  # (0, 2) needs a negative coefficient
+    pos = [(1, 0), (0, 2), (1, 3)]
+    for order in (pos, pos[::-1], [[1, 3], [0, 2]]):
+        got = simple_system_check(4, cand, order)
+        assert got == _simple_system_check_loop(4, cand, order)
+    assert simple_system_check(4, cand, pos).reason == "root (0, 2) needs a negative coefficient"
+    cert = simple_system_check(3, [(0, 2), (2, 1)], [(0, 1)])
+    assert cert.ok and cert.coefficients == {(0, 1): (1, 1)}
+    assert simple_system_check(4, cand, []) == _simple_system_check_loop(4, cand, [])
+
+
+# ---------------------------------------------------------------------------
+# the direction map
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n1", [3, 4, 5, 12, 64])
+def test_direction_map_gives_each_root_one_direction_index(n1):
+    """Which index each root gets is checked against the mask kernel in
+    test_stokes.py; here, the form of the map."""
+    slot_dir = direction_map(n1)
+    assert slot_dir.dtype == np.int64 and slot_dir.shape == (n1, n1)
+    assert np.all(np.diagonal(slot_dir) == -1)
+    off = ~np.eye(n1, dtype=bool)
+    assert np.all((slot_dir[off] >= 0) & (slot_dir[off] < 2 * n1))
+
+
+def test_a_root_on_no_direction_raises(monkeypatch):
+    monkeypatch.setattr(roots, "omega_powers",
+                        lambda n1: np.exp(2j * np.pi * (np.arange(n1) + 0.25) / n1 ** 2))
+    with pytest.raises(AssertionError, match="no singular direction"):
+        direction_map(5)
+
+
+def test_half_period_roots_reads_one_map(monkeypatch):
+    calls = []
+    real = roots.direction_map
+    monkeypatch.setattr(roots, "direction_map",
+                        lambda n1: calls.append(n1) or real(n1))
+    monkeypatch.setattr(roots, "supported_roots", None)
+    assert len(half_period_roots(9)) == 36
+    assert calls == [9]

@@ -179,6 +179,24 @@ def test_calibration_is_immutable():
     assert cal == calibrate(5) and hash(cal) == hash(calibrate(5))
 
 
+@pytest.mark.parametrize("n1", [3, 4, 9, 24])
+def test_calibration_holds_integers_and_builds_its_generators(n1):
+    cal = calibrate(n1)
+    for f in dataclasses.fields(cal):
+        value = getattr(cal, f.name)
+        assert np.asarray(value).dtype.kind == "i", f.name
+    first, again = cal.sigmas, cal.sigmas
+    assert not any(np.shares_memory(a, b) for a, b in zip(first, again))
+    for (i, j), sign, S in zip(cal.root_order, cal.signs, first):
+        lo, up = min(i, j), max(i, j)
+        expect = np.eye(n1)
+        expect[[lo, up]] = expect[[up, lo]]
+        expect[lo, up], expect[up, lo] = sign, -sign
+        assert S.dtype == float and not S.flags.writeable
+        assert np.array_equal(S, expect)
+    assert np.array_equal(np.linalg.multi_dot(first), cyclic_for(n1))
+
+
 def test_calibrate_rejects_a_product_that_is_no_signed_shift(monkeypatch):
     monkeypatch.setattr(steinberg, "cyclic_for", lambda n1: np.eye(n1))
     with pytest.raises(CalibrationError, match="not a signed cyclic shift"):
@@ -450,7 +468,7 @@ def slot_calibration(n1):
     """A calibration carrying only the integer slot data, so that sizes whose
     floating-point verification fails in calibrate are covered too."""
     slots, (sources, signs) = integer_slot_data(n1)
-    return SectionCalibration(n1, (), (), sources, signs, (), *slots)
+    return SectionCalibration(n1, (), (), sources, signs, *slots)
 
 
 def recorded(fn, *args):

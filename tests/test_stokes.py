@@ -7,6 +7,8 @@ since generic unconstrained coefficients would violate the family's own
 transpose-inverse relation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from ttstokes.linalg import (
     nan_max,
     eigenvalues,
     omega_pow,
+    omega_powers,
     shift_matrix,
     signed_shift_matrix,
 )
@@ -111,6 +114,55 @@ def test_q_pattern_matches_scalar_reference(n1):
         expect = _q_pattern_scalar(n1, ell)
         assert np.array_equal(q_pattern(n1, ell), expect)
         assert np.array_equal(stacked[ell], expect)
+
+
+def _support_masks(n_plus_1, ell):
+    """The masks of q_pattern for a direction index or an array of them, the
+    target angles broadcast over the omega^i - omega^j grid: the kernel that
+    computed the masks apart from supported_roots before both read one
+    direction map, kept as their reference."""
+    ell = np.asarray(ell)
+    if n_plus_1 % 2 == 0:
+        ang = (n_plus_1 - 1 - ell) * np.pi / n_plus_1
+    else:
+        ang = (2 * n_plus_1 - 1 - 2 * ell) * np.pi / (2 * n_plus_1)
+    target = (np.cos(ang) + 1j * np.sin(ang))[..., None, None]
+    w = omega_powers(n_plus_1)
+    z = w[:, None] - w[None, :]  # z[i, j] = omega^i - omega^j
+    np.fill_diagonal(z, 1.0)  # any nonzero value; the diagonal is set below
+    pat = np.abs(z / np.abs(z) - target) < 1e-9
+    diag = np.arange(n_plus_1)
+    pat[..., diag, diag] = True
+    return pat
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_patterns_and_supported_roots_equal_the_mask_kernel(n1):
+    """At every ell in -2(n+1) .. 4(n+1), so that the period is covered."""
+    period = 2 * n1
+    stacked = q_patterns(n1)
+    off = ~np.eye(n1, dtype=bool)
+    for start in range(-period, 2 * period, period):
+        ells = np.arange(start, start + period)
+        expect = _support_masks(n1, ells)
+        assert np.array_equal(stacked, expect)
+        assert np.all(expect[:, off].sum(axis=0) == 1)  # one direction per root
+        for ell, mask in zip(ells.tolist(), expect):
+            rows, cols = np.nonzero(mask & off)
+            assert supported_roots(n1, ell) == list(zip(rows.tolist(), cols.tolist()))
+            if ell % 7 == 0:  # a sample of the single masks
+                assert np.array_equal(q_pattern(n1, ell), mask)
+
+
+def test_q_patterns_of_40_stay_under_one_megabyte():
+    q_patterns(40)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        q_patterns(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_q_pattern_returns_a_fresh_writable_bool_array():
