@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .linalg import (
-    DEFAULT_TOL,
     ConsistencyError,
     NumericalError,
     Tolerance,
@@ -71,58 +70,42 @@ def _fnum(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _jsonable(obj):
-    """Convert to plain dict/list/str/float/int/bool/None, complex -> [re, im]."""
-    if isinstance(obj, (str, type(None))):
-        return obj
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return str(obj)
-
-
 def _dumps(obj) -> str:
-    """JSON with sorted keys and %.12g floats (hence byte-stable)."""
+    """JSON with sorted keys and %.12g floats (hence byte-stable).
+
+    numpy scalars are written as plain values, complex numbers as [re, im],
+    arrays through ``tolist()``, dict keys through ``str()``, and any other
+    object as its ``str()``.
+    """
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
         v = _fnum(obj)
         if v in ("inf", "-inf", "nan"):  # JSON has no literals for these
             return f'"{v}"'
         return v
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _dumps([obj.real, obj.imag])
+    if isinstance(obj, np.ndarray):
+        return _dumps(obj.tolist())
     if isinstance(obj, dict):
-        items = ",".join(f'{_dumps(str(k))}:{_dumps(v)}'
-                         for k, v in sorted(obj.items()))
-        return "{" + items + "}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return "{" + ",".join(f"{_dumps(k)}:{_dumps(v)}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_dumps(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    out = str(obj).replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{out}"'
 
 
 def _envelope(command: str, n_plus_1, payload, residuals) -> dict:
     return {
         "command": command,
         "n_plus_1": n_plus_1,
-        "payload": _jsonable(payload),
+        "payload": payload,
         "residuals": {k: float(v) for k, v in sorted(residuals.items())},
         "version": __version__,
     }
@@ -177,12 +160,6 @@ def _parse_sizes(text: str) -> list[int]:
     if not sizes or min(sizes) < 3:
         raise argparse.ArgumentTypeError("sizes must be a value or a..b range, all >= 3")
     return sizes
-
-
-def _resolve_seed(ns) -> int:
-    if ns.seed is not None:
-        return ns.seed
-    return int(os.environ.get("TTSTOKES_SEED", "0"))
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -267,7 +244,7 @@ def _cmd_from_gamma(ns):
     inside = polytope_contains(g)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lams, coeffs, m0 = _section_from_gamma(calibrate(n1), g, DEFAULT_TOL)
+        lams, coeffs, m0 = _section_from_gamma(calibrate(n1), g)
     rho = alcove_coords(g)
     char_imag = float(np.max(np.abs(coeffs.imag)))
     mono_imag = float(np.max(np.abs(m0.imag)))
@@ -337,9 +314,8 @@ def _cmd_alcove(ns):
 
 def _cmd_steinberg(ns):
     n1 = ns.n
-    seed = _resolve_seed(ns)
     cal = calibrate(n1)
-    rep = cross_section_check(cal, samples=ns.samples, seed=seed,
+    rep = cross_section_check(cal, samples=ns.samples, seed=ns.seed,
                               tol=Tolerance(ns.tol, ns.tol))
     prod_ok = bool(np.array_equal(np.linalg.multi_dot(cal.sigmas), cyclic_for(n1)))
     payload = {
@@ -374,8 +350,7 @@ _GOLDEN_GAMMA = {4: (2.0, 0.0, 0.0, -2.0), 5: (1.0, 0.5, 0.0, -0.5, -1.0)}
 
 def _cmd_golden(ns):
     n1 = ns.n
-    seed = _resolve_seed(ns)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ns.seed)
     g = GammaVector(n1, np.array(_GOLDEN_GAMMA[n1]))
     s1, s2 = s_formulas(n1, g)
     if n1 == 4:
@@ -454,9 +429,8 @@ def _cmd_golden(ns):
 
 
 def _cmd_verify(ns):
-    seed = _resolve_seed(ns)
     suites = [ns.suite] if ns.suite else None
-    results = run_suites(ns.sizes, samples=ns.samples, seed=seed,
+    results = run_suites(ns.sizes, samples=ns.samples, seed=ns.seed,
                          tol=ns.tol, suites=suites)
     rows = [{
         "suite": r.suite,
@@ -492,10 +466,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="pass/fail threshold for residuals")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (fallback: env TTSTOKES_SEED, then 0)")
+    # the commands that sample and judge residuals
+    checked = argparse.ArgumentParser(add_help=False, parents=[common])
+    checked.add_argument("--tol", type=float, default=1e-9,
+                         help="pass/fail threshold for residuals")
+    checked.add_argument("--seed", type=int, default=0, help="RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[common],
@@ -530,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                            "converted back to gamma")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("steinberg", parents=[common],
+    p = sub.add_parser("steinberg", parents=[checked],
                        help="cross-section calibration and the two-sided "
                             "section/monodromy check")
     p.add_argument("--n", type=_size, required=True,
@@ -538,14 +513,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_samples, default=25)
     p.set_defaults(func=_cmd_steinberg)
 
-    p = sub.add_parser("golden", parents=[common],
+    p = sub.add_parser("golden", parents=[checked],
                        help="worked-example data for sizes 4 and 5 with "
                             "pass/fail per identity")
     p.add_argument("--n", type=int, choices=(4, 5), required=True,
                    help="worked examples exist for sizes 4 and 5 only")
     p.set_defaults(func=_cmd_golden)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[checked],
                        help="run the randomized invariant suites")
     p.add_argument("--n", dest="sizes", type=_parse_sizes, required=True,
                    help="size or range of sizes, e.g. 4 or 3..10")

@@ -152,13 +152,17 @@ def supported_roots(n_plus_1: int, ell: int) -> list[Root]:
 # closed-form index tables for the first, second, and last directions
 # ---------------------------------------------------------------------------
 
-def _table_rows(n_plus_1: int, which: str) -> list[Root]:
-    """Index sequences in their table order (left to right).
+def table_supported_roots(n_plus_1: int, which: str) -> list[Root]:
+    """Supported roots for the first ('head'), second, or last ('tail')
+    direction, from the closed-form tables, kept in table order (left to
+    right).
 
-    Each set is two arithmetic runs of pairs; the case split is on the parity
-    of n+1 and then on the parity of m (half the size, rounded down). Each
-    case maps a table name to a function building its runs, so that only
-    the requested table is built.
+    The table order matters downstream: the cross-section calibration
+    consumes head and tail blocks in exactly this order. Each set is two
+    arithmetic runs of pairs; the case split is on the parity of n+1 and
+    then on the parity of m (half the size, rounded down). Each case maps a
+    table name to a function building its runs, so that only the requested
+    table is built.
     """
     _check_size(n_plus_1)
     if which not in ("head", "second", "tail"):
@@ -233,16 +237,6 @@ def _table_rows(n_plus_1: int, which: str) -> list[Root]:
             }
     a, b = seqs[which]()
     return a + b
-
-
-def table_supported_roots(n_plus_1: int, which: str) -> list[Root]:
-    """Supported roots for the first ('head'), second, or last ('tail')
-    direction, from the closed-form tables, kept in table order.
-
-    The table order matters downstream: the cross-section calibration
-    consumes head and tail blocks in exactly this order.
-    """
-    return _table_rows(n_plus_1, which)
 
 
 def shifted_table_roots(n_plus_1: int, ell: int) -> set[Root]:

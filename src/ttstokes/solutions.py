@@ -17,20 +17,20 @@ cross-section to produce the actual monodromy matrix for any size.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     NumericalError,
-    Tolerance,
     poly_from_roots,
 )
 from .steinberg import SectionCalibration, reconstruct_from_chi
 from .stokes import MonodromyMatrix
 
 _SYM_TOL = 1e-9
+_SLACK = 1e-9  # of the polytope and alcove inequalities
 _PLUS_MINUS_I = np.array([1j, -1j])
 
 
@@ -91,20 +91,20 @@ def _member_result(ok: np.ndarray):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _in_polytope(gam: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _in_polytope(gam: np.ndarray) -> np.ndarray:
     """:func:`polytope_contains` as a numpy bool, 0-d for one vector."""
     diffs = np.concatenate([gam[..., 1:] - gam[..., :-1],
                             gam[..., :1] - gam[..., -1:]], axis=-1)
-    return diffs.min(axis=-1) >= -2.0 - tol
+    return diffs.min(axis=-1) >= -2.0 - _SLACK
 
 
-def polytope_contains(g: GammaVector, tol: float = 1e-9):
+def polytope_contains(g: GammaVector):
     """Cyclic gap constraints: each consecutive difference of gamma is >= -2,
-    including the wrap-around gamma_0 - gamma_n >= -2.
+    including the wrap-around gamma_0 - gamma_n >= -2, each up to ``_SLACK``.
 
     A bool for one vector, one bool per member for a stack.
     """
-    return _member_result(_in_polytope(g.gamma, tol))
+    return _member_result(_in_polytope(g.gamma))
 
 
 def eigenvalues_from_gamma(g: GammaVector) -> np.ndarray:
@@ -159,15 +159,15 @@ class AlcovePoint:
         object.__setattr__(
             self, "rho", _antisymmetric(self.n_plus_1, self.rho, "rho"))
 
-    def in_alcove(self, tol: float = 1e-9):
+    def in_alcove(self):
         """A bool for one point, one bool per member for a stack."""
         m = self.n_plus_1 // 2
         if self.n_plus_1 % 2 == 0:
             seq = np.concatenate([self.rho[..., m:], self.rho[..., :m]], axis=-1)
         else:
             seq = self.rho
-        ok = np.all(seq[..., 1:] - seq[..., :-1] >= -tol, axis=-1)
-        return _member_result(ok & (seq[..., -1] <= 2.0 + seq[..., 0] + tol))
+        ok = np.all(seq[..., 1:] - seq[..., :-1] >= -_SLACK, axis=-1)
+        return _member_result(ok & (seq[..., -1] <= 2.0 + seq[..., 0] + _SLACK))
 
 
 def alcove_coords(g: GammaVector) -> AlcovePoint:
@@ -220,8 +220,8 @@ def s_formulas(n_plus_1: int, g: GammaVector) -> tuple[float, float]:
     raise ValueError("closed forms are only available for sizes 4 and 5")
 
 
-def _section_from_gamma(cal: SectionCalibration, g: GammaVector,
-                        tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _section_from_gamma(cal: SectionCalibration,
+                        g: GammaVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenvalue lists of ``g``, their monic polynomials (complex,
     increasing order) and the section values with those polynomials, one row
     or matrix per member of a stack.
@@ -239,7 +239,7 @@ def _section_from_gamma(cal: SectionCalibration, g: GammaVector,
     e = coeffs[..., n1 - 1:0:-1] * (-1) ** np.arange(1, n1)
     drift = np.abs(e.imag).max(axis=-1)
     # written so that a NaN drift fails too
-    ok = drift <= tol.bound(np.abs(e).max(axis=-1) + 1.0)
+    ok = drift <= DEFAULT_TOL.bound(np.abs(e).max(axis=-1) + 1.0)
     if not ok.all():
         first = np.argmin(np.atleast_1d(ok))
         raise NumericalError("characteristic coefficients not real: "
@@ -247,17 +247,16 @@ def _section_from_gamma(cal: SectionCalibration, g: GammaVector,
     return lams, coeffs, reconstruct_from_chi(cal, e.real)
 
 
-def gamma_to_m0(cal: SectionCalibration, g: GammaVector,
-                tol: Tolerance = DEFAULT_TOL) -> MonodromyMatrix:
+def gamma_to_m0(cal: SectionCalibration, g: GammaVector) -> MonodromyMatrix:
     """Fundamental monodromy with the eigenvalue list of ``g``, realized on
     the calibrated cross-section.
 
     The eigenvalue list is closed under conjugation, so the characteristic
-    coefficients are real; a residual imaginary part beyond ``tol`` aborts.
-    A stack of gammas gives the stack (S, n+1, n+1) of monodromies; the
-    first member whose imaginary part is too large raises.
+    coefficients are real; an imaginary part beyond ``DEFAULT_TOL`` raises
+    NumericalError. A stack of gammas gives the stack (S, n+1, n+1) of
+    monodromies; the first member whose imaginary part is too large raises.
     """
-    return MonodromyMatrix(g.n_plus_1, _section_from_gamma(cal, g, tol)[2])
+    return MonodromyMatrix(g.n_plus_1, _section_from_gamma(cal, g)[2])
 
 
 @dataclass(frozen=True)
@@ -266,13 +265,12 @@ class AsymptoticDataK:
     symmetric under i -> n+1-i (index 0 unconstrained); N is the total
     degree n+1+sum(k).
 
-    ``k`` (and ``c``, when given) is one vector (n+1,) or a stack (S, n+1),
-    one member per row; a stack's error names its first failing member.
+    ``k`` is one vector (n+1,) or a stack (S, n+1), one member per row; a
+    stack's error names its first failing member.
     """
 
     n_plus_1: int
     k: np.ndarray
-    c: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         n1 = self.n_plus_1
@@ -289,13 +287,6 @@ class AsymptoticDataK:
                              f"symmetry{_member(kk.ndim, member)}")
         _check_members(n1 + np.sum(kk, axis=-1) > 1e-12, "total degree N must be positive")
         object.__setattr__(self, "k", kk)
-        if self.c is not None:
-            cc = np.asarray(self.c, dtype=float)
-            if cc.shape != kk.shape:
-                raise ValueError("coefficient vector c has wrong length")
-            _check_members(np.isfinite(cc).all(-1) & np.all(cc > 0, axis=-1),
-                           "coefficients c must be finite and positive")
-            object.__setattr__(self, "c", cc)
 
     @property
     def N(self):

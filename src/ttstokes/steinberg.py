@@ -280,7 +280,7 @@ def _relabeling(slots, corner: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sources), tuple(signs)
 
 
-def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration:
+def calibrate(n_plus_1: int) -> SectionCalibration:
     """Choose generator signs and derive the section and chi relabeling.
 
     The root order is the head block followed by the tail block, both in
@@ -319,7 +319,7 @@ def calibrate(n_plus_1: int, tol: Tolerance = DEFAULT_TOL) -> SectionCalibration
     t = np.stack([rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)])
     err = np.abs(chi(steinberg_section(cal, t)) - cal.chi_of_t(t)).max(axis=1)
     # written so that a NaN residual fails too
-    failed = np.flatnonzero(~(err <= tol.bound(np.fmax(1.0, np.abs(t).max(axis=1)))))
+    failed = np.flatnonzero(~(err <= DEFAULT_TOL.bound(np.fmax(1.0, np.abs(t).max(axis=1)))))
     if failed.size:
         raise CalibrationError(
             f"relabeling verification failed at size {n_plus_1} "
@@ -345,7 +345,7 @@ def steinberg_section(cal: SectionCalibration, t) -> np.ndarray:
     return M
 
 
-def chi(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def chi(M) -> np.ndarray:
     """Signed characteristic coefficients (e_1, ..., e_n).
 
     With char poly mu^{n+1} - e_1 mu^n + e_2 mu^{n-1} - ..., this returns the
@@ -357,7 +357,7 @@ def chi(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     coeffs = char_poly(M)
     n1 = coeffs.shape[-1] - 1
     det = (-1) ** n1 * coeffs[..., 0]
-    bad = _modulus(det - 1.0) > tol.bound(np.fmax(1.0, _modulus(det)))
+    bad = _modulus(det - 1.0) > DEFAULT_TOL.bound(np.fmax(1.0, _modulus(det)))
     for d in np.atleast_1d(det)[np.atleast_1d(bad)]:
         warnings.warn(
             f"chi applied to a matrix with determinant {d}, expected 1",
@@ -418,8 +418,9 @@ def cross_section_check(
     return CrossSectionReport(n1, samples, worst_section, worst_monodromy, passed)
 
 
-def regular_centralizer_dim(M, rel_tol: float = 1e-9) -> int:
-    """Dimension of the commutant of M, via the Sylvester operator's nullity.
+def regular_centralizer_dim(M) -> int:
+    """Dimension of the commutant of M, via the Sylvester operator's nullity:
+    the number of its singular values below 1e-9 * max(1, largest).
 
     Regular elements of sl(n+1) in the group sense have commutant dimension
     exactly n+1.
@@ -428,7 +429,7 @@ def regular_centralizer_dim(M, rel_tol: float = 1e-9) -> int:
     n1 = M.shape[0]
     L = np.kron(M, np.eye(n1)) - np.kron(np.eye(n1), M.T)
     s = np.linalg.svd(L, compute_uv=False)
-    cutoff = rel_tol * max(1.0, float(s[0]))
+    cutoff = 1e-9 * max(1.0, float(s[0]))
     return int(np.sum(s < cutoff))
 
 

@@ -20,7 +20,6 @@ from .linalg import (
     ConsistencyError,
     DEFAULT_TOL,
     NumericalError,
-    Tolerance,
     cyclic_for,
     max_abs,
     nan_max,
@@ -139,7 +138,7 @@ def _member(stacked: bool, k) -> str:
     return f" of member {k}" if stacked else ""
 
 
-def build_m0(params: StokesParams, tol: Tolerance = DEFAULT_TOL) -> MonodromyMatrix:
+def build_m0(params: StokesParams) -> MonodromyMatrix:
     """Fundamental monodromy q1 q2 P, with P the (signed) cyclic shift.
 
     The result always has determinant 1; a violation indicates numerical
@@ -154,7 +153,8 @@ def build_m0(params: StokesParams, tol: Tolerance = DEFAULT_TOL) -> MonodromyMat
     M = q1 @ q2 @ cyclic_for(n1).astype(complex)
     det = np.linalg.det(M)
     # written so that a NaN determinant fails too
-    failed = np.flatnonzero(~(np.abs(det - 1.0) <= tol.bound(np.fmax(1.0, np.abs(det)))))
+    bound = DEFAULT_TOL.bound(np.fmax(1.0, np.abs(det)))
+    failed = np.flatnonzero(~(np.abs(det - 1.0) <= bound))
     if failed.size:
         k = failed[0]
         raise NumericalError(f"monodromy determinant {np.atleast_1d(det)[k]}"
@@ -182,12 +182,7 @@ def _shift_action(n_plus_1: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, sign
 
 
-def q_family(
-    n_plus_1: int,
-    q1: np.ndarray,
-    q2: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> dict[int, np.ndarray]:
+def q_family(n_plus_1: int, q1: np.ndarray, q2: np.ndarray) -> dict[int, np.ndarray]:
     """All 2(n+1) Stokes factors generated from q1 and q2 by shift conjugation.
 
     Keys are the direction indices ell = 0 .. 2n+1; even indices come from
@@ -224,7 +219,7 @@ def q_family(
                perm[:, None, None, :]]
     stack *= sign[:, None, :, None] * sign[:, None, None, :]
     stack = stack.reshape(lead + (2 * n1, n1, n1))
-    bound = tol.bound(np.fmax(1.0, np.abs(qs).max(axis=(-3, -2, -1))))
+    bound = DEFAULT_TOL.bound(np.fmax(1.0, np.abs(qs).max(axis=(-3, -2, -1))))
     bound = np.reshape(bound, (-1, 1))
     stacked = bool(lead)
 

@@ -24,7 +24,6 @@ from .connections import (
     toda_rhs,
 )
 from .linalg import (
-    DEFAULT_TOL,
     ConsistencyError,
     NumericalError,
     char_poly,
@@ -180,7 +179,7 @@ def _suite_solutions(n_plus_1, samples, seed, tol, cal):
     if np.any(polytope_contains(g) != p.in_alcove()):
         worst = 1.0
     worst = nan_max(worst, float(np.max(np.abs(alcove_to_gamma(p).gamma - g.gamma))))
-    lams, coeffs, m0 = _section_from_gamma(cal, g, DEFAULT_TOL)
+    lams, coeffs, m0 = _section_from_gamma(cal, g)
     worst = nan_max(worst, float(np.max(np.abs(np.abs(lams) - 1.0))))
     # each monodromy's char poly against the polynomial of its eigenvalue
     # list and, at sizes 4 and 5, against the closed form
@@ -231,17 +230,15 @@ def _connection_trials(n_plus_1, u, seed):
     on_diag = np.zeros_like(comm)
     on_diag[:, i, i] = comm[:, i, i]
     orep = omega_hat_symmetry_report(d, lambda_samples=5, seed=seed)
-    # the symmetry residuals stay numpy floats, as the one-field report gives
-    # them: the type of the worst value decides how verify prints its verdict
-    sym = np.stack([rep.cyclic, rep.anti, rep.reality, rep.conj, rep.real_form], axis=1)
-    rest = np.stack([
+    res = np.stack([
+        rep.cyclic, rep.anti, rep.reality, rep.conj, rep.real_form,
         drep.fourier_residual, drep.w_residual, drep.wt_residual, drep.bridge_residual,
         np.where(drep.pattern_ok, 0.0, 1.0),
         np.max(np.abs(comm - on_diag), axis=(1, 2)),
         np.abs(np.sum(toda_rhs(f), axis=1)),
         orep.cyclic, orep.anti,
-    ], axis=1).tolist()
-    return nan_max(0.0, *(x for row, more in zip(sym, rest) for x in (*row, *more)))
+    ], axis=1)
+    return nan_max(0.0, *res.ravel().tolist())
 
 
 def _suite_connections(n_plus_1, samples, seed, tol):

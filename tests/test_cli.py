@@ -40,6 +40,21 @@ def test_usage_error_golden_size(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--tol=1e-3", "--seed=4"])
+@pytest.mark.parametrize("argv", [
+    ["roots", "--n", "4"],
+    ["directions", "--n", "4"],
+    ["from-gamma", "--n", "4", "--gamma-free", "0.5,0.25"],
+    ["alcove", "--n", "4", "--gamma-free", "0.5,0.25"],
+])
+def test_usage_error_tol_and_seed_on_unsampled_commands(capsys, argv, flag):
+    # only steinberg, golden and verify sample or judge residuals
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_usage_error_asymmetric_gamma(capsys):
     code, out, err = run_cli(capsys, "from-gamma", "--n", "4", "--gamma", "1,0,0,0")
     assert code == 2
@@ -272,13 +287,30 @@ def test_json_byte_stability(capsys):
     assert out1 == out2
 
 
-def test_env_seed_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("TTSTOKES_SEED", "11")
+def test_env_seed_is_ignored(capsys, monkeypatch):
+    monkeypatch.delenv("TTSTOKES_SEED", raising=False)
     _, out1, _ = run_cli(capsys, "steinberg", "--n", "4", "--format", "json")
-    monkeypatch.delenv("TTSTOKES_SEED")
-    _, out2, _ = run_cli(capsys, "steinberg", "--n", "4", "--format", "json",
+    monkeypatch.setenv("TTSTOKES_SEED", "11")
+    _, out2, _ = run_cli(capsys, "steinberg", "--n", "4", "--format", "json")
+    _, out3, _ = run_cli(capsys, "steinberg", "--n", "4", "--format", "json",
                          "--seed", "11")
     assert out1 == out2
+    assert out2 != out3
+
+
+def test_dumps_literal_text():
+    obj = {
+        2: np.float64(0.1),
+        "b": [np.int64(-3), np.bool_(True), np.float32(0.5), -0.0],
+        "a": (complex(1, -2), np.complex128(0.25j)),
+        "c": np.array([[1.0, np.inf], [-np.inf, np.nan]]),
+        "d": {(1, 2): None, 10: "x\"y"},
+        "e": np.int32,
+    }
+    assert cli._dumps(obj) == (
+        '{"2":0.1,"a":[[1,-2],[0,0.25]],"b":[-3,true,0.5,0],'
+        '"c":[[1,"inf"],["-inf","nan"]],"d":{"(1, 2)":null,"10":"x\\"y"},'
+        '"e":"<class \'numpy.int32\'>"}')
 
 
 def test_verify_single_suite(capsys):
