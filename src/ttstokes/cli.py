@@ -528,12 +528,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES),
                    help="run a single named suite instead of all")
     p.set_defaults(func=_cmd_verify)
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        # with the usage of the subcommand that does not take them
+        ns.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         payload, residuals, lines, code = ns.func(ns)
     except (CalibrationError, NumericalError, ConsistencyError) as exc:

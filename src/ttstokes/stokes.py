@@ -7,6 +7,13 @@ direction; the fundamental monodromy is q1 q2 times the shift, and the full
 monodromy is its (n+1)-st power with an extra scalar twist in the even case.
 The entries each factor may occupy are read off the direction map of
 :mod:`ttstokes.roots`, which holds the direction of every root slot.
+
+Every Stokes factor is I + N with N^2 = 0, so its inverse is exactly I - N
+and no factor is inverted densely. The eigenvalues of the irregular type
+diag(1, w, .., w^n) lie on a circle, and two roots (i, j), (j, k) on one
+Stokes ray would put w^i, w^j, w^k on one line, which three distinct points
+of a circle never are: no slot of a direction ends in a row where another
+slot of that direction starts.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from .linalg import (
     cyclic_for,
     max_abs,
     nan_max,
-    omega_pow,
 )
 from .roots import Root, direction_map, table_supported_roots
 
@@ -196,8 +202,11 @@ def q_family(n_plus_1: int, q1: np.ndarray, q2: np.ndarray) -> dict[int, np.ndar
     * each member is unipotent and supported on its direction's pattern;
     * advancing ell by n+1 gives the transpose inverse.
 
-    Conjugation is periodic because the (n+1)-st shift power is +-I, which
-    is asserted exactly on the shift's signed permutation.
+    A member on its pattern is I + N with N^2 = 0 (see the module
+    docstring), so its transpose inverse is (2I - q)^T, compared entry by
+    entry. That, and the periodicity of conjugation (the (n+1)-st shift
+    power is +-I), are asserted exactly, on the patterns and on the shift's
+    signed permutation.
     """
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
@@ -208,6 +217,14 @@ def q_family(n_plus_1: int, q1: np.ndarray, q2: np.ndarray) -> dict[int, np.ndar
     if not (np.array_equal(perm[n1], perm[0]) and np.all(sign[n1] == sign[n1, 0])):
         raise AssertionError(
             f"shift conjugation is not periodic: the {n1}-th shift power is not +-I"
+        )
+    pats = q_patterns(n1)
+    slots = pats & ~np.eye(n1, dtype=bool)
+    chained = np.flatnonzero((slots.any(axis=-1) & slots.any(axis=-2)).any(axis=-1))
+    if chained.size:
+        raise AssertionError(
+            f"direction {chained[0]} has a slot ending in a row where another of "
+            "its slots starts: its factors are not I + N with N^2 = 0"
         )
 
     # P^j q P^jT is a signed gather of q, as exact as the dense product.
@@ -224,31 +241,27 @@ def q_family(n_plus_1: int, q1: np.ndarray, q2: np.ndarray) -> dict[int, np.ndar
     stacked = bool(lead)
 
     mag = np.abs(stack)
-    mag[..., q_patterns(n1)] = 0.0
+    mag[..., pats] = 0.0
     off = mag.max(axis=(-2, -1)).reshape(-1, 2 * n1)
     del mag
     diag_err = np.abs(np.diagonal(stack, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
     shape_ok = (off <= bound) & (diag_err.reshape(-1, 2 * n1) <= bound)
-    misshapen = np.flatnonzero(~shape_ok.all(axis=1))
 
-    # the transpose inverse, on the members before the first misshapen one
-    # (a factor off its pattern may be singular), raised in member order
-    checked = stack if misshapen.size == 0 else stack.reshape(-1, 2 * n1, n1, n1)[:misshapen[0]]
-    if checked.size:
-        rhs = np.linalg.inv(checked[..., :n1, :, :].swapaxes(-1, -2))
-        rhs -= checked[..., n1:, :, :]
-        err = np.abs(rhs).max(axis=(-2, -1)).reshape(-1, n1)
-        del rhs
-        failed = np.flatnonzero(~(err <= bound[:len(err)]).all(axis=1))
-        if failed.size:
-            k = failed[0]
-            ell = int(np.flatnonzero(~(err[k] <= bound[k]))[0])
+    # q_(ell+n+1) - (2I - q_ell)^T, exact inverse of members on their pattern
+    rhs = stack[..., n1:, :, :] + stack[..., :n1, :, :].swapaxes(-1, -2)
+    rhs[..., np.arange(n1), np.arange(n1)] -= 2.0
+    err = np.abs(rhs).max(axis=(-2, -1)).reshape(-1, n1)
+    del rhs
+    paired = err <= bound
+    failed = np.flatnonzero(~(shape_ok.all(axis=1) & paired.all(axis=1)))
+    if failed.size:
+        k = failed[0]
+        if shape_ok[k].all():
+            ell = int(np.flatnonzero(~paired[k])[0])
             raise ConsistencyError(
                 f"transpose-inverse relation fails between factors {ell} and "
                 f"{ell + n1}{_member(stacked, k)} (residual {err[k, ell]:.3e})"
             )
-    if misshapen.size:
-        k = misshapen[0]
         ell = int(np.flatnonzero(~shape_ok[k])[0])
         if not off[k, ell] <= bound[k, 0]:
             raise ConsistencyError(
@@ -265,13 +278,14 @@ def full_monodromy(m0: MonodromyMatrix) -> np.ndarray:
 
     For even n+1 the matrix is first scaled by the square root of the
     primitive root of unity; without that factor the power would land in the
-    wrong connected component.
+    wrong connected component. The factor's (n+1)-st power is exactly -1.
     """
     n1 = m0.n_plus_1
     M = np.asarray(m0.matrix, dtype=complex)
-    if n1 % 2 == 0:
-        M = omega_pow(n1, 0.5) * M
-    return np.linalg.matrix_power(M, n1)
+    power = M if n1 % 2 else -M
+    for _ in range(n1 - 1):
+        power = power @ M
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +296,17 @@ class _Layout(NamedTuple):
     """Where each sampled coefficient comes from, built once per size.
 
     ``draws`` coefficients are drawn per sample, each from one standard
-    normal (real) or two (real part, then imaginary part). For odd n+1 they
-    are the head coefficients in table order and ``Pm`` is the m-th shift
-    power that derives the second factor. For even n+1 the head slots and
-    then the second slots take draw ``source[k]`` times ``sign[k]``, or are
-    forced to zero where ``source[k]`` is -1.
+    normal (real) or two (real part, then imaginary part). The head slots
+    and then the second slots take draw ``source[k]`` times ``sign[k]``, or
+    are forced to zero where ``source[k]`` is -1.
     """
 
     n_plus_1: int
     head: list[Root]
     second: list[Root]
     draws: int
-    Pm: np.ndarray | None
-    source: np.ndarray | None
-    sign: np.ndarray | None
+    source: np.ndarray
+    sign: np.ndarray
 
     def width(self, real: bool) -> int:
         """Standard normals drawn per sample."""
@@ -305,53 +316,48 @@ class _Layout(NamedTuple):
 def _stokes_layout(n_plus_1: int) -> _Layout:
     """The sampling layout of one size.
 
-    At even n+1 the half-period transpose-inverse relation pairs each
-    block's roots with each other through conjugation by the m-th shift
-    power: paired roots get opposite-signed coefficients, and a self-paired
-    root with positive sign is forced to zero. Slots are visited in table
-    order and a new draw is taken for each slot not yet assigned.
+    The half-period transpose-inverse relation, with the inverse I - N of
+    every factor, reads q2 - I = -Pm^T (q1 - I)^T Pm for the m-th shift
+    power Pm (m = floor((n+1)/2)) at odd n+1, and the same with q1 for q1
+    and with q2 for q2 at even n+1. So the coefficient at (i, j) is minus
+    the signed one at the slot that Pm sends (j, i) to. Slots are visited in
+    table order, head then second: a slot paired with an earlier one takes
+    its draw, signed; a self-paired slot with positive sign is forced to
+    zero; any other slot takes a new draw. At odd n+1 the head slots are
+    paired with no slot (they lie a direction away from both blocks), so
+    their coefficients are the draws in table order.
     """
     head = table_supported_roots(n_plus_1, "head")
     second = table_supported_roots(n_plus_1, "second")
-    if n_plus_1 % 2:
-        Pm = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1 // 2)
-        return _Layout(n_plus_1, head, second, len(head), Pm, None, None)
     # P^m sends e_{perm[a]} to sign[a] e_a: invert the row action
     perm, sign = _shift_action(n_plus_1)
     image, sgn = np.empty_like(perm[0]), np.empty_like(sign[0])
     image[perm[n_plus_1 // 2]] = np.arange(n_plus_1)
     sgn[perm[n_plus_1 // 2]] = sign[n_plus_1 // 2]
     image, sgn = image.tolist(), sgn.tolist()
+    slots = head + second
+    index = {r: k for k, r in enumerate(slots)}
     source, sign = [], []
     draws = 0
-    for block in (head, second):
-        slot = {r: k for k, r in enumerate(block)}
-        src = [None] * len(block)
-        sg = [0.0] * len(block)
-        for k, (i, j) in enumerate(block):
-            if src[k] is not None:
-                continue
-            beta = (image[j], image[i])
-            s = sgn[i] * sgn[j]
-            if beta == (i, j):
-                if s > 0:
-                    src[k] = -1
-                else:
-                    src[k], sg[k] = draws, 1.0
-                    draws += 1
-                continue
-            if beta not in slot:
-                raise AssertionError(
-                    f"pairing sent {(i, j)} outside its block (to {beta}); "
-                    "the constraint bookkeeping is wrong"
-                )
-            src[k], sg[k] = draws, 1.0
-            src[slot[beta]], sg[slot[beta]] = draws, -s
+    for k, (i, j) in enumerate(slots):
+        p = index.get((image[j], image[i]))
+        s = sgn[i] * sgn[j]
+        if p is None and (n_plus_1 % 2 == 0 or k >= len(head)):
+            raise AssertionError(
+                f"pairing sent {(i, j)} to {(image[j], image[i])}, which is no "
+                "slot; the constraint bookkeeping is wrong"
+            )
+        if p is not None and p < k:
+            source.append(source[p])
+            sign.append(-s * sign[p])
+        elif p == k and s > 0:
+            source.append(-1)
+            sign.append(0.0)
+        else:
+            source.append(draws)
+            sign.append(1.0)
             draws += 1
-        source += src
-        sign += sg
-    return _Layout(n_plus_1, head, second, draws, None, np.array(source),
-                   np.array(sign))
+    return _Layout(n_plus_1, head, second, draws, np.array(source), np.array(sign))
 
 
 def _stokes_from_normals(layout: _Layout, z, real: bool, scale: float) -> StokesParams:
@@ -364,32 +370,12 @@ def _stokes_from_normals(layout: _Layout, z, real: bool, scale: float) -> Stokes
         drawn = np.empty(z.shape[:-1] + (layout.draws,), dtype=complex)
         drawn.real = z[..., 0::2] * scale
         drawn.imag = z[..., 1::2] * scale
-    n1 = layout.n_plus_1
-    nh = len(layout.head)
-    if layout.source is not None:
-        coeffs = np.zeros(drawn.shape[:-1] + (len(layout.source),), dtype=complex)
-        hit = layout.source >= 0
-        coeffs[..., hit] = layout.sign[hit] * drawn[..., layout.source[hit]]
-        head, second = coeffs[..., :nh], coeffs[..., nh:]
-    else:
-        head = drawn
-        q1 = build_q(n1, "head", dict(zip(layout.head, np.moveaxis(head, -1, 0))))
-        q2 = layout.Pm.T @ np.linalg.inv(q1.swapaxes(-1, -2)) @ layout.Pm
-        rows, cols = np.array(layout.second).T
-        second = q2[..., rows, cols]
-        # everything q2 carries must sit on the second-direction slots
-        q2[..., rows, cols] = 0.0
-        diag = np.arange(n1)
-        q2[..., diag, diag] -= 1.0
-        if np.any(np.abs(q2).max(axis=(-2, -1)) > 1e-9):
-            raise AssertionError(
-                "derived second factor has weight outside the second root set"
-            )
-    return StokesParams(
-        n1,
-        dict(zip(layout.head, np.moveaxis(head, -1, 0))),
-        dict(zip(layout.second, np.moveaxis(second, -1, 0))),
-    )
+    coeffs = np.zeros(drawn.shape[:-1] + (len(layout.source),), dtype=complex)
+    hit = layout.source >= 0
+    coeffs[..., hit] = layout.sign[hit] * drawn[..., layout.source[hit]]
+    cols = np.moveaxis(coeffs, -1, 0)
+    return StokesParams(layout.n_plus_1, dict(zip(layout.head, cols)),
+                        dict(zip(layout.second, cols[len(layout.head):])))
 
 
 def random_stokes_params(
@@ -439,11 +425,18 @@ def reality_residual(family: dict[int, np.ndarray]) -> float:
     n_plus_1 = family[0].shape[-1]
     period = 2 * n_plus_1
     off = 2 if n_plus_1 % 2 == 0 else 1
+    # the involution is a symmetric signed permutation, so C (2I - q) C is
+    # 2I minus q at (rev[a], rev[b]) times C[a, rev[a]] C[b, rev[b]]
     C = reality_conjugator(n_plus_1)
+    diag = np.arange(n_plus_1)
+    rev = np.argmax(np.abs(C) > 0.5, axis=1)
+    ss = np.outer(C[diag, rev], C[diag, rev])
     # one direction at a time, so no copy of the whole family is made
     worst = 0.0
     for ell in range(period):
-        lhs = C @ np.linalg.inv(family[(-ell - off) % period]) @ C
+        q = family[(-ell - off) % period]
+        lhs = -ss * q[..., rev[:, None], rev[None, :]]
+        lhs[..., diag, diag] += 2.0
         lhs -= family[ell]
         worst = nan_max(worst, max_abs(lhs))
     return worst

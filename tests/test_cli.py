@@ -52,7 +52,9 @@ def test_usage_error_tol_and_seed_on_unsampled_commands(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ttstokes {argv[0]} [-h]")
+    assert f"ttstokes {argv[0]}: error: unrecognized arguments: {flag}" in err
 
 
 def test_usage_error_asymmetric_gamma(capsys):

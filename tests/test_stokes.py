@@ -260,26 +260,42 @@ def test_q_family_reference_5():
         assert np.max(np.abs(q[~pat])) < 1e-12
 
 
-@pytest.mark.parametrize("n1", range(3, 10))
+@pytest.mark.parametrize("n1", range(3, 41))
 def test_q_family_random_constrained(n1):
     rng = np.random.default_rng(17 * n1)
-    p = random_stokes_params(n1, rng)
-    q1 = build_q(n1, "head", p.head_coeffs)
-    q2 = build_q(n1, "second", p.second_coeffs)
-    fam = q_family(n1, q1, q2)
-    assert len(fam) == 2 * n1
-    # transpose-inverse relation across the half period, checked here
-    # independently of the internal gate
-    for ell in range(n1):
-        lhs = fam[ell + n1]
-        rhs = np.linalg.inv(fam[ell].T)
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+    for real in (False, True):
+        p = random_stokes_params(n1, rng, real=real)
+        q1 = build_q(n1, "head", p.head_coeffs)
+        q2 = build_q(n1, "second", p.second_coeffs)
+        fam = q_family(n1, q1, q2)
+        assert len(fam) == 2 * n1
+        # transpose-inverse relation across the half period, checked here
+        # with LAPACK's inverse, independently of the internal gate
+        for ell in range(n1):
+            lhs = fam[ell + n1]
+            rhs = np.linalg.inv(fam[ell].T)
+            assert np.max(np.abs(lhs - rhs)) < 1e-9
+        # and the closed-form inverse 2I - q of every member against it
+        for q in fam.values():
+            want = np.linalg.inv(q)
+            err = max_abs(2 * np.eye(n1) - q - want)
+            assert err <= 1e-12 * max(1.0, max_abs(want))
+
+
+@pytest.mark.parametrize("n1", range(3, 101))
+def test_every_direction_has_square_zero_slots(n1):
+    # N^2 = 0 for every N on a direction's off-diagonal slots: path counts
+    # of length two through the slots, exact as integers in float64
+    slots = q_patterns(n1)
+    slots[:, np.arange(n1), np.arange(n1)] = False
+    counts = slots.astype(float)
+    assert not (counts @ counts).any()
 
 
 def _q_family_loop(n_plus_1, q1, q2, tol=DEFAULT_TOL):
     """The member-by-member q_family that the stacked one replaced, kept as
-    its reference: dense shift-power products, one q_pattern and one inverse
-    per direction."""
+    its reference: dense shift-power products, one q_pattern per direction
+    and the transpose inverse as (2I - q)^T."""
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
     P = cyclic_for(n_plus_1)
@@ -304,9 +320,7 @@ def _q_family_loop(n_plus_1, q1, q2, tol=DEFAULT_TOL):
             raise ConsistencyError(f"Stokes factor {ell} is not unipotent")
 
     for ell in range(n_plus_1):
-        lhs = family[ell + n_plus_1]
-        rhs = np.linalg.inv(family[ell].T)
-        err = max_abs(lhs - rhs)
+        err = max_abs(family[ell + n_plus_1] + family[ell].T - 2 * np.eye(n_plus_1))
         if err > tol.bound(scale):
             raise ConsistencyError(
                 f"transpose-inverse relation fails between factors {ell} and "
@@ -395,6 +409,14 @@ def test_q_family_failure_kinds_match_the_member_loop(monkeypatch):
     unpaired[2, 3] = 0.5
     assert "transpose-inverse relation fails" in _assert_same_family_outcome(
         4, unpaired, ref.stokes_q2_4(0.2))
+    # a direction whose slots chain, (0, 1) then (1, 2), is not I + N with
+    # N^2 = 0, so the closed-form inverse would be wrong: asserted exactly
+    chained = stokes.q_patterns(4)
+    chained[3, [0, 1], [1, 2]] = True
+    with monkeypatch.context() as m, pytest.raises(
+            AssertionError, match="direction 3 .* N\\^2 = 0"):
+        m.setattr(stokes, "q_patterns", lambda n: chained)
+        q_family(4, ref.stokes_q1_4(s1), ref.stokes_q2_4(s2))
     # the (n+1)-st power of any signed (n+1)-cycle is +-I, so periodicity is
     # an exact assertion on the shift's signed permutation; it fires for a
     # shift that is not a single cycle (rows 0 and 1 swapped fix index 1)
@@ -443,7 +465,7 @@ def test_build_m0_rejects_non_finite_coefficients(bad):
         build_m0(params_4(0.6, bad))
 
 
-def test_stacked_family_calls_no_q_pattern_and_one_inverse(monkeypatch):
+def test_stacked_family_calls_no_q_pattern_and_no_inverse(monkeypatch):
     calls = {"q_pattern": 0, "inv": []}
     inv = np.linalg.inv
 
@@ -458,10 +480,8 @@ def test_stacked_family_calls_no_q_pattern_and_one_inverse(monkeypatch):
     monkeypatch.setattr(stokes, "q_pattern", counting_pattern)
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     fam = q_family(6, *_random_factors(6, np.random.default_rng(6), real=True))
-    assert calls == {"q_pattern": 0, "inv": [3]}
-    # one inverse per direction, so no copy of the whole family is made
     reality_residual(fam)
-    assert calls["inv"] == [3] + [2] * 12
+    assert calls == {"q_pattern": 0, "inv": []}
 
 
 def test_q_family_rejects_unpaired_coefficients():
@@ -502,7 +522,8 @@ def test_reality_relation_random_real_families(n1):
 
 def _reality_residual_loop(family):
     """The member-by-member reality_residual that the stacked one replaced,
-    kept as its reference."""
+    kept as its reference: dense products with the involution, and the
+    inverse of each factor as 2I - q."""
     n_plus_1 = family[0].shape[0]
     period = 2 * n_plus_1
     C = stokes.reality_conjugator(n_plus_1)
@@ -510,7 +531,7 @@ def _reality_residual_loop(family):
     worst = 0.0
     for ell in range(period):
         partner = (-ell - off) % period
-        lhs = C @ np.linalg.inv(family[partner]) @ C
+        lhs = C @ (2 * np.eye(n_plus_1) - family[partner]) @ C
         worst = nan_max(worst, max_abs(lhs - family[ell]))
     return worst
 
@@ -578,13 +599,15 @@ def _paired_block_loop(block, action, rng, real, scale):
 
 def _random_stokes_params_loop(n_plus_1, rng, real=False, scale=1.0):
     """The one-sample sampler that the stacked one replaced, kept as its
-    reference: a Python loop per root, a dense shift power per call and, at
-    odd sizes, one inverse per sample."""
+    reference: a Python loop per root and a dense shift power per call. At
+    odd sizes each second coefficient is the signed head one the shift
+    pairs it with, checked against the dense second factor
+    Pm^T (2I - q1)^T Pm, value for value."""
     head = table_supported_roots(n_plus_1, "head")
     second = table_supported_roots(n_plus_1, "second")
     Pm = np.linalg.matrix_power(cyclic_for(n_plus_1), n_plus_1 // 2)
+    action = _permutation_action(Pm)
     if n_plus_1 % 2 == 0:
-        action = _permutation_action(Pm)
         return StokesParams(n_plus_1,
                             _paired_block_loop(head, action, rng, real, scale),
                             _paired_block_loop(second, action, rng, real, scale))
@@ -592,13 +615,11 @@ def _random_stokes_params_loop(n_plus_1, rng, real=False, scale=1.0):
         head_coeffs = {r: complex(rng.normal() * scale) for r in head}
     else:
         head_coeffs = {r: complex(rng.normal(), rng.normal()) * scale for r in head}
-    q1 = build_q(n_plus_1, "head", head_coeffs)
-    q2 = Pm.T @ np.linalg.inv(q1.T) @ Pm
-    second_coeffs = {r: complex(q2[r]) for r in second}
-    probe = np.eye(n_plus_1, dtype=complex)
-    for r, c in second_coeffs.items():
-        probe[r] = c
-    assert max_abs(q2 - probe) <= 1e-9
+    image, sgn = action
+    second_coeffs = {(i, j): -sgn[i] * sgn[j] * head_coeffs[(image[j], image[i])]
+                     for i, j in second}
+    q2 = Pm.T @ (2 * np.eye(n_plus_1) - build_q(n_plus_1, "head", head_coeffs)).T @ Pm
+    assert np.array_equal(q2, build_q(n_plus_1, "second", second_coeffs))
     return StokesParams(n_plus_1, head_coeffs, second_coeffs)
 
 
@@ -629,15 +650,14 @@ def test_the_stacked_sampler_equals_single_draws(n1):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_only_odd_size_layouts_take_a_dense_shift_power(monkeypatch):
-    # even sizes pair their slots through the shift's integer action
-    powers = []
-    matrix_power = np.linalg.matrix_power
-    monkeypatch.setattr(np.linalg, "matrix_power",
-                        lambda a, m: powers.append(len(a)) or matrix_power(a, m))
-    layouts = {n1: stokes._stokes_layout(n1) for n1 in range(3, 13)}
-    assert powers == [3, 5, 7, 9, 11]
-    assert all((layout.Pm is None) == (n1 % 2 == 0) for n1, layout in layouts.items())
+def test_no_layout_takes_a_dense_shift_power(monkeypatch):
+    # every size pairs its slots through the shift's integer action
+    monkeypatch.setattr(np.linalg, "matrix_power", None)
+    monkeypatch.setattr(np.linalg, "inv", None)
+    for n1 in range(3, 13):
+        layout = stokes._stokes_layout(n1)
+        z = np.random.default_rng(n1).normal(size=(2, layout.width(real=False)))
+        stokes._stokes_from_normals(layout, z, False, 1.0)
 
 
 def _first_member_failure(calls):

@@ -1,6 +1,7 @@
 """The verify suites' own guards: no vacuous pass for an empty sample, and
 no pass for a NaN residual (the builtin max would drop it); the stokes
-suite's inverses taken stack by stack; the stokes, solutions and
+suite's inverses in closed form, and its checks failing on a broken
+relation; the stokes, solutions and
 connections suites on one sample stack per size, equal to the per-sample
 loops they replaced; the chunks of trials of the stokes and connections
 suites, their bounded memory and the notes of failing trials; one
@@ -77,18 +78,53 @@ def test_a_nan_section_residual_fails_the_cross_section_check(monkeypatch):
     assert math.isnan(rep.monodromy_residual)
 
 
-def test_the_stokes_suite_inverts_each_family_as_one_stack(monkeypatch):
-    # at even n+1 the sampler inverts nothing, so every call is the suite's
-    dims = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: dims.append(np.ndim(a)) or inv(a))
-    (res,) = run_suites([6], samples=10, seed=1, suites=["stokes"])
-    assert res.passed
-    # one stack of both trials: each q_family gate inverts (trials, members,
-    # n+1, n+1) once; the transpose-inverse check (n+1 directions) and
-    # reality_residual (2(n+1) directions) invert (trials, n+1, n+1) one
-    # direction at a time, so neither copies the whole family
-    assert dims == [4] + [3] * 6 + [4] + [3] * 12
+def test_the_stokes_suite_inverts_no_factor_densely(monkeypatch):
+    # every Stokes factor is I + N with N^2 = 0, inverted as 2I - q
+    monkeypatch.setattr(np.linalg, "inv", None)
+    monkeypatch.setattr(np.linalg, "matrix_power", None)
+    res = run_suites([6, 7], samples=10, seed=1, suites=["stokes"])
+    assert all(r.passed and r.note == "" for r in res)
+
+
+def _stokes_cell_with(monkeypatch, n1, layout=None, second=None):
+    """The stokes cell at size n1 with the sampler's layout replaced, or with
+    ``second(coeffs)`` applied to each draw's second coefficients."""
+    from_normals = verify._stokes_from_normals
+
+    def perturbed(*args):
+        p = from_normals(*args)
+        second(p.second_coeffs)
+        return p
+
+    with monkeypatch.context() as m:
+        if layout is not None:
+            m.setattr(verify, "_stokes_layout", lambda n: layout)
+        if second is not None:
+            m.setattr(verify, "_stokes_from_normals", perturbed)
+        (res,) = run_suites([n1], samples=10, seed=1, suites=["stokes"])
+    return res
+
+
+@pytest.mark.parametrize("n1", [6, 7])
+def test_the_stokes_cell_fails_on_a_broken_relation(n1, monkeypatch):
+    # exact inverses drive the suite's residuals to zero; the checks still
+    # see one sign of the layout flipped or one coefficient moved by 1e-6
+    assert _stokes_cell_with(monkeypatch, n1).passed
+    layout = stokes._stokes_layout(n1)
+    # the last slot whose draw another slot shares
+    k = max(k for k, src in enumerate(layout.source)
+            if src >= 0 and np.sum(layout.source == src) > 1)
+    sign = layout.sign.copy()
+    sign[k] = -sign[k]
+    res = _stokes_cell_with(monkeypatch, n1, layout=layout._replace(sign=sign))
+    assert not res.passed and "transpose-inverse relation fails" in res.note
+    root = layout.second[0]
+
+    def nudge(coeffs):
+        coeffs[root] = coeffs[root] + 1e-6
+
+    res = _stokes_cell_with(monkeypatch, n1, second=nudge)
+    assert not res.passed and "transpose-inverse relation fails" in res.note
 
 
 def _suite_stokes_loop(n_plus_1, samples, seed, tol):
@@ -106,7 +142,7 @@ def _suite_stokes_loop(n_plus_1, samples, seed, tol):
         q2 = build_q(n_plus_1, "second", p.second_coeffs)
         fam = q_family(n_plus_1, q1, q2)
         stack = np.stack([fam[ell] for ell in range(period)])
-        rhs = np.linalg.inv(stack[:n_plus_1]).transpose(0, 2, 1)
+        rhs = (2 * np.eye(n_plus_1) - stack[:n_plus_1]).transpose(0, 2, 1)
         err = np.abs(stack[n_plus_1:] - rhs).max(axis=(1, 2))
         err /= np.maximum(1.0, np.abs(rhs).max(axis=(1, 2)))
         worst = nan_max(worst, *err.tolist())
