@@ -36,7 +36,6 @@ from .roots import (
     _roots_on,
     direction_map,
     shifted_table_roots,
-    singular_direction,
     singular_directions,
     table_supported_roots,
 )
@@ -148,6 +147,13 @@ def _samples(text: str) -> int:
     val = int(text)
     if val < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return val
+
+
+def _tol(text: str) -> float:
+    val = float(text)
+    if not 0 < val < float("inf"):  # also false for NaN
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return val
 
 
@@ -468,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "json"), default="table")
     # the commands that sample and judge residuals
     checked = argparse.ArgumentParser(add_help=False, parents=[common])
-    checked.add_argument("--tol", type=float, default=1e-9,
+    checked.add_argument("--tol", type=_tol, default=1e-9,
                          help="pass/fail threshold for residuals")
     checked.add_argument("--seed", type=int, default=0, help="RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -47,7 +47,7 @@ from .solutions import (
     random_polytope_gamma,
     s_formulas,
 )
-from .steinberg import calibrate, cross_section_check, regular_centralizer_dim
+from .steinberg import calibrate, cross_section_check
 from .stokes import (
     StokesParams,
     _stokes_from_normals,
@@ -162,13 +162,8 @@ def _suite_stokes(n_plus_1, samples, seed, tol):
 def _suite_steinberg(n_plus_1, samples, seed, tol, cal):
     rep = cross_section_check(cal, samples=samples, seed=seed)
     worst = nan_max(rep.section_residual, rep.monodromy_residual)
-    checks = 2 * samples + 1
-    rng = np.random.default_rng([seed, n_plus_1, 2])
-    from .steinberg import steinberg_section
-    t = rng.normal(size=n_plus_1 - 1) + 1j * rng.normal(size=n_plus_1 - 1)
-    if regular_centralizer_dim(steinberg_section(cal, t)) != n_plus_1:
-        worst = nan_max(worst, 1.0)
-    return SuiteResult("steinberg", n_plus_1, checks, worst, worst < tol)
+    # the + 1 is calibrate's integer proof that s(t) is regular and chi exact
+    return SuiteResult("steinberg", n_plus_1, 2 * samples + 1, worst, worst < tol)
 
 
 def _suite_solutions(n_plus_1, samples, seed, tol, cal):
@@ -295,11 +290,13 @@ def run_suites(
 
     Results come back sorted by suite name then size.  A suite that raises
     is reported as failed with an infinite residual instead of aborting the
-    whole run.  Fewer than one sample is a ValueError: a suite that checks
-    nothing must not report a pass.
+    whole run.  Fewer than one sample or a tolerance that is not positive
+    and finite is a ValueError: such a verdict would be vacuous.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not 0 < tol < float("inf"):  # also false for NaN
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     names = sorted(SUITES) if suites is None else sorted(suites)
     unknown = [s for s in names if s not in SUITES]
     if unknown:

@@ -86,6 +86,21 @@ def test_usage_error_samples_below_one(capsys, command, samples):
     assert "argument --samples: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["steinberg", "--n", "4"],
+    ["golden", "--n", "4"],
+    ["verify", "--n", "4"],
+])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_usage_error_tol_not_positive_and_finite(capsys, argv, tol):
+    # inf passes every finite residual and nan fails every one, silently
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tol: must be positive and finite" in err
+
+
 @pytest.mark.parametrize("flags", [
     ["from-gamma", "--n", "4", "--gamma", "nan,0,0,nan"],
     ["from-gamma", "--n", "4", "--gamma=-inf,0,0,inf"],

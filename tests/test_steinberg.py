@@ -9,6 +9,7 @@ that range are checked structurally.
 """
 
 import dataclasses
+import math
 import time
 import warnings
 
@@ -23,7 +24,6 @@ from ttstokes.linalg import (
     NumericalError,
     Tolerance,
     cyclic_for,
-    eigenvalues,
     elementary,
     match_multisets,
     max_abs,
@@ -239,14 +239,6 @@ def test_calibrate_checks_the_signed_product(monkeypatch):
         calibrate(4)
 
 
-def test_calibrate_fails_a_nan_relabeling_residual(monkeypatch):
-    # every comparison with NaN is false, so a NaN residual passed `err > bound`
-    monkeypatch.setattr(steinberg, "chi",
-                        lambda M: np.full(M.shape[:-1], np.nan, dtype=complex)[..., 1:])
-    with pytest.raises(CalibrationError, match="residual nan"):
-        calibrate(4)
-
-
 def test_relabeling_rejects_two_slots_in_one_coefficient():
     # both diagonal slots close a 1-cycle, so both land in e_1
     slots = (np.array([0, 1]), np.array([0, 1]), np.array([1, 1]))
@@ -255,19 +247,14 @@ def test_relabeling_rejects_two_slots_in_one_coefficient():
 
 
 @pytest.mark.parametrize("n1", range(3, 19))
-def test_calibrate_calls_char_poly_three_times(n1, monkeypatch):
-    # only the random verification evaluates chi, on its three samples as one
-    # stack; the relabeling itself is read off the slots
-    calls = []
-    real = steinberg.char_poly
+def test_calibrate_calls_neither_char_poly_nor_chi(n1, monkeypatch):
+    # the relabeling and its certificate are read off the integer slots
+    def forbidden(*args):
+        raise AssertionError("calibrate evaluated a characteristic polynomial")
 
-    def counting(M):
-        calls.append(M.shape)
-        return real(M)
-
-    monkeypatch.setattr(steinberg, "char_poly", counting)
+    monkeypatch.setattr(steinberg, "char_poly", forbidden)
+    monkeypatch.setattr(steinberg, "chi", forbidden)
     calibrate(n1)
-    assert calls == [(3, n1, n1)]
 
 
 PRIME = 2**31 - 1
@@ -307,16 +294,15 @@ def integer_slot_data(n1):
 
 
 def test_slot_relabeling_is_a_bijection_up_to_100():
-    # also past the sizes where the floating-point verification passes
     for n1 in range(3, 101):
         sources, signs = integer_slot_data(n1)[1]
         assert sorted(sources) == list(range(n1 - 1)), n1
         assert set(signs) <= {-1, 1}, n1
 
 
-# exact where the floating-point verification fails (29, 30, 32 on): the
-# characteristic polynomial of the section at random integer t agrees modulo
-# a prime with the one the slot relabeling predicts, at n+1 values of mu
+# independent of calibrate's certificate: the characteristic polynomial of
+# the section at random integer t agrees modulo a prime with the one the
+# slot relabeling predicts, at n+1 values of mu
 @pytest.mark.parametrize("n1", [3, 4, 11, 29, 30, 32, 33, 64])
 def test_slot_relabeling_is_exact_modulo_a_prime(n1):
     (rows, cols, slot_signs), (sources, signs) = integer_slot_data(n1)
@@ -331,6 +317,71 @@ def test_slot_relabeling_is_exact_modulo_a_prime(n1):
             (-1) ** k * e[k] * pow(mu, n1 - k, PRIME) for k in range(n1 + 1)
         )
         assert det_mod(mu * np.eye(n1, dtype=np.int64) - M) == expect % PRIME
+
+
+# ---------------------------------------------------------------------------
+# the regularity and relabeling certificate
+# ---------------------------------------------------------------------------
+
+def test_calibrate_certifies_every_size_up_to_100():
+    for n1 in range(3, 101):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cal = calibrate(n1)
+        assert cal.n_plus_1 == n1
+
+
+# size 5, lengths 3, 2, 1, 0: a bijection onto the coefficients, so only
+# the certificate can reject them. The paths cover the edges 0 1 2 | 3 4 | 0
+COVERING_SLOTS = ((3, 0), (0, 3), (1, 0), (2, 2))
+# edge 4 -> 0 is free, but [0, 1] and [4, 4] are disjoint intervals
+DISJOINT_SLOTS = ((3, 0), (4, 2), (1, 0), (4, 4))
+
+
+def mutant_slots(pairs):
+    rows, cols = (np.array(x) for x in zip(*pairs))
+    return rows, cols, np.ones(len(pairs), dtype=np.int64)
+
+
+@pytest.mark.parametrize("pairs, match", [
+    (COVERING_SLOTS, "cover every edge"),
+    (DISJOINT_SLOTS, "disjoint cycles"),
+], ids=["covering", "disjoint"])
+def test_calibrate_rejects_slots_the_certificate_cannot_prove(pairs, match, monkeypatch):
+    slots = mutant_slots(pairs)
+    with pytest.raises(CalibrationError, match=match):
+        _relabeling(slots, 1)
+    monkeypatch.setattr(steinberg, "_section_slots", lambda walk: slots)
+    with pytest.raises(CalibrationError, match=match):
+        calibrate(5)
+
+
+def mixed_difference(slots, a, b, mu):
+    """The t_a t_b coefficient of det(mu I - s(t)) modulo PRIME: the
+    determinant is affine in each slot entry, so this is its mixed
+    difference over t_a, t_b in {0, 1} with the other coordinates 0."""
+    rows, cols, signs = slots
+    n1 = len(rows) + 1
+    out = 0
+    for ta in (0, 1):
+        for tb in (0, 1):
+            M = cyclic_for(n1).astype(np.int64)
+            M[rows[a], cols[a]] += signs[a] * ta
+            M[rows[b], cols[b]] += signs[b] * tb
+            out += (-1) ** (ta + tb) * det_mod(mu * np.eye(n1, dtype=np.int64) - M)
+    return out % PRIME
+
+
+def test_the_disjoint_mutant_has_a_product_term_in_chi():
+    # the rejection is not vacuous: slots (1, 0) and (4, 4) close the
+    # disjoint cycles (0 1) and (4), whose product enters e_3
+    assert any(mixed_difference(mutant_slots(DISJOINT_SLOTS), 2, 3, mu)
+               for mu in range(6))
+    # while no pair of the calibrated slots does
+    slots = integer_slot_data(5)[0]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            assert not any(mixed_difference(slots, a, b, mu) for mu in range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +486,8 @@ def probe_relabeling(cal):
     return tuple(sources), tuple(signs)
 
 
-# 29, 30 and 32 on fail the relabeling verification in calibrate
-@pytest.mark.parametrize("n1", [*range(3, 29), 31])
+# a floating probe of what the mod-p test above checks exactly
+@pytest.mark.parametrize("n1", [*range(3, 33), 40, 64])
 def test_slot_relabeling_matches_the_basis_vector_probe(n1):
     cal = calibrate(n1)
     assert (cal.chi_sources, cal.chi_signs) == probe_relabeling(cal)
@@ -465,8 +516,8 @@ def test_relabeling_maps_match_their_loops(n1):
 # ---------------------------------------------------------------------------
 
 def slot_calibration(n1):
-    """A calibration carrying only the integer slot data, so that sizes whose
-    floating-point verification fails in calibrate are covered too."""
+    """A calibration carrying only the integer slot data, built without
+    calibrate, so that the stacked kernels are checked apart from it."""
     slots, (sources, signs) = integer_slot_data(n1)
     return SectionCalibration(n1, (), (), sources, signs, *slots)
 
@@ -544,32 +595,14 @@ def test_chi_rejects_what_is_no_square_matrix_or_stack(shape):
         chi(np.zeros(shape))
 
 
-def _calibration_check_loop(cal, tol=DEFAULT_TOL):
-    """The random verification of calibrate, one sample at a time."""
-    n = cal.n_plus_1 - 1
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        t = rng.normal(size=n) + 1j * rng.normal(size=n)
-        e = chi(steinberg_section(cal, t))
-        err = max_abs(e - cal.chi_of_t(t))
-        if err > tol.bound(max(1.0, max_abs(t))):
-            raise CalibrationError(
-                f"relabeling verification failed at size {cal.n_plus_1} "
-                f"(residual {err:.3e})"
-            )
-
-
 @pytest.mark.parametrize("n1", [29, 30, 32, 38, 64])
-def test_calibrate_fails_at_the_first_failing_sample(n1):
-    with pytest.raises(CalibrationError) as loop:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _calibration_check_loop(slot_calibration(n1))
-    with pytest.raises(CalibrationError) as got:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            calibrate(n1)
-    assert str(got.value) == str(loop.value)
+def test_calibrate_succeeds_where_char_polys_lose_digits(n1):
+    # the sizes at which a floating chi check of the relabeling failed
+    slots, relabeling = integer_slot_data(n1)
+    cal = calibrate(n1)
+    assert (cal.chi_sources, cal.chi_signs) == relabeling
+    for got, want in zip((cal.slot_rows, cal.slot_cols, cal.slot_signs), slots):
+        assert np.array_equal(got, want)
 
 
 def test_reconstruct_zero_gives_shift():
@@ -683,13 +716,28 @@ def test_section_lands_in_monodromy_support():
     assert np.max(np.abs(M[~mask])) < 1e-13
 
 
-@pytest.mark.parametrize("n1", [4, 5, 6])
+# regular_centralizer_dim is the numeric oracle of calibrate's certificate
+@pytest.mark.parametrize("n1", range(3, 13))
 def test_section_values_are_regular(n1):
     # the centralizer of a section value has the minimal dimension n+1
     cal = calibrate(n1)
     rng = np.random.default_rng(70 + n1)
     t = rng.normal(size=n1 - 1) + 1j * rng.normal(size=n1 - 1)
     assert regular_centralizer_dim(steinberg_section(cal, t)) == n1
+
+
+@pytest.mark.parametrize("n1", range(3, 13))
+def test_the_unipotent_section_value_is_regular(n1):
+    # chi = binom(n+1, k) is (mu - 1)^(n+1): the rho = 0 point, regular but
+    # not semisimple, a single Jordan block
+    cal = calibrate(n1)
+    e = [math.comb(n1, k) for k in range(1, n1)]
+    assert regular_centralizer_dim(reconstruct_from_chi(cal, e)) == n1
+
+
+@pytest.mark.parametrize("n1", [3, 4, 7])
+def test_the_identity_is_not_regular(n1):
+    assert regular_centralizer_dim(np.eye(n1)) == n1 ** 2
 
 
 def test_unitary_conjugacy_property():

@@ -54,6 +54,12 @@ def test_run_suites_rejects_fewer_than_one_sample(samples):
         run_suites([4], samples=samples, seed=1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_run_suites_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol"):
+        run_suites([4], samples=5, seed=1, tol=tol)
+
+
 def test_a_nan_residual_fails_its_cell(monkeypatch):
     (ok,) = run_suites([4], samples=5, seed=1, suites=["stokes"])
     assert ok.passed and ok.max_residual > 0.0
