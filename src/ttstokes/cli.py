@@ -136,33 +136,42 @@ def _vec_str(v) -> str:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _number(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"not a valid {kind.__name__}: {text!r}") from None
+
+
 def _size(text: str) -> int:
-    val = int(text)
+    val = _number(int, text)
     if val < 3:
         raise argparse.ArgumentTypeError("matrix size n+1 must be at least 3")
     return val
 
 
 def _samples(text: str) -> int:
-    val = int(text)
+    val = _number(int, text)
     if val < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return val
 
 
 def _tol(text: str) -> float:
-    val = float(text)
+    val = _number(float, text)
     if not 0 < val < float("inf"):  # also false for NaN
         raise argparse.ArgumentTypeError("must be positive and finite")
+    if val > 1:  # a failed discrete fact scores 1, which it would pass
+        raise argparse.ArgumentTypeError("must be at most 1")
     return val
 
 
 def _parse_sizes(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        sizes = list(range(int(lo), int(hi) + 1))
-    else:
-        sizes = [int(text)]
+    bounds = text.split("..", 1)
+    try:
+        sizes = list(range(int(bounds[0]), int(bounds[-1]) + 1))
+    except ValueError:
+        sizes = []
     if not sizes or min(sizes) < 3:
         raise argparse.ArgumentTypeError("sizes must be a value or a..b range, all >= 3")
     return sizes

@@ -25,14 +25,12 @@ __all__ = [
     "omega_pow",
     "omega_powers",
     "char_poly",
-    "poly_eval",
     "poly_from_roots",
     "eigenvalues",
     "match_multisets",
     "shift_matrix",
     "signed_shift_matrix",
     "cyclic_for",
-    "reversal_matrix",
     "omega_diag",
     "fourier_matrix",
     "elementary",
@@ -163,14 +161,6 @@ def char_poly(M) -> np.ndarray:
         coeffs[dim - k] = c
         diag += c
     return coeffs.T
-
-
-def poly_eval(coeffs, x: complex) -> complex:
-    """Evaluate an increasing-order coefficient vector by Horner's rule."""
-    acc = 0.0 + 0.0j
-    for c in reversed(np.asarray(coeffs, dtype=complex)):
-        acc = acc * x + c
-    return complex(acc)
 
 
 def poly_from_roots(roots) -> np.ndarray:
@@ -311,11 +301,6 @@ def cyclic_for(n_plus_1: int) -> np.ndarray:
     if n_plus_1 % 2 == 0:
         return signed_shift_matrix(n_plus_1)
     return shift_matrix(n_plus_1)
-
-
-def reversal_matrix(n_plus_1: int) -> np.ndarray:
-    """Anti-diagonal permutation reversing the coordinate order."""
-    return np.eye(n_plus_1)[::-1].copy()
 
 
 def omega_diag(n_plus_1: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from .linalg import (
     NumericalError,
     poly_from_roots,
 )
-from .steinberg import SectionCalibration, reconstruct_from_chi
+from .steinberg import SectionCalibration, _signed_coeffs, reconstruct_from_chi
 from .stokes import MonodromyMatrix
 
 _SYM_TOL = 1e-9
@@ -118,9 +118,9 @@ def eigenvalues_from_gamma(g: GammaVector) -> np.ndarray:
     inside = _in_polytope(g.gamma)
     if not inside.all():
         for k in np.flatnonzero(~inside.reshape(-1)).tolist():
-            member = "" if g.gamma.ndim == 1 else f" (member {k})"
-            warnings.warn(f"gamma outside the polytope{member}: eigenvalues "
-                          "may collide or leave the expected arcs", stacklevel=2)
+            warnings.warn(f"gamma outside the polytope{_member(g.gamma.ndim, k)}: "
+                          "eigenvalues may collide or leave the expected arcs",
+                          stacklevel=2)
     n1 = g.n_plus_1
     m = n1 // 2
     two_j = np.arange(0, 2 * m, 2)
@@ -235,8 +235,7 @@ def _section_from_gamma(cal: SectionCalibration,
     lams = eigenvalues_from_gamma(g)
     coeffs = np.array([poly_from_roots(row) for row in lams.reshape(-1, n1)])
     coeffs = coeffs.reshape(lams.shape[:-1] + (n1 + 1,))
-    # e_k = (-1)^k coeffs[n1 - k] for k = 1..n
-    e = coeffs[..., n1 - 1:0:-1] * (-1) ** np.arange(1, n1)
+    e = _signed_coeffs(coeffs)
     drift = np.abs(e.imag).max(axis=-1)
     # written so that a NaN drift fails too
     ok = drift <= DEFAULT_TOL.bound(np.abs(e).max(axis=-1) + 1.0)

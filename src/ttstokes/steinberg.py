@@ -341,6 +341,12 @@ def steinberg_section(cal: SectionCalibration, t) -> np.ndarray:
     return M
 
 
+def _signed_coeffs(coeffs) -> np.ndarray:
+    """e_k = (-1)^k coeffs[n+1-k], k = 1..n, of increasing-order coefficients."""
+    n1 = coeffs.shape[-1] - 1
+    return coeffs[..., n1 - 1:0:-1] * (-1) ** np.arange(1, n1)
+
+
 def chi(M) -> np.ndarray:
     """Signed characteristic coefficients (e_1, ..., e_n).
 
@@ -359,7 +365,7 @@ def chi(M) -> np.ndarray:
             f"chi applied to a matrix with determinant {d}, expected 1",
             stacklevel=2,
         )
-    return coeffs[..., n1 - 1:0:-1] * (-1) ** np.arange(1, n1)
+    return _signed_coeffs(coeffs)
 
 
 def reconstruct_from_chi(cal: SectionCalibration, e) -> np.ndarray:

@@ -3,9 +3,9 @@
 Each suite bundles the structural identities of one module into a single
 (max residual, pass) summary for a given size.  Discrete facts (set
 equalities, pattern membership, dimension counts) contribute 0 or 1 to the
-residual so a failed one can never pass any tolerance.  Residuals are
-accumulated with :func:`~ttstokes.linalg.nan_max`, so a NaN anywhere makes
-the cell's residual NaN and the cell fail.
+residual, and tolerances are at most 1, so a failed one never passes.
+Residuals are accumulated with :func:`~ttstokes.linalg.nan_max`, so a NaN
+anywhere makes the cell's residual NaN and the cell fail.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .roots import (
     order_diagram,
     shifted_table_roots,
     simple_system_check,
-    table_supported_roots,
 )
 from .solutions import (
     _section_from_gamma,
@@ -151,9 +150,8 @@ def _suite_stokes(n_plus_1, samples, seed, tol):
     chunk = max(1, _CHUNK_ENTRIES // (2 * n_plus_1 ** 3))
     worst = _in_chunks(trials, chunk, lambda a, b: _stokes_trials(layout, z[a:b]))
     checks = trials * (n_plus_1 + 3)
-    zero_head = {r: 0.0 for r in table_supported_roots(n_plus_1, "head")}
-    zero_second = {r: 0.0 for r in table_supported_roots(n_plus_1, "second")}
-    trivial = full_monodromy(build_m0(StokesParams(n_plus_1, zero_head, zero_second)))
+    zero = [dict.fromkeys(roots, 0.0) for roots in (layout.head, layout.second)]
+    trivial = full_monodromy(build_m0(StokesParams(n_plus_1, *zero)))
     worst = nan_max(worst, max_abs(trivial - np.eye(n_plus_1)))
     checks += 1
     return SuiteResult("stokes", n_plus_1, checks, worst, worst < tol)
@@ -291,12 +289,14 @@ def run_suites(
     Results come back sorted by suite name then size.  A suite that raises
     is reported as failed with an infinite residual instead of aborting the
     whole run.  Fewer than one sample or a tolerance that is not positive
-    and finite is a ValueError: such a verdict would be vacuous.
+    and finite, or is above 1, is a ValueError: such a verdict is vacuous.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not 0 < tol < float("inf"):  # also false for NaN
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if tol > 1:  # a failed discrete fact's residual of 1 would pass
+        raise ValueError(f"tol must be at most 1, got {tol}")
     names = sorted(SUITES) if suites is None else sorted(suites)
     unknown = [s for s in names if s not in SUITES]
     if unknown:

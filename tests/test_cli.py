@@ -101,6 +101,35 @@ def test_usage_error_tol_not_positive_and_finite(capsys, argv, tol):
     assert "argument --tol: must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["steinberg", "--n", "4"],
+    ["golden", "--n", "4"],
+    ["verify", "--n", "4"],
+])
+def test_usage_error_tol_above_one(capsys, argv):
+    # a failed discrete fact scores residual 1, which such a tol would pass
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "5"])
+    assert exc.value.code == 2
+    assert "argument --tol: must be at most 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--n", "4", "--tol", "abc"], "--tol"),
+    (["verify", "--n", "abc"], "--n"),
+    (["roots", "--n", "x"], "--n"),
+    (["verify", "--n", "4", "--samples", "x"], "--samples"),
+])
+def test_usage_error_unparsable_value_names_the_flag_only(capsys, argv, flag):
+    # argparse would name the private parsing function ("invalid _tol value")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err
+    assert "invalid _" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ["from-gamma", "--n", "4", "--gamma", "nan,0,0,nan"],
     ["from-gamma", "--n", "4", "--gamma=-inf,0,0,inf"],

@@ -35,7 +35,6 @@ from ttstokes.linalg import (
     nan_max,
     omega_diag,
     omega_pow,
-    reversal_matrix,
     shift_matrix,
 )
 from ttstokes.solutions import gamma_from_k
@@ -380,12 +379,12 @@ def _tau_dense(n1, mat):
 
 
 def _sigma_dense(n1, mat):
-    rev = reversal_matrix(n1).astype(complex)
+    rev = np.eye(n1, dtype=complex)[::-1]
     return -rev @ mat.T @ rev
 
 
 def _creal_dense(n1, mat):
-    rev = reversal_matrix(n1).astype(complex)
+    rev = np.eye(n1, dtype=complex)[::-1]
     return rev @ np.conj(mat) @ rev
 
 

@@ -1,5 +1,5 @@
-"""The verify suites' own guards: no vacuous pass for an empty sample, and
-no pass for a NaN residual (the builtin max would drop it); the stokes
+"""The verify suites' own guards: no vacuous pass for an empty sample or a
+tolerance above 1, and no pass for a NaN residual (the builtin max would drop it); the stokes
 suite's inverses in closed form, and its checks failing on a broken
 relation; the stokes, solutions and
 connections suites on one sample stack per size, equal to the per-sample
@@ -58,6 +58,17 @@ def test_run_suites_rejects_fewer_than_one_sample(samples):
 def test_run_suites_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tol"):
         run_suites([4], samples=5, seed=1, tol=tol)
+
+
+def test_a_wrong_discrete_fact_fails_at_every_accepted_tolerance(monkeypatch):
+    # the solutions suite scores a polytope/alcove disagreement as residual
+    # 1, which passes any tolerance above 1, so such a tolerance is refused
+    monkeypatch.setattr(verify, "polytope_contains",
+                        lambda g: ~alcove_coords(g).in_alcove())
+    (res,) = run_suites([5], samples=5, seed=1, tol=1.0, suites=["solutions"])
+    assert res.max_residual == 1.0 and not res.passed
+    with pytest.raises(ValueError, match="at most 1"):
+        run_suites([5], samples=5, seed=1, tol=5.0, suites=["solutions"])
 
 
 def test_a_nan_residual_fails_its_cell(monkeypatch):
