@@ -174,8 +174,8 @@ def _member_draws(seed: int, members: int, samples: int, cols: int) -> list:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Worst residual of each symmetry identity: numpy floats and a bool for
-    one field, (S,) arrays for a stack."""
+    """Worst residual of each symmetry identity: numpy floats for one field,
+    (S,) arrays for a stack."""
 
     n_plus_1: int
     cyclic: float
@@ -183,7 +183,6 @@ class SymmetryReport:
     reality: float
     conj: float
     real_form: float
-    passed: bool
 
 
 def symmetry_report(f: TodaField, zeta_samples: int = 20,
@@ -226,15 +225,14 @@ def symmetry_report(f: TodaField, zeta_samples: int = 20,
         rel_residuals(np.conj(a_zc), a),
         rel_residuals(_creal(b), b),
     ]).max(axis=-1)
-    passed = res.max(axis=0) < 1e-10
     # one field's residuals are numpy floats, as this report has always given
-    return SymmetryReport(n1, *res, passed if lead else bool(passed))
+    return SymmetryReport(n1, *res)
 
 
 @dataclass(frozen=True)
 class DiagonalizerReport:
-    """Residuals of the diagonalization identities: floats and a bool for
-    one field, (S,) arrays for a stack."""
+    """Residuals of the diagonalization identities and the pattern fact:
+    floats and a bool for one field, (S,) arrays for a stack."""
 
     n_plus_1: int
     fourier_residual: float
@@ -242,7 +240,6 @@ class DiagonalizerReport:
     wt_residual: float
     bridge_residual: float
     pattern_ok: bool
-    passed: bool
 
 
 def _inner_diagonal(n1: int) -> np.ndarray:
@@ -311,9 +308,8 @@ def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
     pattern_ok = bool(np.array_equal(np.abs(conj_probe) > 1e-12,
                                      np.abs(probe) > 1e-12))
 
-    res = [np.full(lead, r_fourier), r_w, r_wt, np.full(lead, r_bridge)]
-    passed = (np.maximum.reduce(res) < 1e-10) & pattern_ok
-    return _report(DiagonalizerReport, n1, *res, np.full(lead, pattern_ok), passed)
+    return _report(DiagonalizerReport, n1, np.full(lead, r_fourier), r_w, r_wt,
+                   np.full(lead, r_bridge), np.full(lead, pattern_ok))
 
 
 @dataclass(frozen=True)
@@ -403,7 +399,6 @@ class OmegaHatSymmetryReport:
     n_plus_1: int
     cyclic: float
     anti: float
-    passed: bool
 
 
 def omega_hat_symmetry_report(d: OmegaHatData, lambda_samples: int = 20,
@@ -430,8 +425,7 @@ def omega_hat_symmetry_report(d: OmegaHatData, lambda_samples: int = 20,
         stack.reshape(lead + (3, lambda_samples, n1, n1)), -4, 0)
     r_cyc = rel_residuals(_tau(fmat), om * f_om).max(axis=-1)
     r_anti = rel_residuals(_sigma(fmat), -f_neg).max(axis=-1)
-    return _report(OmegaHatSymmetryReport, n1, r_cyc, r_anti,
-                   np.maximum(r_cyc, r_anti) < 1e-10)
+    return _report(OmegaHatSymmetryReport, n1, r_cyc, r_anti)
 
 
 def toda_rhs(f: TodaField) -> np.ndarray:

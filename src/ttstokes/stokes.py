@@ -54,26 +54,22 @@ def monodromy_support(n_plus_1: int) -> np.ndarray:
     Support of any product q1 q2 P with the factors on their patterns and P
     the (signed) cyclic shift.
     """
-    a = q_pattern(n_plus_1, 0).astype(int)
-    b = q_pattern(n_plus_1, 1).astype(int)
+    a, b = q_patterns(n_plus_1)[:2].astype(int)
     p = np.abs(cyclic_for(n_plus_1)).astype(int)
     return (a @ b @ p) > 0
 
 
 def q_pattern(n_plus_1: int, ell: int) -> np.ndarray:
-    """Boolean mask of allowed entries for the Stokes factor at direction ell.
-
-    True on the diagonal and at the slots of the roots supported on
-    direction ell (mod 2(n+1)), read off :func:`~ttstokes.roots.direction_map`.
-    """
-    pat = direction_map(n_plus_1) == ell % (2 * n_plus_1)
-    np.fill_diagonal(pat, True)
-    return pat
+    """Boolean mask of allowed entries for the Stokes factor at direction ell,
+    taken mod 2(n+1): that entry of :func:`q_patterns`."""
+    return q_patterns(n_plus_1)[ell % (2 * n_plus_1)]
 
 
 def q_patterns(n_plus_1: int) -> np.ndarray:
-    """All 2(n+1) masks of :func:`q_pattern`, stacked from one direction
-    map: entry ell is the mask of direction ell."""
+    """All 2(n+1) Stokes factor masks, stacked from one direction map:
+    entry ell is True on the diagonal and at the slots of the roots
+    supported on direction ell, read off
+    :func:`~ttstokes.roots.direction_map`."""
     pat = direction_map(n_plus_1) == np.arange(2 * n_plus_1)[:, None, None]
     diag = np.arange(n_plus_1)
     pat[:, diag, diag] = True

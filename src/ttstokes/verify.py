@@ -290,9 +290,12 @@ def run_suites(
     is reported as failed with an infinite residual instead of aborting the
     whole run.  Fewer than one sample or a tolerance that is not positive
     and finite, or is above 1, is a ValueError: such a verdict is vacuous.
+    A negative seed, which no suite's generator takes, is one too.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if not 0 < tol < float("inf"):  # also false for NaN
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if tol > 1:  # a failed discrete fact's residual of 1 would pass

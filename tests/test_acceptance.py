@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from ttstokes.cli import main
-from ttstokes.linalg import Tolerance, char_poly, eigenvalues, match_multisets, max_abs
+from ttstokes.linalg import (DEFAULT_TOL, Tolerance, char_poly, eigenvalues,
+                             match_multisets, max_abs)
 from ttstokes.roots import (
     order_diagram,
     simple_system_check,
@@ -131,7 +132,7 @@ def test_criterion_04_steinberg():
             worst_lin = max(worst_lin, max_abs(
                 chi(steinberg_section(cal, t)) - cal.chi_of_t(t)))
         rep = cross_section_check(cal, samples=100, seed=n1)
-        assert rep.passed
+        assert rep.section_residual < 1e-9 and rep.monodromy_residual < 1e-9
         worst_set = max(worst_set, rep.section_residual, rep.monodromy_residual)
     assert worst_lin < 1e-9
     assert worst_set < 1e-8
@@ -328,7 +329,7 @@ def test_criterion_10_unitary_conjugacy():
     worst = 0.0
     for n1 in (4, 5):
         rep = unitary_conjugacy_check(n1, samples=50, seed=n1)
-        assert rep.passed
+        assert rep.max_residual < DEFAULT_TOL.bound(1.0)
         worst = max(worst, rep.max_residual)
     assert worst < 1e-8
     elapsed = time.perf_counter() - t0

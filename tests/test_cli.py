@@ -12,10 +12,11 @@ import sys
 import numpy as np
 import pytest
 
-from ttstokes import cli
+from ttstokes import cli, steinberg
 from ttstokes.cli import main
 from ttstokes.linalg import ConsistencyError, NumericalError
 from ttstokes.steinberg import CalibrationError
+from ttstokes.verify import run_suites
 
 
 def run_cli(capsys, *argv):
@@ -114,11 +115,25 @@ def test_usage_error_tol_above_one(capsys, argv):
     assert "argument --tol: must be at most 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["steinberg", "--n", "4"],
+    ["golden", "--n", "4"],
+    ["verify", "--n", "4", "--samples", "5"],
+])
+def test_usage_error_negative_seed(capsys, argv):
+    # numpy's generators take no negative seed
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "--n", "4", "--tol", "abc"], "--tol"),
     (["verify", "--n", "abc"], "--n"),
     (["roots", "--n", "x"], "--n"),
     (["verify", "--n", "4", "--samples", "x"], "--samples"),
+    (["steinberg", "--n", "4", "--seed", "x"], "--seed"),
 ])
 def test_usage_error_unparsable_value_names_the_flag_only(capsys, argv, flag):
     # argparse would name the private parsing function ("invalid _tol value")
@@ -288,6 +303,28 @@ def test_alcove_gamma_direction(capsys):
 # ---------------------------------------------------------------------------
 # steinberg and golden
 # ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:chi applied to a matrix")
+@pytest.mark.parametrize("n1", range(3, 31))
+def test_steinberg_exit_code_is_the_verify_cell_verdict(capsys, n1):
+    # both judge the same cross-section residuals against the same --tol
+    code, _, _ = run_cli(capsys, "steinberg", "--n", str(n1), "--samples", "25",
+                         "--seed", "0")
+    (cell,) = run_suites([n1], samples=25, seed=0, suites=["steinberg"])
+    assert code == (0 if cell.passed else 1), (n1, cell)
+
+
+def test_a_nan_section_residual_fails_the_steinberg_command(capsys, monkeypatch):
+    def nan_section(cal, e):
+        return np.full((cal.n_plus_1, cal.n_plus_1), np.nan)
+
+    monkeypatch.setattr(steinberg, "reconstruct_from_chi", nan_section)
+    code, out, _ = run_cli(capsys, "steinberg", "--n", "4", "--format", "json")
+    assert code == 1
+    env = json.loads(out)
+    assert env["payload"]["passed"] is False
+    assert env["residuals"]["section_residual"] == "nan"
+
 
 def test_steinberg_command(capsys):
     code, out, _ = run_cli(capsys, "steinberg", "--n", "4", "--format", "json",

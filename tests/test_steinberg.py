@@ -21,8 +21,6 @@ from ttstokes import reference as ref
 from ttstokes import steinberg
 from ttstokes.linalg import (
     DEFAULT_TOL,
-    NumericalError,
-    Tolerance,
     cyclic_for,
     elementary,
     match_multisets,
@@ -645,18 +643,17 @@ def test_chi_of_section_is_signed_relabeling(n1, vals):
 @pytest.mark.parametrize("n1", [4, 5])
 def test_cross_section_check_reference_sizes(n1):
     rep = cross_section_check(calibrate(n1), samples=100, seed=0)
-    assert rep.passed
-    assert rep.section_residual < 1e-8
-    assert rep.monodromy_residual < 1e-8
+    assert rep.section_residual < 1e-9
+    assert rep.monodromy_residual < 1e-9
 
 
 @pytest.mark.parametrize("n1", range(3, 11))
 def test_cross_section_check_all_sizes(n1):
     rep = cross_section_check(calibrate(n1), samples=25, seed=n1)
-    assert rep.passed, (n1, rep)
+    assert rep.section_residual < 1e-9 and rep.monodromy_residual < 1e-9, (n1, rep)
 
 
-def _cross_section_check_loop(cal, samples=100, seed=0, tol=DEFAULT_TOL):
+def _cross_section_check_loop(cal, samples=100, seed=0):
     """The cross-section check one sample at a time, in the draw order of
     the stacked one."""
     rng = np.random.default_rng(seed)
@@ -678,24 +675,22 @@ def _cross_section_check_loop(cal, samples=100, seed=0, tol=DEFAULT_TOL):
         scale0 = max(1.0, max_abs(M0))
         back = reconstruct_from_chi(cal, chi(M0))
         worst_monodromy = nan_max(worst_monodromy, max_abs(back - M0) / scale0)
-    passed = worst_section <= tol.bound(1.0) * 10 and worst_monodromy <= tol.bound(1.0) * 10
-    return steinberg.CrossSectionReport(n1, samples, worst_section, worst_monodromy, passed)
+    return steinberg.CrossSectionReport(n1, samples, worst_section, worst_monodromy)
 
 
 @pytest.mark.parametrize("samples", [1, 5, 20])
 def test_cross_section_check_equals_the_loop(samples):
-    # 22..28 fail the check; their residuals must be the loop's all the same
+    # some residuals at 22..28 are above 1e-9; they must be the loop's all the same
     for n1 in range(3, 29):
         cal = calibrate(n1)
         seed = 10 * n1 + samples
-        for tol in (DEFAULT_TOL, Tolerance(1e-15, 1e-15)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                got = cross_section_check(cal, samples=samples, seed=seed, tol=tol)
-                want = _cross_section_check_loop(cal, samples=samples, seed=seed, tol=tol)
-            assert [type(v) for v in dataclasses.astuple(got)] == [
-                type(v) for v in dataclasses.astuple(want)]
-            assert got == want, (n1, got, want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = cross_section_check(cal, samples=samples, seed=seed)
+            want = _cross_section_check_loop(cal, samples=samples, seed=seed)
+        assert [type(v) for v in dataclasses.astuple(got)] == [
+            type(v) for v in dataclasses.astuple(want)]
+        assert got == want, (n1, got, want)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -742,20 +737,16 @@ def test_the_identity_is_not_regular(n1):
 
 def test_unitary_conjugacy_property():
     rep = unitary_conjugacy_check(4, samples=50, seed=0)
-    assert rep.passed
-    assert rep.max_residual < 1e-8
+    assert rep.max_residual < DEFAULT_TOL.bound(1.0)
     rep5 = unitary_conjugacy_check(5, samples=20, seed=1)
-    assert rep5.passed
+    assert rep5.max_residual < DEFAULT_TOL.bound(1.0)
 
 
-def test_unitary_conjugacy_check_uses_its_tol():
-    # the residual is about 1.4e-15: above a 1e-15 verdict bound, while the
-    # eigenvalue gate and the match still pass
-    rep = unitary_conjugacy_check(4, samples=3, seed=0, tol=Tolerance(5e-16, 5e-16))
+def test_unitary_conjugacy_residual_is_at_rounding_level():
+    # about 1.4e-15: the eigenvalue gate and the match pass on a residual
+    # that is rounding, not zero
+    rep = unitary_conjugacy_check(4, samples=3, seed=0)
     assert 1e-15 < rep.max_residual < 1e-14
-    assert not rep.passed
-    with pytest.raises(NumericalError):
-        unitary_conjugacy_check(4, samples=3, seed=0, tol=Tolerance(1e-300, 1e-300))
 
 
 def test_unitary_conjugacy_nan_residual_fails(monkeypatch):
@@ -763,7 +754,6 @@ def test_unitary_conjugacy_nan_residual_fails(monkeypatch):
     monkeypatch.setattr(steinberg, "match_multisets", lambda *a, **k: np.nan)
     rep = unitary_conjugacy_check(4, samples=3, seed=0)
     assert np.isnan(rep.max_residual)
-    assert not rep.passed
 
 
 # a calibrated section reconstructs every sampled fundamental monodromy: the

@@ -54,6 +54,13 @@ def test_run_suites_rejects_fewer_than_one_sample(samples):
         run_suites([4], samples=samples, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, -7])
+def test_run_suites_rejects_a_negative_seed(seed):
+    # no suite's generator takes one: it would fail cells, not the call
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        run_suites([4], samples=5, seed=seed)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
 def test_run_suites_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tol"):
@@ -83,14 +90,14 @@ def test_a_nan_residual_fails_its_cell(monkeypatch):
 
 def test_a_nan_section_residual_fails_the_cross_section_check(monkeypatch):
     cal = calibrate(4)
-    assert cross_section_check(cal, samples=3, seed=1).passed
+    rep = cross_section_check(cal, samples=3, seed=1)
+    assert rep.section_residual < 1e-9 and rep.monodromy_residual < 1e-9
 
     def nan_section(cal, e):
         return np.full((cal.n_plus_1, cal.n_plus_1), np.nan)
 
     monkeypatch.setattr(steinberg, "reconstruct_from_chi", nan_section)
     rep = cross_section_check(cal, samples=3, seed=1)
-    assert not rep.passed
     assert math.isnan(rep.section_residual)
     assert math.isnan(rep.monodromy_residual)
 
