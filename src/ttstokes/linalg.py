@@ -4,7 +4,9 @@ else is built from.
 
 Conventions used across the package:
 
-* matrices are numpy arrays, complex128 unless a function says otherwise;
+* matrices are numpy arrays; a kernel computes in float64 on real (or
+  integer) input and in complex128 on complex input, so real input stays
+  real, except that :func:`eigenvalues` always returns complex128;
 * polynomial coefficient vectors are monic and stored in increasing-degree
   order, coeffs[k] multiplying mu**k, with coeffs[-1] == 1;
 * ``n_plus_1`` is the matrix size (the Lie theory lives in sl(n+1)).
@@ -126,6 +128,13 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _working(x) -> np.ndarray:
+    """x as an array of its working dtype: float64 for real or integer
+    input, complex128 for complex input."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, float), copy=False)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -135,6 +144,8 @@ def char_poly(M) -> np.ndarray:
 
     M is one square matrix or a stack (S, dim, dim) of them; a stack gives
     one coefficient row per member, each equal to the member's own call.
+    Real input runs in float64 and returns float64 coefficients; complex
+    input runs in complex128.
     Faddeev-LeVerrier recursion: B_0 = I, then A_k = M B_{k-1},
     c_{dim-k} = -tr(A_k)/k, B_k = A_k + c_{dim-k} I. No eigenvalue solve is
     involved, which keeps this route independent of :func:`eigenvalues`.
@@ -143,7 +154,7 @@ def char_poly(M) -> np.ndarray:
     last, so that c broadcasts over the diagonal as it is, and a single
     matrix needs no extra axis.
     """
-    M = np.asarray(M, dtype=complex)
+    M = _working(M)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ValueError(
             f"expected a square matrix or a stack of them, got shape {M.shape}"
@@ -151,9 +162,9 @@ def char_poly(M) -> np.ndarray:
     dim = M.shape[-1]
     lead = M.shape[:-2]
     flat = lead + (dim * dim,)
-    coeffs = np.zeros((dim + 1,) + lead, dtype=complex)
+    coeffs = np.zeros((dim + 1,) + lead, dtype=M.dtype)
     coeffs[dim] = 1.0
-    B = np.eye(dim, dtype=complex)
+    B = np.eye(dim, dtype=M.dtype)
     for k in range(1, dim + 1):
         B = M @ B
         diag = B.reshape(flat).T[:: dim + 1]
@@ -177,12 +188,17 @@ def eigenvalues(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Every returned lambda must nearly annihilate the independently recomputed
     characteristic polynomial: |p(lambda)| <= tol.bound(sum_k |c_k||lambda|^k).
     Failing that is a NumericalError, not a silent return.
+
+    A real M takes LAPACK's real solver, whose complex eigenvalues come in
+    exact conjugate pairs, and a real characteristic polynomial. The values
+    are complex128 for every input, also when all of them are real.
     """
-    M = np.asarray(M, dtype=complex)
+    M = _working(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     try:
-        vals = np.linalg.eigvals(M)
+        # numpy returns a real array when every eigenvalue of a real M is real
+        vals = np.linalg.eigvals(M).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from None
     coeffs = char_poly(M)

@@ -223,8 +223,8 @@ def s_formulas(n_plus_1: int, g: GammaVector) -> tuple[float, float]:
 def _section_from_gamma(cal: SectionCalibration,
                         g: GammaVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenvalue lists of ``g``, their monic polynomials (complex,
-    increasing order) and the section values with those polynomials, one row
-    or matrix per member of a stack.
+    increasing order) and the float64 section values with those polynomials,
+    one row or matrix per member of a stack.
 
     :func:`gamma_to_m0` returns the section values; the verify suite
     compares all three, so each polynomial is expanded once.
@@ -252,8 +252,10 @@ def gamma_to_m0(cal: SectionCalibration, g: GammaVector) -> MonodromyMatrix:
 
     The eigenvalue list is closed under conjugation, so the characteristic
     coefficients are real; an imaginary part beyond ``DEFAULT_TOL`` raises
-    NumericalError. A stack of gammas gives the stack (S, n+1, n+1) of
-    monodromies; the first member whose imaginary part is too large raises.
+    NumericalError. The section is built from the real parts, so the
+    monodromy is a float64 matrix in SL(n+1, R). A stack of gammas gives
+    the stack (S, n+1, n+1) of monodromies; the first member whose
+    imaginary part is too large raises.
     """
     return MonodromyMatrix(g.n_plus_1, _section_from_gamma(cal, g)[2])
 

@@ -84,6 +84,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     _modulus,
+    _working,
     char_poly,
     cyclic_for,
     eigenvalues,
@@ -162,9 +163,10 @@ class SectionCalibration:
         return np.array(self.chi_signs) * t[..., np.array(self.chi_sources)]
 
     def t_of_chi(self, e) -> np.ndarray:
-        """The inverse relabeling; e is (n,) or a stack (S, n)."""
-        e = np.asarray(e, dtype=complex)
-        t = np.zeros(e.shape, dtype=complex)
+        """The inverse relabeling; e is (n,) or a stack (S, n). Real e
+        gives float64 coordinates, complex e complex128."""
+        e = _working(e)
+        t = np.zeros(e.shape, dtype=e.dtype)
         # transposed, the coordinate axis comes first for (n,) and (S, n)
         t.T[np.array(self.chi_sources)] = (np.array(self.chi_signs) * e).T
         return t
@@ -329,12 +331,13 @@ def steinberg_section(cal: SectionCalibration, t) -> np.ndarray:
     Built as the cyclic shift plus each signed t_k in its calibrated slot,
     which equals the product exactly (see the module docstring). A stack of
     coordinates (S, n) gives the stack (S, n+1, n+1) of section values.
+    Real t gives a float64 value in SL(n+1, R), complex t a complex128 one.
     """
-    t = np.asarray(t, dtype=complex)
+    t = _working(t)
     n1 = cal.n_plus_1
     if t.ndim not in (1, 2) or t.shape[-1] != n1 - 1:
         raise ValueError(f"expected {n1 - 1} coordinates, got shape {t.shape}")
-    M = np.empty(t.shape[:-1] + (n1, n1), dtype=complex)
+    M = np.empty(t.shape[:-1] + (n1, n1), dtype=t.dtype)
     M[...] = cyclic_for(n1)
     M[..., cal.slot_rows, cal.slot_cols] += cal.slot_signs * t
     return M
@@ -368,7 +371,8 @@ def chi(M) -> np.ndarray:
 
 
 def reconstruct_from_chi(cal: SectionCalibration, e) -> np.ndarray:
-    """The unique section value with the given signed coefficients."""
+    """The unique section value with the given signed coefficients: float64
+    for real e, complex128 for complex e."""
     return steinberg_section(cal, cal.t_of_chi(e))
 
 

@@ -334,12 +334,18 @@ def _horner(coeffs, x):
     return complex(acc)
 
 
+def _in_own_dtype(M):
+    """M as float64 when it is real, complex128 when it is complex."""
+    M = np.asarray(M)
+    return M.astype(np.result_type(M, float))
+
+
 def _char_poly_loop(M):
-    M = np.asarray(M, dtype=complex)
+    M = _in_own_dtype(M)
     dim = M.shape[0]
-    coeffs = np.zeros(dim + 1, dtype=complex)
+    coeffs = np.zeros(dim + 1, dtype=M.dtype)
     coeffs[dim] = 1.0
-    B = np.eye(dim, dtype=complex)
+    B = np.eye(dim, dtype=M.dtype)
     for k in range(1, dim + 1):
         A = M @ B
         c = -np.trace(A) / k
@@ -349,8 +355,8 @@ def _char_poly_loop(M):
 
 
 def _eigenvalues_loop(M, tol):
-    M = np.asarray(M, dtype=complex)
-    vals = np.linalg.eigvals(M)
+    M = _in_own_dtype(M)
+    vals = np.linalg.eigvals(M).astype(complex)
     coeffs = _char_poly_loop(M)
     for lam in vals:
         scale = sum(abs(c) * abs(lam) ** k for k, c in enumerate(coeffs))
@@ -442,6 +448,16 @@ def test_stacked_char_poly_equals_the_member_calls(S):
         assert np.array_equal(char_poly(real[None])[0], _char_poly_loop(real))
 
 
+def test_real_stacks_keep_real_char_polys():
+    rng = np.random.default_rng(935)
+    for dim in range(1, 41):
+        stack = rng.normal(size=(5, dim, dim))
+        got = char_poly(stack)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.stack([char_poly(M) for M in stack])), dim
+    assert char_poly(np.eye(3, dtype=int)).dtype == np.float64
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 2, 3, 3), ()])
 def test_char_poly_rejects_what_is_no_square_matrix_or_stack(shape):
     with pytest.raises(ValueError, match="square matrix or a stack"):
@@ -474,6 +490,19 @@ def test_eigenvalue_gate_equals_the_loop():
     assert tripped > 100
 
 
+def test_real_spectra_are_complex_and_closed_under_conjugation():
+    rng = np.random.default_rng(945)
+    for dim in range(1, 41):
+        A = rng.normal(size=(dim, dim)) / np.sqrt(dim)
+        n1 = max(dim, 3)
+        section = steinberg_section(calibrate(n1), rng.normal(size=n1 - 1))
+        # the symmetric one is a matrix whose spectrum numpy returns real
+        for M in (A, (A + A.T) / 2, section):
+            vals = eigenvalues(M)
+            assert vals.dtype == np.complex128
+            assert np.array_equal(np.sort(vals), np.sort(vals.conj())), dim
+
+
 def test_eigenvalue_gate_equals_the_loop_on_the_bound():
     # tuned so that the worst lambda sits on the bound, where the verdict
     # turns on the last bits of the residual and of the scale
@@ -481,7 +510,7 @@ def test_eigenvalue_gate_equals_the_loop_on_the_bound():
     for M in _random_matrices(940):
         coeffs = _char_poly_loop(M)
         ratio = 0.0
-        for lam in np.linalg.eigvals(np.asarray(M, dtype=complex)):
+        for lam in np.linalg.eigvals(_in_own_dtype(M)).astype(complex):
             scale = sum(abs(c) * abs(lam) ** k for k, c in enumerate(coeffs))
             if scale:
                 ratio = max(ratio, abs(_horner(coeffs, lam)) / scale)

@@ -37,7 +37,7 @@ from ttstokes.solutions import (
     random_polytope_gamma,
     s_formulas,
 )
-from ttstokes.steinberg import calibrate
+from ttstokes.steinberg import _signed_coeffs, calibrate, steinberg_section
 from ttstokes.stokes import StokesParams, build_m0
 
 from test_stokes import params_4, params_5
@@ -401,6 +401,31 @@ def test_gamma_to_m0_matches_stokes_route_5():
 def test_gamma_to_m0_is_real():
     m0 = gamma_to_m0(calibrate(5), gv(5, [1.0, 0.5, 0, -0.5, -1.0]))
     assert np.max(np.abs(m0.matrix.imag)) < 1e-12
+
+
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_gamma_to_m0_is_a_real_section_value(n1):
+    # the section at the real coefficients of the eigenvalue list, built in
+    # float64, equals the real part of the same section built in complex128
+    cal = calibrate(n1)
+    rng = np.random.default_rng([610, n1])
+    built = 0
+    for _ in range(8):
+        g = random_polytope_gamma(n1, rng)
+        try:
+            m0 = gamma_to_m0(cal, g).matrix
+        except NumericalError as exc:
+            # the realness gate, which runs before the section is built,
+            # trips on some draws from n+1 = 35 on (ROADMAP item 1b)
+            assert n1 >= 35 and "not real" in str(exc)
+            continue
+        coeffs = solutions.poly_from_roots(eigenvalues_from_gamma(g))
+        t = cal.t_of_chi(_signed_coeffs(coeffs).real)
+        assert m0.dtype == t.dtype == np.float64
+        assert np.array_equal(m0, steinberg_section(cal, t.astype(complex)).real)
+        assert abs(np.linalg.det(m0) - 1.0) < 1e-9
+        built += 1
+    assert built
 
 
 @pytest.mark.parametrize("n1", range(3, 11))
