@@ -267,11 +267,7 @@ def _cmd_from_gamma(ns):
         warnings.simplefilter("ignore")
         lams, coeffs, m0 = _section_from_gamma(calibrate(n1), g)
     rho = alcove_coords(g)
-    char_imag = float(np.max(np.abs(coeffs.imag)))
-    mono_imag = float(np.max(np.abs(m0.imag)))
     residuals = {
-        "char_imag": char_imag,
-        "monodromy_imag": mono_imag,
         "char_vs_section": max_abs(char_poly(m0) - coeffs),
         "alcove_roundtrip": float(np.max(np.abs(
             alcove_to_gamma(rho).gamma - g.gamma))),
@@ -281,10 +277,10 @@ def _cmd_from_gamma(ns):
         "polytope_member": inside,
         "warning": None if inside else "gamma lies outside the polytope",
         "eigenvalues": list(lams),
-        "char_poly_increasing": list(coeffs.real),
+        "char_poly_increasing": list(coeffs),
         "alcove_rho": list(rho.rho),
         "in_alcove": rho.in_alcove(),
-        "monodromy": m0.real,
+        "monodromy": m0,
     }
     if n1 in (4, 5):
         s1, s2 = s_formulas(n1, g)
@@ -295,7 +291,7 @@ def _cmd_from_gamma(ns):
              f"{'yes' if rho.in_alcove() else 'no'})",
              "eigenvalues: " + " ".join(_fmt_c(z) for z in lams),
              "char poly (increasing): " + " ".join(
-                 _fnum(c) for c in coeffs.real)]
+                 _fnum(c) for c in coeffs)]
     if "s_values" in payload:
         lines.append("s values: " + _vec_str(payload["s_values"]))
     lines.append("monodromy:")

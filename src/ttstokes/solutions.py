@@ -21,11 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    NumericalError,
-    poly_from_roots,
-)
 from .steinberg import SectionCalibration, _signed_coeffs, reconstruct_from_chi
 from .stokes import MonodromyMatrix
 
@@ -107,6 +102,18 @@ def polytope_contains(g: GammaVector):
     return _member_result(_in_polytope(g.gamma))
 
 
+def _gamma_angles(g: GammaVector) -> np.ndarray:
+    """The angles a_j, j < m = floor((n+1)/2), of the eigenvalue pairs
+    exp(+-i a_j) of ``g``: shape (m,) for one vector, (S, m) for a stack."""
+    n1 = g.n_plus_1
+    m = n1 // 2
+    two_j = np.arange(0, 2 * m, 2)
+    # the same operations, in the same order, as one pair at a time
+    if n1 % 2 == 0:
+        return np.pi * (g.gamma[..., :m] + two_j + 1) / n1
+    return np.pi * (g.gamma[..., :m] - (n1 - 1) + two_j) / n1
+
+
 def eigenvalues_from_gamma(g: GammaVector) -> np.ndarray:
     """Eigenvalues of the fundamental monodromy, as a list of unit-modulus
     complex numbers in conjugate pairs (plus the fixed eigenvalue 1 when the
@@ -121,20 +128,39 @@ def eigenvalues_from_gamma(g: GammaVector) -> np.ndarray:
             warnings.warn(f"gamma outside the polytope{_member(g.gamma.ndim, k)}: "
                           "eigenvalues may collide or leave the expected arcs",
                           stacklevel=2)
-    n1 = g.n_plus_1
-    m = n1 // 2
-    two_j = np.arange(0, 2 * m, 2)
-    # the same operations, in the same order, as one pair at a time
-    if n1 % 2 == 0:
-        a = np.pi * (g.gamma[..., :m] + two_j + 1) / n1
-    else:
-        a = np.pi * (g.gamma[..., :m] - (n1 - 1) + two_j) / n1
+    a = _gamma_angles(g)
+    m = a.shape[-1]
     lead = a.shape[:-1]
-    lams = np.empty(lead + (n1,), dtype=complex)
+    lams = np.empty(lead + (g.n_plus_1,), dtype=complex)
     # exp(1j a_j), exp(-1j a_j) side by side, then the 1 of an odd size
     lams[..., :2 * m] = np.exp(a[..., None] * _PLUS_MINUS_I).reshape(lead + (2 * m,))
     lams[..., 2 * m:] = 1.0
     return lams
+
+
+def _gamma_char_coeffs(g: GammaVector) -> np.ndarray:
+    """The monic polynomial of the eigenvalue list of ``g``, increasing order,
+    float64: the product of the real quadratics 1 - 2cos(a_j) x + x^2, times
+    x - 1 at odd size. Shape (n+2,) for one vector, (S, n+2) for a stack.
+
+    Each factor is multiplied into the whole stack at once, so a member's
+    row is the same, bit for bit, as its own call's.
+    """
+    n1 = g.n_plus_1
+    b = -2.0 * np.cos(_gamma_angles(g))
+    c = np.zeros(b.shape[:-1] + (n1 + 1,))
+    if n1 % 2 == 0:
+        c[..., 0] = 1.0
+        deg = 0
+    else:
+        c[..., :2] = (-1.0, 1.0)
+        deg = 1
+    for j in range(b.shape[-1]):
+        low = c[..., :deg + 1].copy()
+        c[..., 1:deg + 2] += b[..., j, None] * low
+        c[..., 2:deg + 3] += low
+        deg += 2
+    return c
 
 
 def shift_vector(n_plus_1: int) -> np.ndarray:
@@ -222,40 +248,29 @@ def s_formulas(n_plus_1: int, g: GammaVector) -> tuple[float, float]:
 
 def _section_from_gamma(cal: SectionCalibration,
                         g: GammaVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The eigenvalue lists of ``g``, their monic polynomials (complex,
+    """The eigenvalue lists of ``g``, their monic polynomials (float64,
     increasing order) and the float64 section values with those polynomials,
     one row or matrix per member of a stack.
 
     :func:`gamma_to_m0` returns the section values; the verify suite
     compares all three, so each polynomial is expanded once.
     """
-    n1 = g.n_plus_1
-    if cal.n_plus_1 != n1:
+    if cal.n_plus_1 != g.n_plus_1:
         raise ValueError("calibration size does not match gamma size")
     lams = eigenvalues_from_gamma(g)
-    coeffs = np.array([poly_from_roots(row) for row in lams.reshape(-1, n1)])
-    coeffs = coeffs.reshape(lams.shape[:-1] + (n1 + 1,))
-    e = _signed_coeffs(coeffs)
-    drift = np.abs(e.imag).max(axis=-1)
-    # written so that a NaN drift fails too
-    ok = drift <= DEFAULT_TOL.bound(np.abs(e).max(axis=-1) + 1.0)
-    if not ok.all():
-        first = np.argmin(np.atleast_1d(ok))
-        raise NumericalError("characteristic coefficients not real: "
-                             f"{np.atleast_1d(drift)[first]:.3e}")
-    return lams, coeffs, reconstruct_from_chi(cal, e.real)
+    coeffs = _gamma_char_coeffs(g)
+    return lams, coeffs, reconstruct_from_chi(cal, _signed_coeffs(coeffs))
 
 
 def gamma_to_m0(cal: SectionCalibration, g: GammaVector) -> MonodromyMatrix:
     """Fundamental monodromy with the eigenvalue list of ``g``, realized on
     the calibrated cross-section.
 
-    The eigenvalue list is closed under conjugation, so the characteristic
-    coefficients are real; an imaginary part beyond ``DEFAULT_TOL`` raises
-    NumericalError. The section is built from the real parts, so the
-    monodromy is a float64 matrix in SL(n+1, R). A stack of gammas gives
-    the stack (S, n+1, n+1) of monodromies; the first member whose
-    imaginary part is too large raises.
+    The eigenvalue list is closed under conjugation, so its characteristic
+    polynomial is the product of real quadratics (times x - 1 at odd size),
+    expanded in float64; the monodromy is the float64 section value with
+    those coefficients, a matrix in SL(n+1, R). A stack of gammas gives the
+    stack (S, n+1, n+1) of monodromies.
     """
     return MonodromyMatrix(g.n_plus_1, _section_from_gamma(cal, g)[2])
 

@@ -271,14 +271,36 @@ def test_gamma_free_expansion(capsys):
 def test_from_gamma_expands_its_polynomial_once(capsys, monkeypatch):
     from ttstokes import solutions
     calls = []
-    for name in ("eigenvalues_from_gamma", "poly_from_roots"):
+    for name in ("eigenvalues_from_gamma", "_gamma_char_coeffs"):
         real = getattr(solutions, name)
         monkeypatch.setattr(solutions, name, lambda *a, _n=name, _f=real, **k:
                             calls.append(_n) or _f(*a, **k))
     code, out, _ = run_cli(capsys, "from-gamma", "--n", "6",
                            "--gamma-free", "0.1,0.2,0.3", "--format", "json")
     assert code == 0
-    assert sorted(calls) == ["eigenvalues_from_gamma", "poly_from_roots"]
+    assert sorted(calls) == ["_gamma_char_coeffs", "eigenvalues_from_gamma"]
+
+
+def _centre_and_spaced():
+    # gamma = 0 and the evenly spaced free half 0.5 (m, ..., 1) / m
+    for n1 in range(35, 41):
+        yield pytest.param(n1, ",".join(["0"] * (n1 // 2)), id=f"centre-{n1}")
+    for n1 in (36, 38, 39, 40):
+        m = n1 // 2
+        yield pytest.param(n1, ",".join(repr(0.5 * k / m) for k in range(m, 0, -1)),
+                           id=f"spaced-{n1}")
+
+
+@pytest.mark.parametrize("n1, free", list(_centre_and_spaced()))
+def test_from_gamma_builds_the_centre_at_large_sizes(capsys, n1, free):
+    code, out, _ = run_cli(capsys, "from-gamma", "--n", str(n1),
+                           "--gamma-free", free, "--format", "json")
+    assert code == 0
+    env = json.loads(out)
+    # the coefficients are real by construction: no imaginary part to report
+    assert sorted(env["residuals"]) == ["alcove_roundtrip", "char_vs_section"]
+    assert env["residuals"]["char_vs_section"] < 1e-12
+    assert len(env["payload"]["char_poly_increasing"]) == n1 + 1
 
 
 # ---------------------------------------------------------------------------

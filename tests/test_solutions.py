@@ -10,13 +10,13 @@ check, not a tautology.
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttstokes import solutions
 from ttstokes.linalg import (
-    NumericalError,
     Tolerance,
     char_poly,
     eigenvalues,
@@ -278,6 +278,29 @@ def test_stacked_gamma_to_m0_equals_member_calls(n1):
     assert np.array_equal(m0.matrix, loop)
 
 
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_stacked_char_coeffs_equal_member_calls(n1):
+    g = random_polytope_gamma(n1, np.random.default_rng([620, n1]), STACK)
+    coeffs = solutions._gamma_char_coeffs(g)
+    assert coeffs.dtype == np.float64 and coeffs.shape == (STACK, n1 + 1)
+    loop = np.stack([solutions._gamma_char_coeffs(h) for h in members(g)])
+    assert np.array_equal(coeffs, loop)
+
+
+@pytest.mark.parametrize("n1", range(3, 17))
+def test_char_coeffs_agree_with_a_50_digit_expansion(n1):
+    # the same eigenvalue lists, multiplied out one root at a time
+    g = random_polytope_gamma(n1, np.random.default_rng([630, n1]), 20)
+    coeffs = solutions._gamma_char_coeffs(g)
+    with mpmath.workdps(50):
+        for row, lams in zip(coeffs, eigenvalues_from_gamma(g)):
+            ref = [mpmath.mpc(1)]
+            for lam in lams.tolist():
+                ref = [a - lam * b for a, b in zip([0] + ref, ref + [0])]
+            err = max(abs(c - z.real) for c, z in zip(row.tolist(), ref))
+            assert err <= 1e-12 * max(1.0, np.abs(row).max())
+
+
 def test_one_warning_per_member_outside_the_polytope_in_member_order():
     g = GammaVector(4, np.array([[4.0, 0.0, 0.0, -4.0],
                                  [0.0, 0.0, 0.0, 0.0],
@@ -290,33 +313,6 @@ def test_one_warning_per_member_outside_the_polytope_in_member_order():
     assert [str(w.message) for w in caught] == [
         f"gamma outside the polytope (member {k}): eigenvalues may collide "
         "or leave the expected arcs" for k in (0, 2, 4)]
-
-
-def drifting_poly_from_roots(monkeypatch, drifts):
-    """Patch the polynomial expansion to add drifts[k] * 1j to the k-th call."""
-    real = solutions.poly_from_roots
-    calls = []
-
-    def drifting(roots):
-        calls.append(None)
-        return real(roots) + 1j * drifts.get(len(calls) - 1, 0.0)
-
-    monkeypatch.setattr(solutions, "poly_from_roots", drifting)
-
-
-def test_the_first_drifting_member_raises(monkeypatch):
-    cal = calibrate(5)
-    g = random_polytope_gamma(5, np.random.default_rng(3), STACK)
-    drifting_poly_from_roots(monkeypatch, {2: 1e-3, 5: 4e-2})
-    with pytest.raises(NumericalError,
-                       match=r"^characteristic coefficients not real: 1\.000e-03$"):
-        gamma_to_m0(cal, g)
-
-
-def test_a_nan_drift_fails_the_realness_gate(monkeypatch):
-    drifting_poly_from_roots(monkeypatch, {0: np.nan})
-    with pytest.raises(NumericalError, match="not real: nan"):
-        gamma_to_m0(calibrate(4), gv(4, [0.3, -0.7, 0.7, -0.3]))
 
 
 # ---------------------------------------------------------------------------
@@ -409,23 +405,13 @@ def test_gamma_to_m0_is_a_real_section_value(n1):
     # float64, equals the real part of the same section built in complex128
     cal = calibrate(n1)
     rng = np.random.default_rng([610, n1])
-    built = 0
     for _ in range(8):
         g = random_polytope_gamma(n1, rng)
-        try:
-            m0 = gamma_to_m0(cal, g).matrix
-        except NumericalError as exc:
-            # the realness gate, which runs before the section is built,
-            # trips on some draws from n+1 = 35 on (ROADMAP item 1b)
-            assert n1 >= 35 and "not real" in str(exc)
-            continue
-        coeffs = solutions.poly_from_roots(eigenvalues_from_gamma(g))
-        t = cal.t_of_chi(_signed_coeffs(coeffs).real)
+        m0 = gamma_to_m0(cal, g).matrix
+        t = cal.t_of_chi(_signed_coeffs(solutions._gamma_char_coeffs(g)))
         assert m0.dtype == t.dtype == np.float64
         assert np.array_equal(m0, steinberg_section(cal, t.astype(complex)).real)
         assert abs(np.linalg.det(m0) - 1.0) < 1e-9
-        built += 1
-    assert built
 
 
 @pytest.mark.parametrize("n1", range(3, 11))
