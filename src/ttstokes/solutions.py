@@ -104,7 +104,16 @@ def polytope_contains(g: GammaVector):
 
 def _gamma_angles(g: GammaVector) -> np.ndarray:
     """The angles a_j, j < m = floor((n+1)/2), of the eigenvalue pairs
-    exp(+-i a_j) of ``g``: shape (m,) for one vector, (S, m) for a stack."""
+    exp(+-i a_j) of ``g``: shape (m,) for one vector, (S, m) for a stack.
+
+    Each member outside the polytope warns once, in member order.
+    """
+    inside = _in_polytope(g.gamma)
+    if not inside.all():
+        for k in np.flatnonzero(~inside.reshape(-1)).tolist():
+            warnings.warn(f"gamma outside the polytope{_member(g.gamma.ndim, k)}: "
+                          "eigenvalues may collide or leave the expected arcs",
+                          stacklevel=3)
     n1 = g.n_plus_1
     m = n1 // 2
     two_j = np.arange(0, 2 * m, 2)
@@ -112,6 +121,17 @@ def _gamma_angles(g: GammaVector) -> np.ndarray:
     if n1 % 2 == 0:
         return np.pi * (g.gamma[..., :m] + two_j + 1) / n1
     return np.pi * (g.gamma[..., :m] - (n1 - 1) + two_j) / n1
+
+
+def _eigenvalue_lists(n1: int, a: np.ndarray) -> np.ndarray:
+    """exp(+-i a_j) side by side for the angles ``a`` of :func:`_gamma_angles`,
+    then the 1 of an odd size ``n1``: shape (n1,) or (S, n1)."""
+    m = a.shape[-1]
+    lead = a.shape[:-1]
+    lams = np.empty(lead + (n1,), dtype=complex)
+    lams[..., :2 * m] = np.exp(a[..., None] * _PLUS_MINUS_I).reshape(lead + (2 * m,))
+    lams[..., 2 * m:] = 1.0
+    return lams
 
 
 def eigenvalues_from_gamma(g: GammaVector) -> np.ndarray:
@@ -122,32 +142,19 @@ def eigenvalues_from_gamma(g: GammaVector) -> np.ndarray:
     A stack (S, n+1) gives one list per row, shape (S, n+1). Each member
     outside the polytope warns once, in member order.
     """
-    inside = _in_polytope(g.gamma)
-    if not inside.all():
-        for k in np.flatnonzero(~inside.reshape(-1)).tolist():
-            warnings.warn(f"gamma outside the polytope{_member(g.gamma.ndim, k)}: "
-                          "eigenvalues may collide or leave the expected arcs",
-                          stacklevel=2)
-    a = _gamma_angles(g)
-    m = a.shape[-1]
-    lead = a.shape[:-1]
-    lams = np.empty(lead + (g.n_plus_1,), dtype=complex)
-    # exp(1j a_j), exp(-1j a_j) side by side, then the 1 of an odd size
-    lams[..., :2 * m] = np.exp(a[..., None] * _PLUS_MINUS_I).reshape(lead + (2 * m,))
-    lams[..., 2 * m:] = 1.0
-    return lams
+    return _eigenvalue_lists(g.n_plus_1, _gamma_angles(g))
 
 
-def _gamma_char_coeffs(g: GammaVector) -> np.ndarray:
-    """The monic polynomial of the eigenvalue list of ``g``, increasing order,
-    float64: the product of the real quadratics 1 - 2cos(a_j) x + x^2, times
-    x - 1 at odd size. Shape (n+2,) for one vector, (S, n+2) for a stack.
+def _gamma_char_coeffs(n1: int, a: np.ndarray) -> np.ndarray:
+    """The monic polynomial of the eigenvalue list with the angles ``a`` of
+    :func:`_gamma_angles` at size ``n1``, increasing order, float64: the
+    product of the real quadratics 1 - 2cos(a_j) x + x^2, times x - 1 at odd
+    size. Shape (n1+1,) for one angle row, (S, n1+1) for a stack.
 
     Each factor is multiplied into the whole stack at once, so a member's
     row is the same, bit for bit, as its own call's.
     """
-    n1 = g.n_plus_1
-    b = -2.0 * np.cos(_gamma_angles(g))
+    b = -2.0 * np.cos(a)
     c = np.zeros(b.shape[:-1] + (n1 + 1,))
     if n1 % 2 == 0:
         c[..., 0] = 1.0
@@ -257,9 +264,10 @@ def _section_from_gamma(cal: SectionCalibration,
     """
     if cal.n_plus_1 != g.n_plus_1:
         raise ValueError("calibration size does not match gamma size")
-    lams = eigenvalues_from_gamma(g)
-    coeffs = _gamma_char_coeffs(g)
-    return lams, coeffs, reconstruct_from_chi(cal, _signed_coeffs(coeffs))
+    a = _gamma_angles(g)
+    coeffs = _gamma_char_coeffs(g.n_plus_1, a)
+    return (_eigenvalue_lists(g.n_plus_1, a), coeffs,
+            reconstruct_from_chi(cal, _signed_coeffs(coeffs)))
 
 
 def gamma_to_m0(cal: SectionCalibration, g: GammaVector) -> MonodromyMatrix:

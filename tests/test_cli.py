@@ -271,14 +271,14 @@ def test_gamma_free_expansion(capsys):
 def test_from_gamma_expands_its_polynomial_once(capsys, monkeypatch):
     from ttstokes import solutions
     calls = []
-    for name in ("eigenvalues_from_gamma", "_gamma_char_coeffs"):
+    for name in ("_gamma_angles", "_gamma_char_coeffs"):
         real = getattr(solutions, name)
         monkeypatch.setattr(solutions, name, lambda *a, _n=name, _f=real, **k:
                             calls.append(_n) or _f(*a, **k))
     code, out, _ = run_cli(capsys, "from-gamma", "--n", "6",
                            "--gamma-free", "0.1,0.2,0.3", "--format", "json")
     assert code == 0
-    assert sorted(calls) == ["_gamma_char_coeffs", "eigenvalues_from_gamma"]
+    assert sorted(calls) == ["_gamma_angles", "_gamma_char_coeffs"]
 
 
 def _centre_and_spaced():

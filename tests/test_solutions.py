@@ -10,7 +10,6 @@ check, not a tautology.
 
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,20 +277,25 @@ def test_stacked_gamma_to_m0_equals_member_calls(n1):
     assert np.array_equal(m0.matrix, loop)
 
 
+def char_coeffs(g):
+    return solutions._gamma_char_coeffs(g.n_plus_1, solutions._gamma_angles(g))
+
+
 @pytest.mark.parametrize("n1", range(3, 41))
 def test_stacked_char_coeffs_equal_member_calls(n1):
     g = random_polytope_gamma(n1, np.random.default_rng([620, n1]), STACK)
-    coeffs = solutions._gamma_char_coeffs(g)
+    coeffs = char_coeffs(g)
     assert coeffs.dtype == np.float64 and coeffs.shape == (STACK, n1 + 1)
-    loop = np.stack([solutions._gamma_char_coeffs(h) for h in members(g)])
+    loop = np.stack([char_coeffs(h) for h in members(g)])
     assert np.array_equal(coeffs, loop)
 
 
 @pytest.mark.parametrize("n1", range(3, 17))
 def test_char_coeffs_agree_with_a_50_digit_expansion(n1):
     # the same eigenvalue lists, multiplied out one root at a time
+    mpmath = pytest.importorskip("mpmath")
     g = random_polytope_gamma(n1, np.random.default_rng([630, n1]), 20)
-    coeffs = solutions._gamma_char_coeffs(g)
+    coeffs = char_coeffs(g)
     with mpmath.workdps(50):
         for row, lams in zip(coeffs, eigenvalues_from_gamma(g)):
             ref = [mpmath.mpc(1)]
@@ -408,7 +412,7 @@ def test_gamma_to_m0_is_a_real_section_value(n1):
     for _ in range(8):
         g = random_polytope_gamma(n1, rng)
         m0 = gamma_to_m0(cal, g).matrix
-        t = cal.t_of_chi(_signed_coeffs(solutions._gamma_char_coeffs(g)))
+        t = cal.t_of_chi(_signed_coeffs(char_coeffs(g)))
         assert m0.dtype == t.dtype == np.float64
         assert np.array_equal(m0, steinberg_section(cal, t.astype(complex)).real)
         assert abs(np.linalg.det(m0) - 1.0) < 1e-9

@@ -320,7 +320,8 @@ def _suite_solutions_loop(n_plus_1, samples, seed, tol, cal):
         lams = eigenvalues_from_gamma(g)
         worst = nan_max(worst, float(np.max(np.abs(np.abs(lams) - 1.0))))
         m0s.append(gamma_to_m0(cal, g).matrix)
-        expects.append([solutions._gamma_char_coeffs(g)])
+        a = solutions._gamma_angles(g)
+        expects.append([solutions._gamma_char_coeffs(n_plus_1, a)])
         if n_plus_1 in (4, 5):
             s1, s2 = s_formulas(n_plus_1, g)
             if n_plus_1 == 4:
@@ -353,13 +354,13 @@ def test_the_solutions_suite_makes_one_call_per_stack(monkeypatch):
                             lambda *a, **k: calls.append(name) or real(*a, **k))
 
     counting(verify, "random_polytope_gamma")
-    counting(solutions, "eigenvalues_from_gamma")
+    counting(solutions, "_gamma_angles")
     counting(solutions, "_gamma_char_coeffs")
     counting(verify, "char_poly")
     (res,) = run_suites([5], samples=10, seed=1, suites=["solutions"])
     assert res.passed and res.checks == 50
     assert sorted(calls) == sorted(
-        ["random_polytope_gamma", "eigenvalues_from_gamma", "_gamma_char_coeffs",
+        ["random_polytope_gamma", "_gamma_angles", "_gamma_char_coeffs",
          "char_poly"])
 
 
