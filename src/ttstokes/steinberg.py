@@ -395,28 +395,28 @@ def cross_section_check(
 
     Section direction: random t, the value s(t) must sit inside the
     monodromy support pattern and survive the chi roundtrip. Monodromy
-    direction: random constrained Stokes coefficients, the fundamental
-    monodromy must be reproduced exactly by the section at its own chi.
+    direction: random constrained Stokes coefficients, M0 = q1 q2 P must
+    equal the section at the t read off its slots, exactly: M0 is the shift
+    plus its slot entries. Slot signs and relabeling are left to the section
+    direction and to ``calibrate``'s integer proof.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     n1 = cal.n_plus_1
     n = n1 - 1
-    mask = monodromy_support(n1)
-    # each sample draws n real parts, n imaginary parts, then its Stokes
-    # coefficients, so one draw is split by columns
+    # one draw split by columns: n real parts, n imaginary, Stokes coefficients
     layout = _stokes_layout(n1)
     z = rng.normal(size=(samples, 2 * n + layout.width(real=False)))
 
     M = steinberg_section(cal, z[:, :n] + 1j * z[:, n:2 * n])
-    off = np.abs(M[:, ~mask]).max(axis=1, initial=0.0)
+    off = np.abs(M[:, ~monodromy_support(n1)]).max(axis=1, initial=0.0)
     off /= np.fmax(1.0, np.abs(M).max(axis=(1, 2)))
-    worst_section = nan_max(
-        0.0, *off.tolist(), rel_residual(reconstruct_from_chi(cal, chi(M)), M)
-    )
+    rt = rel_residual(reconstruct_from_chi(cal, chi(M)), M)
+    worst_section = nan_max(0.0, *off.tolist(), rt)
     M0 = build_m0(_stokes_from_normals(layout, z[:, 2 * n:], False, 1.0)).matrix
-    worst_monodromy = rel_residual(reconstruct_from_chi(cal, chi(M0)), M0)
+    t0 = cal.slot_signs * M0[:, cal.slot_rows, cal.slot_cols]
+    worst_monodromy = rel_residual(steinberg_section(cal, t0), M0)
     return CrossSectionReport(n1, samples, worst_section, worst_monodromy)
 
 

@@ -6,7 +6,8 @@ Criteria summary:
  1  reference tables for sizes 4 and 5 via the roots command, < 1 s
  2  closed-form tables == argument condition, sizes 3..12, all directions, < 5 s
  3  adapted simple systems certified for sizes 3..12, < 5 s
- 4  cross-section calibration + set equality both directions, sizes 3..10, < 30 s
+ 4  cross-section calibration, section chi roundtrip, monodromy equal to the
+    section at its slots (exact support and shift), sizes 3..10, < 30 s
  5  monodromy spectra match the eigenvalue lists, 100 gamma per size 3..10, < 60 s
  6  closed-form s values == char-poly coefficients at sizes 4 and 5
  7  alcove bijection roundtrips and membership equivalence with boundary points

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttstokes import reference as ref
-from ttstokes import steinberg
+from ttstokes import steinberg, verify
 from ttstokes.linalg import (
     DEFAULT_TOL,
     cyclic_for,
@@ -674,7 +674,8 @@ def _cross_section_check_loop(cal, samples=100, seed=0):
         p = random_stokes_params(n1, rng)
         M0 = build_m0(p).matrix
         scale0 = max(1.0, max_abs(M0))
-        back = reconstruct_from_chi(cal, chi(M0))
+        t0 = cal.slot_signs * M0[cal.slot_rows, cal.slot_cols]
+        back = steinberg_section(cal, t0)
         worst_monodromy = nan_max(worst_monodromy, max_abs(back - M0) / scale0)
     return steinberg.CrossSectionReport(n1, samples, worst_section, worst_monodromy)
 
@@ -692,6 +693,72 @@ def test_cross_section_check_equals_the_loop(samples):
         assert [type(v) for v in dataclasses.astuple(got)] == [
             type(v) for v in dataclasses.astuple(want)]
         assert got == want, (n1, got, want)
+
+
+@pytest.mark.parametrize("n1", [*range(3, 41), 48, 64, 100])
+def test_the_monodromy_is_the_section_at_its_slots_exactly(n1):
+    # the dense product q1 q2 P is the shift plus its slot entries, bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # chi's determinant warnings past 20
+        rep = cross_section_check(calibrate(n1), samples=5, seed=n1)
+    assert rep.monodromy_residual == 0.0
+
+
+def test_the_cross_section_check_calls_chi_once(monkeypatch):
+    calls = []
+
+    def counting_chi(M):
+        calls.append(M.shape)
+        return chi(M)
+
+    monkeypatch.setattr(steinberg, "chi", counting_chi)
+    cross_section_check(calibrate(6), samples=7, seed=1)
+    assert calls == [(7, 6, 6)]
+
+
+def _read_only(a):
+    a = np.array(a, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+def _flipped_sign(cal):
+    signs = cal.slot_signs.copy()
+    signs[0] = -signs[0]
+    return dataclasses.replace(cal, slot_signs=_read_only(signs))
+
+
+def _swapped_slots(cal):
+    order = [1, 0, *range(2, cal.n_plus_1 - 1)]
+    return dataclasses.replace(cal, slot_rows=_read_only(cal.slot_rows[order]),
+                               slot_cols=_read_only(cal.slot_cols[order]))
+
+
+def _moved_column(cal):
+    cols = cal.slot_cols.copy()
+    cols[0] = (cols[0] + 1) % cal.n_plus_1
+    return dataclasses.replace(cal, slot_cols=_read_only(cols))
+
+
+# Reading and writing the same slots, the monodromy identity cannot see a
+# slot's sign or which coordinate sits in which slot: the section direction's
+# chi roundtrip guards those. A slot in the wrong place breaks the identity.
+@pytest.mark.parametrize("n1", [5, 6, 7])
+@pytest.mark.parametrize("mutate, caught_by, floor", [
+    (_flipped_sign, "section_residual", 1.8),
+    (_swapped_slots, "section_residual", 1.29),
+    (_moved_column, "monodromy_residual", 0.9),
+])
+def test_a_miscalibrated_section_fails_the_steinberg_cell(
+        n1, mutate, caught_by, floor, monkeypatch):
+    bad = mutate(calibrate(n1))
+    rep = cross_section_check(bad, samples=50, seed=7)
+    assert getattr(rep, caught_by) >= floor
+    if caught_by == "section_residual":
+        assert rep.monodromy_residual == 0.0
+    monkeypatch.setattr(verify, "calibrate", lambda n_plus_1: bad)
+    (cell,) = verify.run_suites([n1], samples=50, seed=7, suites=["steinberg"])
+    assert not cell.passed and cell.note == ""
 
 
 @pytest.mark.parametrize("samples", [0, -3])

@@ -96,7 +96,13 @@ def test_a_nan_section_residual_fails_the_cross_section_check(monkeypatch):
     def nan_section(cal, e):
         return np.full((cal.n_plus_1, cal.n_plus_1), np.nan)
 
+    def nan_monodromy(params):
+        n1 = params.n_plus_1
+        return stokes.MonodromyMatrix(n1, np.full((3, n1, n1), np.nan))
+
+    # the section direction's roundtrip and the monodromy's dense product
     monkeypatch.setattr(steinberg, "reconstruct_from_chi", nan_section)
+    monkeypatch.setattr(steinberg, "build_m0", nan_monodromy)
     rep = cross_section_check(cal, samples=3, seed=1)
     assert math.isnan(rep.section_residual)
     assert math.isnan(rep.monodromy_residual)
