@@ -5,7 +5,7 @@ The package is organised by construction stage:
  - ttstokes.linalg       shared matrix helpers and tolerance handling
  - ttstokes.roots        singular directions, supported roots, root diagrams
  - ttstokes.stokes       Stokes factors and the fundamental monodromy
- - ttstokes.steinberg    cross-sections of the adjoint quotient, conjugacy checks
+ - ttstokes.steinberg    cross-sections of the adjoint quotient, the coefficient map chi
  - ttstokes.solutions    gamma polytope, eigenvalue lists, alcove bijection
  - ttstokes.connections  meromorphic connection forms and their symmetries
  - ttstokes.verify       batch verification suites behind the CLI
@@ -43,7 +43,6 @@ from .steinberg import (
     cross_section_check,
     reconstruct_from_chi,
     steinberg_section,
-    unitary_conjugacy_check,
 )
 from .stokes import (
     MonodromyMatrix,
@@ -58,8 +57,6 @@ from .stokes import (
 from .connections import (
     OmegaHatData,
     TodaField,
-    build_alpha_hat,
-    build_omega_hat,
     diagonalizer_check,
     omega_hat_symmetry_report,
     symmetry_report,
@@ -99,7 +96,6 @@ __all__ = [
     "cross_section_check",
     "reconstruct_from_chi",
     "steinberg_section",
-    "unitary_conjugacy_check",
     "MonodromyMatrix",
     "StokesParams",
     "build_m0",
@@ -110,8 +106,6 @@ __all__ = [
     "q_patterns",
     "OmegaHatData",
     "TodaField",
-    "build_alpha_hat",
-    "build_omega_hat",
     "diagonalizer_check",
     "omega_hat_symmetry_report",
     "symmetry_report",

@@ -134,12 +134,6 @@ def _alpha_hat_stack(f: TodaField, zetas) -> np.ndarray:
     return out
 
 
-def build_alpha_hat(f: TodaField, zeta: complex) -> np.ndarray:
-    """alpha_hat at one zeta; (S, n+1, n+1) for a stack of fields."""
-    zetas = [zeta] if f.w.ndim == 1 else [[zeta]] * len(f.w)
-    return _alpha_hat_stack(f, zetas)[..., 0, :, :]
-
-
 def _tau(mats: np.ndarray) -> np.ndarray:
     d = omega_diag(mats.shape[-1])
     return np.linalg.inv(d) @ mats @ d
@@ -365,8 +359,9 @@ class OmegaHatData:
 def _omega_hat_stack(d: OmegaHatData, lams) -> np.ndarray:
     """omega_hat at every lambda: (len(lams), n+1, n+1) for one member, and
     (S, m, n+1, n+1) for a stack, whose ``lams`` holds m values per member.
-    The scalar factor of eta is formed per lambda as in the one-matrix
-    formula."""
+    The coefficient is -(n+1)/N * z/lambda^2 * eta + m/lambda, with eta
+    carrying p_i = c_i z^{k_i} on the subdiagonal and p_0 in the top-right
+    corner; the scalar factor of eta is formed per lambda."""
     lam = np.array(lams, dtype=complex)
     if np.any(lam == 0):
         raise ValueError("omega_hat has a pole at lambda = 0")
@@ -381,14 +376,6 @@ def _omega_hat_stack(d: OmegaHatData, lams) -> np.ndarray:
     eta[..., i, (i - 1) % n1] = d.c * np.power(np.asarray(d.z)[..., None], d.k)
     return (coef[..., None, None] * eta[..., None, :, :]
             + _diag(d.m).astype(complex)[..., None, :, :] / lam[..., None, None])
-
-
-def build_omega_hat(d: OmegaHatData, lam: complex) -> np.ndarray:
-    """Coefficient -(n+1)/N * z/lambda^2 * eta + m/lambda, with eta carrying
-    p_i = c_i z^{k_i} on the subdiagonal and p_0 in the top-right corner;
-    (S, n+1, n+1) for a stack."""
-    lams = [lam] if d.c.ndim == 1 else [[lam]] * len(d.c)
-    return _omega_hat_stack(d, lams)[..., 0, :, :]
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,32 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return nan_max(0.0, *rel_residuals(lhs, rhs).reshape(-1).tolist())
 
 
+# complex entries in one chunk's largest stack (2 MB): the sampled checks
+# (the stokes, connections, steinberg and solutions cells) run their trials
+# in chunks of about this size, so their memory does not grow with the
+# sample count
+_CHUNK_ENTRIES = 1 << 17
+
+
+def _in_chunks(trials, entries, check):
+    """Worst of ``check(start, stop)`` over consecutive chunks of trials, each
+    as many as keep ``entries`` per trial within ``_CHUNK_ENTRIES`` (at least
+    one); an error in a later chunk names its trials."""
+    chunk = max(1, _CHUNK_ENTRIES // entries)
+    worst = 0.0
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        try:
+            worst = nan_max(worst, check(start, stop))
+        except (ConsistencyError, NumericalError) as exc:
+            if not start:
+                raise
+            raise type(exc)(
+                f"{exc} (in trials {start}..{stop - 1}; member 0 is trial {start})"
+            ) from exc
+    return worst
+
+
 def _modulus(z: np.ndarray) -> np.ndarray:
     """Entrywise |z| as np.hypot of the parts.
 

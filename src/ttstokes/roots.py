@@ -29,7 +29,6 @@ __all__ = [
     "SingularDirection",
     "OrderDiagram",
     "SimpleSystemCertificate",
-    "all_roots",
     "singular_direction",
     "singular_directions",
     "direction_map",
@@ -50,17 +49,6 @@ _DIRECTION_EPS = 1e-9
 def _check_size(n_plus_1: int) -> None:
     if n_plus_1 < 3:
         raise ValueError(f"need matrix size at least 3, got {n_plus_1}")
-
-
-def all_roots(n_plus_1: int) -> list[Root]:
-    """All n(n+1) roots (i, j), i != j, sorted lexicographically."""
-    _check_size(n_plus_1)
-    return [
-        (i, j)
-        for i in range(n_plus_1)
-        for j in range(n_plus_1)
-        if i != j
-    ]
 
 
 def root_vector(n_plus_1: int, root: Root) -> np.ndarray:

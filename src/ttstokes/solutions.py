@@ -62,10 +62,6 @@ class GammaVector:
         object.__setattr__(
             self, "gamma", _antisymmetric(self.n_plus_1, self.gamma, "gamma"))
 
-    @classmethod
-    def zero(cls, n_plus_1: int) -> "GammaVector":
-        return cls(n_plus_1, np.zeros(n_plus_1))
-
 
 def _member(ndim: int, k: int) -> str:
     """Names member ``k`` in a message about a stack of vectors (ndim 2)."""

@@ -83,13 +83,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _in_chunks,
     _modulus,
     _working,
     char_poly,
     cyclic_for,
-    eigenvalues,
-    match_multisets,
-    max_abs,
     nan_max,
     rel_residual,
 )
@@ -100,14 +98,12 @@ __all__ = [
     "CalibrationError",
     "SectionCalibration",
     "CrossSectionReport",
-    "UnitaryConjugacyReport",
     "calibrate",
     "steinberg_section",
     "chi",
     "reconstruct_from_chi",
     "cross_section_check",
     "regular_centralizer_dim",
-    "unitary_conjugacy_check",
 ]
 
 
@@ -398,7 +394,8 @@ def cross_section_check(
     direction: random constrained Stokes coefficients, M0 = q1 q2 P must
     equal the section at the t read off its slots, exactly: M0 is the shift
     plus its slot entries. Slot signs and relabeling are left to the section
-    direction and to ``calibrate``'s integer proof.
+    direction and to ``calibrate``'s integer proof. The samples are one draw,
+    checked in row blocks, so the matrix stacks do not grow with their number.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -408,15 +405,22 @@ def cross_section_check(
     # one draw split by columns: n real parts, n imaginary, Stokes coefficients
     layout = _stokes_layout(n1)
     z = rng.normal(size=(samples, 2 * n + layout.width(real=False)))
+    outside = ~monodromy_support(n1)
 
-    M = steinberg_section(cal, z[:, :n] + 1j * z[:, n:2 * n])
-    off = np.abs(M[:, ~monodromy_support(n1)]).max(axis=1, initial=0.0)
-    off /= np.fmax(1.0, np.abs(M).max(axis=(1, 2)))
-    rt = rel_residual(reconstruct_from_chi(cal, chi(M)), M)
-    worst_section = nan_max(0.0, *off.tolist(), rt)
-    M0 = build_m0(_stokes_from_normals(layout, z[:, 2 * n:], False, 1.0)).matrix
-    t0 = cal.slot_signs * M0[:, cal.slot_rows, cal.slot_cols]
-    worst_monodromy = rel_residual(steinberg_section(cal, t0), M0)
+    def section(a, b):
+        M = steinberg_section(cal, z[a:b, :n] + 1j * z[a:b, n:2 * n])
+        off = np.abs(M[:, outside]).max(axis=1, initial=0.0)
+        off /= np.fmax(1.0, np.abs(M).max(axis=(1, 2)))
+        rt = rel_residual(reconstruct_from_chi(cal, chi(M)), M)
+        return nan_max(0.0, *off.tolist(), rt)
+
+    def monodromy(a, b):
+        M0 = build_m0(_stokes_from_normals(layout, z[a:b, 2 * n:], False, 1.0)).matrix
+        t0 = cal.slot_signs * M0[:, cal.slot_rows, cal.slot_cols]
+        return rel_residual(steinberg_section(cal, t0), M0)
+
+    worst_section = _in_chunks(samples, n1 * n1, section)
+    worst_monodromy = _in_chunks(samples, n1 * n1, monodromy)
     return CrossSectionReport(n1, samples, worst_section, worst_monodromy)
 
 
@@ -433,51 +437,3 @@ def regular_centralizer_dim(M) -> int:
     s = np.linalg.svd(L, compute_uv=False)
     cutoff = 1e-9 * max(1.0, float(s[0]))
     return int(np.sum(s < cutoff))
-
-
-@dataclass
-class UnitaryConjugacyReport:
-    n_plus_1: int
-    samples: int
-    max_residual: float
-
-
-def unitary_conjugacy_check(
-    n_plus_1: int,
-    samples: int = 25,
-    seed: int = 0,
-) -> UnitaryConjugacyReport:
-    """Conjugating a unitary by a suitably aligned non-unitary stays unitary.
-
-    Construction: k1 = U D U* is unitary with distinct unimodular spectrum;
-    g = V U diag(r) U* with V unitary and r positive non-unit moduli shares
-    k1's eigenbasis up to V, so g k1 g^{-1} = V k1 V* must again be unitary
-    with the same spectrum. Both facts are verified numerically.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        Z = rng.normal(size=(n_plus_1, n_plus_1)) + 1j * rng.normal(
-            size=(n_plus_1, n_plus_1)
-        )
-        U, _ = np.linalg.qr(Z)
-        # distinct angles, separated by construction
-        base = np.sort(rng.uniform(0, 2 * np.pi, size=n_plus_1))
-        angles = base + np.arange(n_plus_1) * 1e-2
-        D = np.diag(np.exp(1j * angles))
-        k1 = U @ D @ U.conj().T
-
-        Z2 = rng.normal(size=(n_plus_1, n_plus_1)) + 1j * rng.normal(
-            size=(n_plus_1, n_plus_1)
-        )
-        V, _ = np.linalg.qr(Z2)
-        r = rng.uniform(0.5, 2.0, size=n_plus_1)
-        g = V @ U @ np.diag(r) @ U.conj().T
-        k2 = g @ k1 @ np.linalg.inv(g)
-
-        unit_res = max_abs(k2 @ k2.conj().T - np.eye(n_plus_1))
-        spec_res = match_multisets(eigenvalues(k2), np.diag(D))
-        worst = nan_max(worst, unit_res, spec_res)
-    return UnitaryConjugacyReport(n_plus_1, samples, worst)

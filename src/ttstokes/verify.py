@@ -23,13 +23,7 @@ from .connections import (
     symmetry_report,
     toda_rhs,
 )
-from .linalg import (
-    ConsistencyError,
-    NumericalError,
-    char_poly,
-    max_abs,
-    nan_max,
-)
+from .linalg import _in_chunks, char_poly, max_abs, nan_max
 from .roots import (
     _roots_on,
     direction_map,
@@ -39,6 +33,7 @@ from .roots import (
     simple_system_check,
 )
 from .solutions import (
+    GammaVector,
     _section_from_gamma,
     alcove_coords,
     alcove_to_gamma,
@@ -92,29 +87,6 @@ def _suite_roots(n_plus_1, samples, seed, tol):
     return SuiteResult("roots", n_plus_1, checks, float(bad), bad == 0)
 
 
-# complex entries in one chunk's largest stack (2 MB): the stokes and
-# connections suites check their trials in chunks of about this size, so
-# their memory does not grow with the sample count
-_CHUNK_ENTRIES = 1 << 17
-
-
-def _in_chunks(trials, chunk, check):
-    """Worst of ``check(start, stop)`` over consecutive chunks of at most
-    ``chunk`` trials; an error in a later chunk names its trials."""
-    worst = 0.0
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        try:
-            worst = nan_max(worst, check(start, stop))
-        except (ConsistencyError, NumericalError) as exc:
-            if not start:
-                raise
-            raise type(exc)(
-                f"{exc} (in trials {start}..{stop - 1}; member 0 is trial {start})"
-            ) from exc
-    return worst
-
-
 def _stokes_trials(layout, z):
     """Worst residual of the stokes suite's trials whose standard normals
     are the rows of ``z``: a trial's complex draw, then its real draw."""
@@ -147,8 +119,8 @@ def _suite_stokes(n_plus_1, samples, seed, tol):
     trials = max(1, samples // 5)
     layout = _stokes_layout(n_plus_1)
     z = rng.normal(size=(trials, layout.width(real=False) + layout.width(real=True)))
-    chunk = max(1, _CHUNK_ENTRIES // (2 * n_plus_1 ** 3))
-    worst = _in_chunks(trials, chunk, lambda a, b: _stokes_trials(layout, z[a:b]))
+    worst = _in_chunks(trials, 2 * n_plus_1 ** 3,
+                       lambda a, b: _stokes_trials(layout, z[a:b]))
     checks = trials * (n_plus_1 + 3)
     zero = [dict.fromkeys(roots, 0.0) for roots in (layout.head, layout.second)]
     trivial = full_monodromy(build_m0(StokesParams(n_plus_1, *zero)))
@@ -164,10 +136,8 @@ def _suite_steinberg(n_plus_1, samples, seed, tol, cal):
     return SuiteResult("steinberg", n_plus_1, 2 * samples + 1, worst, worst < tol)
 
 
-def _suite_solutions(n_plus_1, samples, seed, tol, cal):
-    # the samples as one stack (S, n+1), every function called once on it
-    rng = np.random.default_rng([seed, n_plus_1, 3])
-    g = random_polytope_gamma(n_plus_1, rng, samples)
+def _solutions_trials(cal, g):
+    """Worst residual of the solutions suite over the gamma stack ``g``."""
     p = alcove_coords(g)
     worst = 0.0
     if np.any(polytope_contains(g) != p.in_alcove()):
@@ -179,16 +149,25 @@ def _suite_solutions(n_plus_1, samples, seed, tol, cal):
     # list and, at sizes 4 and 5, against the closed form
     polys = char_poly(m0)
     worst = nan_max(worst, *np.max(np.abs(polys - coeffs), axis=1).tolist())
-    checks = 4 * samples
-    if n_plus_1 in (4, 5):
-        s1, s2 = s_formulas(n_plus_1, g)
-        one = np.ones(samples)
-        if n_plus_1 == 4:
+    if g.n_plus_1 in (4, 5):
+        s1, s2 = s_formulas(g.n_plus_1, g)
+        one = np.ones(len(s1))
+        if g.n_plus_1 == 4:
             closed = np.stack([one, s1, -s2, s1, one], axis=1)
         else:
             closed = np.stack([-one, s1, s2, -s2, -s1, one], axis=1)
         worst = nan_max(worst, *np.max(np.abs(polys - closed), axis=1).tolist())
-        checks += samples
+    return worst
+
+
+def _suite_solutions(n_plus_1, samples, seed, tol, cal):
+    # the samples as one stack (S, n+1), checked in row blocks of at most
+    # one chunk of monodromies
+    rng = np.random.default_rng([seed, n_plus_1, 3])
+    g = random_polytope_gamma(n_plus_1, rng, samples).gamma
+    worst = _in_chunks(samples, n_plus_1 ** 2,
+                       lambda a, b: _solutions_trials(cal, GammaVector(n_plus_1, g[a:b])))
+    checks = 5 * samples if n_plus_1 in (4, 5) else 4 * samples
     return SuiteResult("solutions", n_plus_1, checks, worst, worst < tol)
 
 
@@ -245,8 +224,7 @@ def _suite_connections(n_plus_1, samples, seed, tol):
     highs = [1.0] * (2 * m) + [0.5] + [2.0] * (2 * m + 2) + [2.0, 1.0]
     u = rng.uniform(lows, highs, size=(trials, len(lows)))
     # the largest stack of a chunk is alpha_hat at 30 zetas per trial
-    chunk = max(1, _CHUNK_ENTRIES // (30 * n_plus_1 ** 2))
-    worst = _in_chunks(trials, chunk,
+    worst = _in_chunks(trials, 30 * n_plus_1 ** 2,
                        lambda a, b: _connection_trials(n_plus_1, u[a:b], seed + a))
     return SuiteResult("connections", n_plus_1, 13 * trials, worst, worst < tol)
 
@@ -288,10 +266,14 @@ def run_suites(
 
     Results come back sorted by suite name then size.  A suite that raises
     is reported as failed with an infinite residual instead of aborting the
-    whole run.  Fewer than one sample or a tolerance that is not positive
-    and finite, or is above 1, is a ValueError: such a verdict is vacuous.
-    A negative seed, which no suite's generator takes, is one too.
+    whole run.  No size, no suite, fewer than one sample or a tolerance
+    that is not positive and finite, or is above 1, is a ValueError: such a
+    verdict is vacuous.  A negative seed, which no suite's generator takes,
+    is one too.
     """
+    sizes = sorted(sizes)
+    if not sizes:
+        raise ValueError("need at least one size")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if seed < 0:  # numpy's generators take no negative seed
@@ -301,6 +283,8 @@ def run_suites(
     if tol > 1:  # a failed discrete fact's residual of 1 would pass
         raise ValueError(f"tol must be at most 1, got {tol}")
     names = sorted(SUITES) if suites is None else sorted(suites)
+    if not names:
+        raise ValueError("need at least one suite")
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
@@ -308,7 +292,7 @@ def run_suites(
     out = []
     cals = {}  # this call's calibrations, each size's built once
     for name in names:
-        for n1 in sorted(sizes):
+        for n1 in sizes:
             try:
                 args = (n1, samples, seed, tol)
                 if name in _CALIBRATED:

@@ -51,12 +51,12 @@ from ttstokes.steinberg import (
     chi,
     cross_section_check,
     steinberg_section,
-    unitary_conjugacy_check,
 )
 from ttstokes.stokes import q_pattern
 from ttstokes import reference
 
 from test_roots import REFERENCE_SETS
+from unitary_check import unitary_conjugacy_check
 
 
 def _report(num, detail, elapsed):
@@ -194,7 +194,7 @@ def test_criterion_06_s_formulas():
             worst = max(worst, max_abs(got - expect))
     assert worst < 1e-10
     for n1 in (4, 5):
-        s1, s2 = s_formulas(n1, GammaVector.zero(n1))
+        s1, s2 = s_formulas(n1, GammaVector(n1, np.zeros(n1)))
         assert abs(s1) < 1e-12 and abs(s2) < 1e-12
     s1, s2 = s_formulas(4, GammaVector(4, np.array([-1.0, -3.0, 3.0, 1.0])))
     assert abs(s1 + 4.0) < 1e-12 and abs(s2 + 6.0) < 1e-12

@@ -20,11 +20,11 @@ from ttstokes.connections import (
     OmegaHatSymmetryReport,
     SymmetryReport,
     TodaField,
+    _alpha_hat_stack,
     _creal,
+    _omega_hat_stack,
     _sigma,
     build_W,
-    build_alpha_hat,
-    build_omega_hat,
     diagonalizer_check,
     omega_hat_symmetry_report,
     symmetry_report,
@@ -38,6 +38,18 @@ from ttstokes.linalg import (
     shift_matrix,
 )
 from ttstokes.solutions import gamma_from_k
+
+
+def build_alpha_hat(f, zeta):
+    """alpha_hat at one zeta; (S, n+1, n+1) for a stack of fields."""
+    zetas = [zeta] if f.w.ndim == 1 else [[zeta]] * len(f.w)
+    return _alpha_hat_stack(f, zetas)[..., 0, :, :]
+
+
+def build_omega_hat(d, lam):
+    """omega_hat at one lambda; (S, n+1, n+1) for a stack."""
+    lams = [lam] if d.c.ndim == 1 else [[lam]] * len(d.c)
+    return _omega_hat_stack(d, lams)[..., 0, :, :]
 
 
 def random_field(n1, rng, scale=1.0):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttstokes import reference as ref
 from ttstokes import solutions
 from ttstokes.linalg import (
     Tolerance,
@@ -84,6 +85,29 @@ def test_polytope_vertices_on_boundary():
     assert polytope_contains(gv(4, [-1, 1, -1, 1]))
     assert polytope_contains(gv(4, [-1, -3, 3, 1]))
     assert polytope_contains(gv(4, [3, 1, -1, -3]))
+
+
+def test_polytope_vertices_map_onto_the_alcove_vertices_4():
+    # each transcribed vertex of the size-4 polytope is inside it, cut out by
+    # at least two active gap constraints with independent normals, and sent
+    # to a vertex of the alcove 0 <= rho_0 <= rho_1 <= 1
+    chart = np.array([[1, 0], [0, 1], [0, -1], [-1, 0]])  # (g0, g1) -> gamma
+    # gap i is gamma_(i+1) - gamma_i, wrapping to gamma_0 - gamma_3
+    normals = (np.roll(np.eye(4), -1, axis=0) - np.eye(4)) @ chart
+    active, images = [], []
+    for v in ref.POLYTOPE_VERTICES_4:
+        g = gv(4, v)
+        assert np.array_equal(g.gamma, chart @ g.gamma[:2])
+        p = alcove_coords(g)
+        assert polytope_contains(g) and p.in_alcove()
+        gaps = normals @ g.gamma[:2]
+        assert gaps.min() == -2.0
+        on = np.flatnonzero(gaps == -2.0)
+        assert len(on) >= 2 and np.linalg.matrix_rank(normals[on]) == 2
+        active.append(set(on.tolist()))
+        images.append(tuple(p.rho[:2].tolist()))
+    assert active == [{1, 3}, {0, 2, 3}, {0, 1, 2}]
+    assert images == [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0)]
 
 
 def test_polytope_excludes_far_point():

@@ -1,11 +1,11 @@
-"""The verify suites' own guards: no vacuous pass for an empty sample or a
-tolerance above 1, and no pass for a NaN residual (the builtin max would drop it); the stokes
+"""The verify suites' own guards: no vacuous pass for an empty sample, size
+list or suite list or a tolerance above 1, and no pass for a NaN residual (the builtin max would drop it); the stokes
 suite's inverses in closed form, and its checks failing on a broken
 relation; the stokes, solutions and
 connections suites on one sample stack per size, equal to the per-sample
-loops they replaced; the chunks of trials of the stokes and connections
-suites, their bounded memory and the notes of failing trials; one
-calibration per size for each run."""
+loops they replaced; the chunks of trials of the stokes, connections,
+steinberg and solutions suites, their bounded memory and the notes of
+failing trials; one calibration per size for each run."""
 
 import dataclasses
 import math
@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ttstokes import connections, solutions, steinberg, stokes, verify
+from ttstokes import connections, linalg, solutions, steinberg, stokes, verify
 from ttstokes.connections import (
     OmegaHatData,
     TodaField,
@@ -52,6 +52,17 @@ from ttstokes.verify import SuiteResult, run_suites
 def test_run_suites_rejects_fewer_than_one_sample(samples):
     with pytest.raises(ValueError, match="samples"):
         run_suites([4], samples=samples, seed=1)
+
+
+def test_run_suites_rejects_an_empty_size_list():
+    # all() of no cells is True: an empty run would read as a pass
+    with pytest.raises(ValueError, match="at least one size"):
+        run_suites([], samples=5, seed=1)
+
+
+def test_run_suites_rejects_an_empty_suite_list():
+    with pytest.raises(ValueError, match="at least one suite"):
+        run_suites([4], samples=5, seed=1, suites=[])
 
 
 @pytest.mark.parametrize("seed", [-1, -7])
@@ -207,7 +218,7 @@ def test_the_chunked_stokes_suite_equals_the_per_trial_loop(seed, monkeypatch):
     want = run_suites(sizes, samples=50, seed=seed, suites=["stokes"])
     # one trial per chunk, then chunks of 3 trials at n+1 = 5
     for entries in (1, 3 * 2 * 5 ** 3):
-        monkeypatch.setattr(verify, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", entries)
         assert run_suites(sizes, samples=50, seed=seed, suites=["stokes"]) == want
     monkeypatch.setitem(verify.SUITES, "stokes", _suite_stokes_loop)
     assert run_suites(sizes, samples=50, seed=seed, suites=["stokes"]) == want
@@ -276,7 +287,7 @@ def test_a_failing_trial_gives_the_per_trial_note_naming_its_member(n1, monkeypa
 def test_a_later_chunk_names_its_trials(monkeypatch):
     layout = stokes._stokes_layout(4)
     row = layout.width(real=False) + layout.width(real=True)
-    monkeypatch.setattr(verify, "_CHUNK_ENTRIES", 3 * 2 * 4 ** 3)  # 3 trials
+    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 3 * 2 * 4 ** 3)  # 3 trials
     got, want = _stokes_notes(monkeypatch, 4, [7 * row])
     assert got == want.replace(" is not 1", " of member 1 is not 1") + (
         " (in trials 6..8; member 0 is trial 6)")
@@ -368,6 +379,46 @@ def test_the_solutions_suite_makes_one_call_per_stack(monkeypatch):
     assert sorted(calls) == sorted(
         ["random_polytope_gamma", "_gamma_angles", "_gamma_char_coeffs",
          "char_poly"])
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_chunked_cross_section_check_equals_one_block(seed, monkeypatch):
+    cals = [calibrate(n1) for n1 in range(3, 9)]
+    want = [cross_section_check(cal, samples=50, seed=seed) for cal in cals]
+    # one sample per block, then blocks of 3 samples at n+1 = 5
+    for entries in (1, 3 * 5 ** 2):
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", entries)
+        assert [cross_section_check(cal, samples=50, seed=seed) for cal in cals] == want
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_chunked_solutions_suite_equals_one_block(seed, monkeypatch):
+    sizes = range(3, 9)
+    want = run_suites(sizes, samples=50, seed=seed, suites=["solutions"])
+    # one sample per block, then blocks of 3 samples at n+1 = 5
+    for entries in (1, 3 * 5 ** 2):
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", entries)
+        got = run_suites(sizes, samples=50, seed=seed, suites=["solutions"])
+        assert got == want and _types(got) == _types(want)
+
+
+@pytest.mark.filterwarnings("ignore:chi applied")
+@pytest.mark.parametrize("suite", ["steinberg", "solutions"])
+def test_the_calibrated_suites_memory_does_not_grow_with_the_sample_count(suite):
+    # 500 and 2000 samples at n+1 = 24, in blocks of 227: as one stack, 2000
+    # samples peaked at about 94 MB in the steinberg cell and 30 MB in the
+    # solutions cell
+    peaks = []
+    for samples in (500, 2000):
+        tracemalloc.start()
+        try:
+            (res,) = run_suites([24], samples=samples, seed=1, suites=[suite])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # both cells miss 1e-9 at 24 on char-poly error, but raise nothing
+        assert res.note == "" and math.isfinite(res.max_residual)
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_each_size_is_calibrated_once_per_call(monkeypatch):
@@ -477,8 +528,8 @@ def test_the_stacked_connections_suite_equals_the_per_trial_loop(seed, monkeypat
     assert all(r.passed and r.note == "" for r in want)
     # the default chunks (all ten trials in one up to n+1 = 20), then one
     # trial per chunk, then chunks of 3 trials at n+1 = 5
-    for entries in (verify._CHUNK_ENTRIES, 1, 3 * 30 * 5 ** 2):
-        monkeypatch.setattr(verify, "_CHUNK_ENTRIES", entries)
+    for entries in (linalg._CHUNK_ENTRIES, 1, 3 * 30 * 5 ** 2):
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", entries)
         got = run_suites(sizes, samples=50, seed=seed, suites=["connections"])
         assert got == want and _types(got) == _types(want)
 
