@@ -184,7 +184,10 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _floats(text: str, flag: str) -> list[float]:
-    vals = [float(x) for x in text.split(",")]
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError as exc:  # float's message names the entry, not the flag
+        raise ValueError(f"{flag}: {exc}") from None
     if not all(np.isfinite(vals)):
         raise ValueError(f"{flag} values must be finite")
     return vals

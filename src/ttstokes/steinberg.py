@@ -92,7 +92,7 @@ from .linalg import (
     rel_residual,
 )
 from .roots import Root, table_supported_roots
-from .stokes import _stokes_from_normals, _stokes_layout, build_m0, monodromy_support
+from .stokes import _Layout, _stokes_from_normals, _stokes_layout, build_m0
 
 __all__ = [
     "CalibrationError",
@@ -382,11 +382,8 @@ class CrossSectionReport:
     monodromy_residual: float
 
 
-def cross_section_check(
-    cal: SectionCalibration,
-    samples: int = 100,
-    seed: int = 0,
-) -> CrossSectionReport:
+def cross_section_check(cal: SectionCalibration, samples: int = 100,
+                        seed: int = 0) -> CrossSectionReport:
     """Sample both directions of the section/monodromy correspondence.
 
     Section direction: random t, the value s(t) must sit inside the
@@ -397,15 +394,19 @@ def cross_section_check(
     direction and to ``calibrate``'s integer proof. The samples are one draw,
     checked in row blocks, so the matrix stacks do not grow with their number.
     """
+    return _cross_section_check(cal, _stokes_layout(cal.n_plus_1), samples, seed)
+
+
+def _cross_section_check(cal, layout: _Layout, samples, seed) -> CrossSectionReport:
+    """:func:`cross_section_check` over the size's layout."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     n1 = cal.n_plus_1
     n = n1 - 1
     # one draw split by columns: n real parts, n imaginary, Stokes coefficients
-    layout = _stokes_layout(n1)
     z = rng.normal(size=(samples, 2 * n + layout.width(real=False)))
-    outside = ~monodromy_support(n1)
+    outside = ~layout.support
 
     def section(a, b):
         M = steinberg_section(cal, z[a:b, :n] + 1j * z[a:b, n:2 * n])

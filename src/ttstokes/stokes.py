@@ -42,21 +42,9 @@ __all__ = [
     "build_m0",
     "q_family",
     "full_monodromy",
-    "monodromy_support",
     "random_stokes_params",
     "reality_residual",
 ]
-
-
-def monodromy_support(n_plus_1: int) -> np.ndarray:
-    """Boolean mask of entries the fundamental monodromy can occupy.
-
-    Support of any product q1 q2 P with the factors on their patterns and P
-    the (signed) cyclic shift.
-    """
-    a, b = q_patterns(n_plus_1)[:2].astype(int)
-    p = np.abs(cyclic_for(n_plus_1)).astype(int)
-    return (a @ b @ p) > 0
 
 
 def q_pattern(n_plus_1: int, ell: int) -> np.ndarray:
@@ -66,13 +54,16 @@ def q_pattern(n_plus_1: int, ell: int) -> np.ndarray:
 
 
 def q_patterns(n_plus_1: int) -> np.ndarray:
-    """All 2(n+1) Stokes factor masks, stacked from one direction map:
-    entry ell is True on the diagonal and at the slots of the roots
-    supported on direction ell, read off
-    :func:`~ttstokes.roots.direction_map`."""
-    pat = direction_map(n_plus_1) == np.arange(2 * n_plus_1)[:, None, None]
-    diag = np.arange(n_plus_1)
-    pat[:, diag, diag] = True
+    """All 2(n+1) Stokes factor masks, stacked from one direction map
+    (:func:`~ttstokes.roots.direction_map`): entry ell is True on the
+    diagonal and at the slots of the roots supported on direction ell."""
+    return _patterns(direction_map(n_plus_1))
+
+
+def _patterns(slot_dir: np.ndarray) -> np.ndarray:
+    """The stacked masks of :func:`q_patterns` from the direction map."""
+    pat = slot_dir == np.arange(2 * len(slot_dir))[:, None, None]
+    pat[:, slot_dir < 0] = True  # the diagonal
     return pat
 
 
@@ -91,13 +82,16 @@ class StokesParams:
     second_coeffs: dict[Root, complex]
 
     def __post_init__(self):
-        for which, coeffs in (("head", self.head_coeffs), ("second", self.second_coeffs)):
-            expect = set(table_supported_roots(self.n_plus_1, which))
-            got = set(coeffs)
-            if got != expect:
-                raise ValueError(
-                    f"{which} coefficients keyed by {sorted(got)}, expected {sorted(expect)}"
-                )
+        _check_keys(self.n_plus_1, "head", self.head_coeffs)
+        _check_keys(self.n_plus_1, "second", self.second_coeffs)
+
+
+def _check_keys(n_plus_1: int, which: str, coeffs: dict[Root, complex]) -> None:
+    """Raise ValueError unless ``coeffs`` is keyed by the ``which`` root set."""
+    expect = set(table_supported_roots(n_plus_1, which))
+    if set(coeffs) != expect:
+        raise ValueError(f"{which} coefficients keyed by {sorted(set(coeffs))}, "
+                         f"expected {sorted(expect)}")
 
 
 @dataclass
@@ -120,12 +114,7 @@ def build_q(n_plus_1: int, which: str, coeffs: dict[Root, complex]) -> np.ndarra
     """
     if which not in ("head", "second"):
         raise ValueError(f"which must be 'head' or 'second', got {which!r}")
-    expect = set(table_supported_roots(n_plus_1, which))
-    if set(coeffs) != expect:
-        raise ValueError(
-            f"coefficient keys {sorted(set(coeffs))} do not match the {which} "
-            f"root set {sorted(expect)}"
-        )
+    _check_keys(n_plus_1, which, coeffs)
     rows, cols = np.array(list(coeffs)).T
     vals = np.array(list(coeffs.values()), dtype=complex)
     q = np.zeros(vals.shape[1:] + (n_plus_1, n_plus_1), dtype=complex)
@@ -172,16 +161,13 @@ def _shift_action(n_plus_1: int) -> tuple[np.ndarray, np.ndarray]:
     :func:`~ttstokes.linalg.cyclic_for`.
     """
     P = cyclic_for(n_plus_1)
-    a = np.arange(n_plus_1)
     step = np.argmax(np.abs(P) > 0.5, axis=1)
-    step_sign = P[a, step].astype(np.int64)
-    perm = np.empty((n_plus_1 + 1, n_plus_1), dtype=np.int64)
-    sign = np.empty_like(perm)
-    perm[0], sign[0] = a, 1
-    for j in range(n_plus_1):
-        perm[j + 1] = perm[j][step]
-        sign[j + 1] = step_sign * sign[j][step]
-    return perm, sign
+    step_sign = P[np.arange(n_plus_1), step].astype(np.int64)
+    perm, sign = [np.arange(n_plus_1)], [np.ones(n_plus_1, dtype=np.int64)]
+    for _ in range(n_plus_1):
+        perm.append(perm[-1][step])
+        sign.append(step_sign * sign[-1][step])
+    return np.array(perm), np.array(sign)
 
 
 def q_family(n_plus_1: int, q1: np.ndarray, q2: np.ndarray) -> dict[int, np.ndarray]:
@@ -192,42 +178,32 @@ def q_family(n_plus_1: int, q1: np.ndarray, q2: np.ndarray) -> dict[int, np.ndar
     Stacks q1, q2 of shape (S, n+1, n+1) give values of that shape, member
     by member. Non-finite q1 or q2 raises ConsistencyError. Two structural
     relations are verified over the whole stack, with each member's bound
-    scaled by its own entries; a violation raises ConsistencyError naming
-    the first failing direction and, in a stack, the first failing member:
-
-    * each member is unipotent and supported on its direction's pattern;
-    * advancing ell by n+1 gives the transpose inverse.
+    scaled by its own entries: each member is unipotent and supported on
+    its direction's pattern, and advancing ell by n+1 gives the transpose
+    inverse. A violation raises ConsistencyError naming the first failing
+    direction and, in a stack, the first failing member.
 
     A member on its pattern is I + N with N^2 = 0 (see the module
     docstring), so its transpose inverse is (2I - q)^T, compared entry by
-    entry. That, and the periodicity of conjugation (the (n+1)-st shift
-    power is +-I), are asserted exactly, on the patterns and on the shift's
-    signed permutation.
+    entry. :func:`_stokes_layout` asserts the pattern fact this rests on,
+    and the periodicity of conjugation, exactly, once per size.
     """
+    return _q_family(_stokes_layout(n_plus_1), q1, q2)
+
+
+def _q_family(layout: _Layout, q1, q2) -> dict[int, np.ndarray]:
+    """:func:`q_family` over the size's layout."""
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
     if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
         raise ConsistencyError("Stokes factors q1 and q2 must be finite")
-    n1 = n_plus_1
-    perm, sign = _shift_action(n1)
-    if not (np.array_equal(perm[n1], perm[0]) and np.all(sign[n1] == sign[n1, 0])):
-        raise AssertionError(
-            f"shift conjugation is not periodic: the {n1}-th shift power is not +-I"
-        )
-    pats = q_patterns(n1)
-    slots = pats & ~np.eye(n1, dtype=bool)
-    chained = np.flatnonzero((slots.any(axis=-1) & slots.any(axis=-2)).any(axis=-1))
-    if chained.size:
-        raise AssertionError(
-            f"direction {chained[0]} has a slot ending in a row where another of "
-            "its slots starts: its factors are not I + N with N^2 = 0"
-        )
+    n1, pats = layout.n_plus_1, layout.patterns
 
     # P^j q P^jT is a signed gather of q, as exact as the dense product.
     # Member 2j + h is the j-th conjugate of q1 (h = 0) or q2 (h = 1).
     qs = np.stack([q1, q2], axis=-3)
     lead = qs.shape[:-3]
-    perm, sign = perm[:n1], sign[:n1]
+    perm, sign = layout.shift_perm[:n1], layout.shift_sign[:n1]
     stack = qs[..., np.arange(2)[:, None, None], perm[:, None, :, None],
                perm[:, None, None, :]]
     stack *= sign[:, None, :, None] * sign[:, None, None, :]
@@ -285,21 +261,25 @@ def full_monodromy(m0: MonodromyMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling coefficients compatible with the family relations
+# each size's Stokes table, and sampling compatible with the family relations
 # ---------------------------------------------------------------------------
 
 class _Layout(NamedTuple):
-    """Where each sampled coefficient comes from, built once per size.
-
-    ``draws`` coefficients are drawn per sample, each from one standard
-    normal (real) or two (real part, then imaginary part). The head slots
-    and then the second slots take draw ``source[k]`` times ``sign[k]``, or
-    are forced to zero where ``source[k]`` is -1.
-    """
+    """The Stokes table of one size, read-only: the direction map, the
+    masks of :func:`q_patterns`, the shift powers of :func:`_shift_action`,
+    the support of every q1 q2 P, and the sampler's slots: per sample
+    ``draws`` coefficients, each from one standard normal (real) or two
+    (real part, then imaginary part); the head and then the second slots
+    take draw ``source[k]`` times ``sign[k]``, or 0 if it is -1."""
 
     n_plus_1: int
-    head: list[Root]
-    second: list[Root]
+    directions: np.ndarray
+    patterns: np.ndarray
+    shift_perm: np.ndarray
+    shift_sign: np.ndarray
+    support: np.ndarray
+    head: tuple[Root, ...]
+    second: tuple[Root, ...]
     draws: int
     source: np.ndarray
     sign: np.ndarray
@@ -309,36 +289,49 @@ class _Layout(NamedTuple):
         return self.draws if real else 2 * self.draws
 
 
-def _stokes_layout(n_plus_1: int) -> _Layout:
-    """The sampling layout of one size.
+def _stokes_layout(n1: int) -> _Layout:
+    """The Stokes table of one size, from one direction map and one shift
+    action. Asserted exactly: the (n+1)-st shift power is +-I, and no slot
+    of a direction ends in a row where another of its slots starts.
 
     The half-period transpose-inverse relation, with the inverse I - N of
     every factor, reads q2 - I = -Pm^T (q1 - I)^T Pm for the m-th shift
     power Pm (m = floor((n+1)/2)) at odd n+1, and the same with q1 for q1
-    and with q2 for q2 at even n+1. So the coefficient at (i, j) is minus
-    the signed one at the slot that Pm sends (j, i) to. Slots are visited in
-    table order, head then second: a slot paired with an earlier one takes
-    its draw, signed; a self-paired slot with positive sign is forced to
-    zero; any other slot takes a new draw. At odd n+1 the head slots are
-    paired with no slot (they lie a direction away from both blocks), so
-    their coefficients are the draws in table order.
+    and with q2 for q2 at even n+1: the coefficient at (i, j) is minus the
+    signed one at the slot that Pm sends (j, i) to. Visited in table order,
+    head then second, a slot paired with an earlier one takes its draw,
+    signed; a self-paired slot with positive sign is forced to zero; any
+    other slot, and every head slot at odd n+1 (paired with no slot), takes
+    a new draw.
     """
-    head = table_supported_roots(n_plus_1, "head")
-    second = table_supported_roots(n_plus_1, "second")
-    # P^m sends e_{perm[a]} to sign[a] e_a: invert the row action
-    perm, sign = _shift_action(n_plus_1)
-    image, sgn = np.empty_like(perm[0]), np.empty_like(sign[0])
-    image[perm[n_plus_1 // 2]] = np.arange(n_plus_1)
-    sgn[perm[n_plus_1 // 2]] = sign[n_plus_1 // 2]
-    image, sgn = image.tolist(), sgn.tolist()
-    slots = head + second
-    index = {r: k for k, r in enumerate(slots)}
+    slot_dir = direction_map(n1)
+    pats = _patterns(slot_dir)
+    perm, psign = _shift_action(n1)
+    if not (np.array_equal(perm[n1], perm[0]) and np.all(psign[n1] == psign[n1, 0])):
+        raise AssertionError(f"shift conjugation is not periodic: the {n1}-th shift "
+                             "power is not +-I")
+    slots = pats & ~np.eye(n1, dtype=bool)
+    chained = np.flatnonzero((slots.any(axis=-1) & slots.any(axis=-2)).any(axis=-1))
+    if chained.size:
+        raise AssertionError(f"direction {chained[0]} has a slot ending in a row where "
+                             "another of its slots starts: its factors are not I + N "
+                             "with N^2 = 0")
+    # |P| has its 1 in row a at column perm[1, a]
+    a, b = pats[:2].astype(int)
+    support = (a @ b @ np.eye(n1, dtype=int)[perm[1]]) > 0
+
+    head = tuple(table_supported_roots(n1, "head"))
+    second = tuple(table_supported_roots(n1, "second"))
+    # P^m sends e_{perm[a]} to psign[a] e_a: invert the row action
+    inverse = np.argsort(perm[n1 // 2])
+    image, sgn = inverse.tolist(), psign[n1 // 2][inverse].tolist()
+    index = {r: k for k, r in enumerate(head + second)}
     source, sign = [], []
     draws = 0
-    for k, (i, j) in enumerate(slots):
+    for k, (i, j) in enumerate(head + second):
         p = index.get((image[j], image[i]))
         s = sgn[i] * sgn[j]
-        if p is None and (n_plus_1 % 2 == 0 or k >= len(head)):
+        if p is None and (n1 % 2 == 0 or k >= len(head)):
             raise AssertionError(
                 f"pairing sent {(i, j)} to {(image[j], image[i])}, which is no "
                 "slot; the constraint bookkeeping is wrong"
@@ -353,7 +346,11 @@ def _stokes_layout(n_plus_1: int) -> _Layout:
             source.append(draws)
             sign.append(1.0)
             draws += 1
-    return _Layout(n_plus_1, head, second, draws, np.array(source), np.array(sign))
+    source, sign = np.array(source), np.array(sign)
+    for arr in (slot_dir, pats, perm, psign, support, source, sign):
+        arr.setflags(write=False)
+    return _Layout(n1, slot_dir, pats, perm, psign, support,
+                   head, second, draws, source, sign)
 
 
 def _stokes_from_normals(layout: _Layout, z, real: bool, scale: float) -> StokesParams:

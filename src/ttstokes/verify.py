@@ -1,7 +1,9 @@
 """Randomized invariant suites behind the command line's verify subcommand.
 
 Each suite bundles the structural identities of one module into a single
-(max residual, pass) summary for a given size.  Discrete facts (set
+(max residual, pass) summary for a given size.  Every suite is called as
+``suite(size, samples, seed, tol)`` with the :class:`SizeTables` that
+:func:`run_suites` builds once per size and call.  Discrete facts (set
 equalities, pattern membership, dimension counts) contribute 0 or 1 to the
 residual, and tolerances are at most 1, so a failed one never passes.
 Residuals are accumulated with :func:`~ttstokes.linalg.nan_max`, so a NaN
@@ -26,7 +28,6 @@ from .connections import (
 from .linalg import _in_chunks, char_poly, max_abs, nan_max
 from .roots import (
     _roots_on,
-    direction_map,
     half_period_roots,
     order_diagram,
     shifted_table_roots,
@@ -41,15 +42,16 @@ from .solutions import (
     random_polytope_gamma,
     s_formulas,
 )
-from .steinberg import calibrate, cross_section_check
+from .steinberg import SectionCalibration, _cross_section_check, calibrate
 from .stokes import (
     StokesParams,
+    _Layout,
+    _q_family,
     _stokes_from_normals,
     _stokes_layout,
     build_m0,
     build_q,
     full_monodromy,
-    q_family,
     reality_residual,
 )
 
@@ -64,27 +66,39 @@ class SuiteResult:
     note: str = ""
 
 
-def _suite_roots(n_plus_1, samples, seed, tol):
-    bad = 0
-    checks = 0
-    slot_dir = direction_map(n_plus_1)
-    for ell in range(2 * n_plus_1):
-        checks += 1
-        if set(_roots_on(slot_dir, ell)) != shifted_table_roots(n_plus_1, ell):
-            bad += 1
-    diag = order_diagram(n_plus_1)
+@dataclass(frozen=True)
+class SizeTables:
+    """What one size's suites share: its Stokes layout and, for a calibrated
+    suite, its calibration or the error that :meth:`calibrated` raises."""
+
+    n_plus_1: int
+    layout: _Layout
+    calibration: SectionCalibration | Exception | None = None
+
+    def calibrated(self) -> SectionCalibration:
+        if isinstance(self.calibration, Exception):
+            raise self.calibration
+        return self.calibration
+
+
+def _failed(name: str, n1: int, exc: Exception) -> SuiteResult:
+    """The cell of a suite that raised."""
+    return SuiteResult(name, n1, 0, float("inf"), False, f"{type(exc).__name__}: {exc}")
+
+
+def _suite_roots(size, samples, seed, tol):
+    n1, slot_dir = size.n_plus_1, size.layout.directions
+    # one check per direction, then the simple system and the diagram order
+    bad = sum(set(_roots_on(slot_dir, ell)) != shifted_table_roots(n1, ell)
+              for ell in range(2 * n1))
+    diag = order_diagram(n1)
     head_part, tail_part = diag.simple_roots()
-    positive = half_period_roots(n_plus_1)
-    cert = simple_system_check(n_plus_1, head_part + tail_part, positive)
-    checks += 1
-    if not cert.ok:
-        bad += 1
+    positive = half_period_roots(n1)
+    bad += not simple_system_check(n1, head_part + tail_part, positive).ok
     pos = set(positive)
-    checks += 1
-    if any(diag.is_positive(r) != (r in pos) for r in
-           [(i, j) for i in range(n_plus_1) for j in range(n_plus_1) if i != j]):
-        bad += 1
-    return SuiteResult("roots", n_plus_1, checks, float(bad), bad == 0)
+    bad += any(diag.is_positive((i, j)) != ((i, j) in pos)
+               for i in range(n1) for j in range(n1) if i != j)
+    return SuiteResult("roots", n1, 2 * n1 + 2, float(bad), bad == 0)
 
 
 def _stokes_trials(layout, z):
@@ -97,7 +111,7 @@ def _stokes_trials(layout, z):
     # the modulus of each scalar: numpy's array modulus of a complex can
     # differ from the scalar one in the last bit
     worst = nan_max(0.0, *(abs(d - 1.0) for d in np.linalg.det(m0.matrix)))
-    fam = q_family(n1, *m0.factors)
+    fam = _q_family(layout, *m0.factors)
     # every factor is I + N with N^2 = 0: its inverse is 2I - q
     for ell in range(n1):
         rhs = 2.0 * np.eye(n1) - fam[ell].swapaxes(-1, -2)
@@ -107,33 +121,32 @@ def _stokes_trials(layout, z):
     # the complex family is freed before the real one is built
     del fam, rhs, m0
     pr = _stokes_from_normals(layout, z[:, width:], True, 0.7)
-    fam = q_family(n1, build_q(n1, "head", pr.head_coeffs),
-                   build_q(n1, "second", pr.second_coeffs))
+    fam = _q_family(layout, build_q(n1, "head", pr.head_coeffs),
+                    build_q(n1, "second", pr.second_coeffs))
     return nan_max(worst, reality_residual(fam))
 
 
-def _suite_stokes(n_plus_1, samples, seed, tol):
+def _suite_stokes(size, samples, seed, tol):
     # each trial draws its complex coefficients, then its real ones, so one
     # draw is split by columns; the trials are checked as sample stacks
+    n_plus_1, layout = size.n_plus_1, size.layout
     rng = np.random.default_rng([seed, n_plus_1, 1])
     trials = max(1, samples // 5)
-    layout = _stokes_layout(n_plus_1)
     z = rng.normal(size=(trials, layout.width(real=False) + layout.width(real=True)))
     worst = _in_chunks(trials, 2 * n_plus_1 ** 3,
                        lambda a, b: _stokes_trials(layout, z[a:b]))
-    checks = trials * (n_plus_1 + 3)
     zero = [dict.fromkeys(roots, 0.0) for roots in (layout.head, layout.second)]
     trivial = full_monodromy(build_m0(StokesParams(n_plus_1, *zero)))
     worst = nan_max(worst, max_abs(trivial - np.eye(n_plus_1)))
-    checks += 1
+    checks = trials * (n_plus_1 + 3) + 1
     return SuiteResult("stokes", n_plus_1, checks, worst, worst < tol)
 
 
-def _suite_steinberg(n_plus_1, samples, seed, tol, cal):
-    rep = cross_section_check(cal, samples=samples, seed=seed)
+def _suite_steinberg(size, samples, seed, tol):
+    rep = _cross_section_check(size.calibrated(), size.layout, samples, seed)
     worst = nan_max(rep.section_residual, rep.monodromy_residual)
     # the + 1 is calibrate's integer proof that s(t) is regular and chi exact
-    return SuiteResult("steinberg", n_plus_1, 2 * samples + 1, worst, worst < tol)
+    return SuiteResult("steinberg", size.n_plus_1, 2 * samples + 1, worst, worst < tol)
 
 
 def _solutions_trials(cal, g):
@@ -160,9 +173,10 @@ def _solutions_trials(cal, g):
     return worst
 
 
-def _suite_solutions(n_plus_1, samples, seed, tol, cal):
+def _suite_solutions(size, samples, seed, tol):
     # the samples as one stack (S, n+1), checked in row blocks of at most
     # one chunk of monodromies
+    n_plus_1, cal = size.n_plus_1, size.calibrated()
     rng = np.random.default_rng([seed, n_plus_1, 3])
     g = random_polytope_gamma(n_plus_1, rng, samples).gamma
     worst = _in_chunks(samples, n_plus_1 ** 2,
@@ -171,28 +185,23 @@ def _suite_solutions(n_plus_1, samples, seed, tol, cal):
     return SuiteResult("solutions", n_plus_1, checks, worst, worst < tol)
 
 
-def _connection_trials(n_plus_1, u, seed):
+def _connection_trials(n1, u, seed):
     """Worst residual of the connections suite's trials whose uniforms are
     the rows of ``u``, trial t's zeta and lambda samples drawn from
     ``seed + t``; the values are taken in the per-trial loop's order."""
-    n1 = n_plus_1
     m = n1 // 2
     trials = len(u)
     # the field: (w_i, x w_x,i) pairs for i < m, mirrored with a sign, then x
-    w = np.zeros((trials, n1))
-    v = np.zeros((trials, n1))
-    w[:, :m] = u[:, 0:2 * m:2]
-    v[:, :m] = u[:, 1:2 * m:2]
-    w[:, n1 - m:] = -w[:, m - 1::-1]
-    v[:, n1 - m:] = -v[:, m - 1::-1]
+    w, v = np.zeros((2, trials, n1))
+    for h, x in enumerate((w, v)):
+        x[:, :m] = u[:, h:2 * m:2]
+        x[:, n1 - m:] = -x[:, m - 1::-1]
     f = TodaField(n1, w, np.exp(u[:, 2 * m]), v)
     # then (k_j, c_j) pairs for j <= m, mirrored to n+1-j, then z
-    k = np.empty((trials, n1))
-    c = np.empty((trials, n1))
-    k[:, :m + 1] = u[:, 2 * m + 1:4 * m + 3:2]
-    c[:, :m + 1] = u[:, 2 * m + 2:4 * m + 3:2]
-    k[:, n1 - m:] = k[:, m:0:-1]
-    c[:, n1 - m:] = c[:, m:0:-1]
+    k, c = np.empty((2, trials, n1))
+    for h, x in enumerate((k, c)):
+        x[:, :m + 1] = u[:, 2 * m + 1 + h:4 * m + 3:2]
+        x[:, n1 - m:] = x[:, m:0:-1]
     d = OmegaHatData(n1, c, k, u[:, -2] + 1j * u[:, -1])
 
     rep = symmetry_report(f, zeta_samples=5, seed=seed)
@@ -214,9 +223,10 @@ def _connection_trials(n_plus_1, u, seed):
     return nan_max(0.0, *res.ravel().tolist())
 
 
-def _suite_connections(n_plus_1, samples, seed, tol):
+def _suite_connections(size, samples, seed, tol):
     # each trial draws its field, then k and c, then z, a fixed number of
     # uniforms in all, so one draw with per-column bounds is the loop's stream
+    n_plus_1 = size.n_plus_1
     rng = np.random.default_rng([seed, n_plus_1, 4])
     trials = max(1, samples // 5)
     m = n_plus_1 // 2
@@ -238,23 +248,6 @@ SUITES = {
 }
 
 
-# the suites that take the size's calibration as a fifth argument
-_CALIBRATED = ("solutions", "steinberg")
-
-
-def _calibration(cals, n_plus_1):
-    """``calibrate(n_plus_1)``, built at most once per ``cals`` dict: a size
-    whose calibration raised raises the same error again."""
-    if n_plus_1 not in cals:
-        try:
-            cals[n_plus_1] = calibrate(n_plus_1)
-        except Exception as exc:  # reported by run_suites for each suite
-            cals[n_plus_1] = exc
-    if isinstance(cals[n_plus_1], Exception):
-        raise cals[n_plus_1]
-    return cals[n_plus_1]
-
-
 def run_suites(
     sizes,
     samples: int = 25,
@@ -264,6 +257,7 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the named suites (all by default) over the given sizes.
 
+    Each size runs once, its suites sharing one :class:`SizeTables`.
     Results come back sorted by suite name then size.  A suite that raises
     is reported as failed with an infinite residual instead of aborting the
     whole run.  No size, no suite, fewer than one sample or a tolerance
@@ -271,7 +265,7 @@ def run_suites(
     verdict is vacuous.  A negative seed, which no suite's generator takes,
     is one too.
     """
-    sizes = sorted(sizes)
+    sizes = sorted(set(sizes))  # a repeated size runs once
     if not sizes:
         raise ValueError("need at least one size")
     if samples < 1:
@@ -282,23 +276,28 @@ def run_suites(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if tol > 1:  # a failed discrete fact's residual of 1 would pass
         raise ValueError(f"tol must be at most 1, got {tol}")
-    names = sorted(SUITES) if suites is None else sorted(suites)
+    names = sorted(SUITES if suites is None else set(suites))
     if not names:
         raise ValueError("need at least one suite")
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"available: {', '.join(sorted(SUITES))}")
+    calibrated = not {"solutions", "steinberg"}.isdisjoint(names)  # the calibrated suites
     out = []
-    cals = {}  # this call's calibrations, each size's built once
-    for name in names:
-        for n1 in sizes:
+    for n1 in sizes:
+        try:
+            layout = _stokes_layout(n1)
+        except Exception as exc:  # no tables: each of the size's cells fails
+            out.extend(_failed(name, n1, exc) for name in names)
+            continue
+        try:
+            size = SizeTables(n1, layout, calibrate(n1) if calibrated else None)
+        except Exception as exc:  # the note of each calibrated cell
+            size = SizeTables(n1, layout, exc)
+        for name in names:
             try:
-                args = (n1, samples, seed, tol)
-                if name in _CALIBRATED:
-                    args += (_calibration(cals, n1),)
-                out.append(SUITES[name](*args))
+                out.append(SUITES[name](size, samples, seed, tol))
             except Exception as exc:  # suite bug or genuine violation
-                out.append(SuiteResult(name, n1, 0, float("inf"), False,
-                                       f"{type(exc).__name__}: {exc}"))
-    return out
+                out.append(_failed(name, n1, exc))
+    return sorted(out, key=lambda r: (r.suite, r.n_plus_1))

@@ -145,6 +145,22 @@ def test_usage_error_unparsable_value_names_the_flag_only(capsys, argv, flag):
     assert "invalid _" not in err
 
 
+@pytest.mark.parametrize("argv, flag, entry", [
+    (["from-gamma", "--n", "5", "--gamma-free", "a,b"], "--gamma-free", "a"),
+    (["from-gamma", "--n", "5", "--gamma-free", "0.5,"], "--gamma-free", ""),
+    (["alcove", "--n", "4", "--rho", "1,x,3,4"], "--rho", "x"),
+    (["alcove", "--n", "4", "--rho", ",1,2,3"], "--rho", ""),
+    (["alcove", "--n", "4", "--gamma", "1,y,2,3"], "--gamma", "y"),
+    (["alcove", "--n", "4", "--gamma", "1,,2,3"], "--gamma", ""),
+])
+def test_usage_error_unparsable_list_entry_names_the_flag_and_entry(capsys, argv, flag,
+                                                                    entry):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag}: could not convert string to float: {entry!r}\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["from-gamma", "--n", "4", "--gamma", "nan,0,0,nan"],
     ["from-gamma", "--n", "4", "--gamma=-inf,0,0,inf"],

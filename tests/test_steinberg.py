@@ -43,10 +43,22 @@ from ttstokes.steinberg import (
     steinberg_section,
 )
 from ttstokes.roots import table_supported_roots
-from ttstokes.stokes import build_m0, monodromy_support, random_stokes_params
+from ttstokes.stokes import _stokes_layout, build_m0, q_patterns, random_stokes_params
 
 import unitary_check
 from unitary_check import unitary_conjugacy_check
+
+
+def monodromy_support(n1):
+    """Entries that any q1 q2 P with the factors on their patterns and P the
+    (signed) shift can occupy: the oracle of the layout's support mask."""
+    a, b = q_patterns(n1)[:2].astype(int)
+    return (a @ b @ np.abs(cyclic_for(n1)).astype(int)) > 0
+
+
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_the_layout_support_is_the_product_of_the_patterns(n1):
+    assert np.array_equal(_stokes_layout(n1).support, monodromy_support(n1))
 
 
 # ---------------------------------------------------------------------------

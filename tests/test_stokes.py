@@ -411,11 +411,11 @@ def test_q_family_failure_kinds_match_the_member_loop(monkeypatch):
         4, unpaired, ref.stokes_q2_4(0.2))
     # a direction whose slots chain, (0, 1) then (1, 2), is not I + N with
     # N^2 = 0, so the closed-form inverse would be wrong: asserted exactly
-    chained = stokes.q_patterns(4)
-    chained[3, [0, 1], [1, 2]] = True
+    chained = stokes.direction_map(4)
+    chained[[0, 1], [1, 2]] = 3
     with monkeypatch.context() as m, pytest.raises(
             AssertionError, match="direction 3 .* N\\^2 = 0"):
-        m.setattr(stokes, "q_patterns", lambda n: chained)
+        m.setattr(stokes, "direction_map", lambda n: chained)
         q_family(4, ref.stokes_q1_4(s1), ref.stokes_q2_4(s2))
     # the (n+1)-st power of any signed (n+1)-cycle is +-I, so periodicity is
     # an exact assertion on the shift's signed permutation; it fires for a

@@ -5,16 +5,18 @@ relation; the stokes, solutions and
 connections suites on one sample stack per size, equal to the per-sample
 loops they replaced; the chunks of trials of the stokes, connections,
 steinberg and solutions suites, their bounded memory and the notes of
-failing trials; one calibration per size for each run."""
+failing trials; one calibration and one read-only set of tables per size for
+each run, shared by suites that stay independent."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ttstokes import connections, linalg, solutions, steinberg, stokes, verify
+from ttstokes import connections, linalg, roots, solutions, steinberg, stokes, verify
 from ttstokes.connections import (
     OmegaHatData,
     TodaField,
@@ -168,9 +170,10 @@ def test_the_stokes_cell_fails_on_a_broken_relation(n1, monkeypatch):
     assert not res.passed and "transpose-inverse relation fails" in res.note
 
 
-def _suite_stokes_loop(n_plus_1, samples, seed, tol):
+def _suite_stokes_loop(size, samples, seed, tol):
     """The stokes suite one trial at a time: the reference for the stacked
     suite."""
+    n_plus_1 = size.n_plus_1
     rng = np.random.default_rng([seed, n_plus_1, 1])
     period = 2 * n_plus_1
     worst = 0.0
@@ -307,7 +310,7 @@ def test_the_stacked_suite_reports_the_first_gate_over_all_trials(monkeypatch):
 @pytest.mark.parametrize("samples", [10, 50])
 def test_the_stokes_and_steinberg_suites_make_one_call_per_stack(samples, monkeypatch):
     calls = []
-    for module, name in ((verify, "build_m0"), (verify, "q_family"),
+    for module, name in ((verify, "build_m0"), (verify, "_q_family"),
                          (verify, "reality_residual"), (steinberg, "build_m0"),
                          (stokes, "random_stokes_params")):
         real = getattr(module, name)
@@ -318,12 +321,13 @@ def test_the_stokes_and_steinberg_suites_make_one_call_per_stack(samples, monkey
     # per size: the stack and the trivial monodromy, the complex and the
     # real family, one reality check, and the cross-section stack
     assert sorted(calls) == sorted(
-        ["build_m0"] * 6 + ["q_family"] * 4 + ["reality_residual"] * 2)
+        ["build_m0"] * 6 + ["_q_family"] * 4 + ["reality_residual"] * 2)
 
 
-def _suite_solutions_loop(n_plus_1, samples, seed, tol, cal):
+def _suite_solutions_loop(size, samples, seed, tol):
     """The solutions suite one sample at a time: the reference for the
     stacked suite."""
+    n_plus_1, cal = size.n_plus_1, size.calibrated()
     rng = np.random.default_rng([seed, n_plus_1, 3])
     worst = 0.0
     checks = 0
@@ -454,6 +458,72 @@ def test_a_failing_calibration_gives_both_cells_its_note(monkeypatch):
             assert r.passed
 
 
+def test_each_size_builds_its_tables_once_per_call(monkeypatch):
+    calls = {}
+    homes = {"_stokes_layout": stokes, "_shift_action": stokes,
+             "calibrate": steinberg, "direction_map": roots}
+    modules = [m for k, m in sys.modules.items() if k.startswith("ttstokes.")]
+    for name, home in homes.items():
+        real = getattr(home, name)
+
+        def counted(n1, *a, _n=name, _f=real):
+            calls.setdefault(_n, []).append(n1)
+            return _f(n1, *a)
+
+        # through every module that binds it
+        for mod in modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    sizes = list(range(3, 11))
+    res = run_suites(sizes, samples=50, seed=7)
+    assert all(r.passed for r in res) and len(res) == 5 * len(sizes)
+    for name in ("_stokes_layout", "_shift_action", "calibrate"):
+        assert sorted(calls[name]) == sizes, name
+    # the layout's, the positive system's and the connections cell's pattern
+    assert all(calls["direction_map"].count(n1) <= 3 for n1 in sizes)
+
+
+def test_a_repeated_size_or_suite_runs_once():
+    once = run_suites([4], samples=5, seed=1, suites=["roots", "steinberg"])
+    assert [(r.suite, r.n_plus_1) for r in once] == [("roots", 4), ("steinberg", 4)]
+    assert run_suites([4, 4], samples=5, seed=1, suites=["roots", "steinberg"]) == once
+    assert run_suites([4], samples=5, seed=1,
+                      suites=["steinberg", "roots", "steinberg"]) == once
+
+
+def test_a_size_without_tables_fails_each_requested_cell():
+    note = "ValueError: need matrix size at least 3, got 2"
+    res = run_suites([2], samples=5, seed=1)
+    assert res == [SuiteResult(name, 2, 0, math.inf, False, note)
+                   for name in sorted(verify.SUITES)]
+    assert run_suites([2, 4], samples=5, seed=1, suites=["stokes"])[0].note == note
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_suites_sharing_a_size_stay_independent(seed):
+    sizes = range(3, 13)
+    alone = [r for name in sorted(verify.SUITES) for n1 in sizes
+             for r in run_suites([n1], samples=10, seed=seed, suites=[name])]
+    assert run_suites(sizes, samples=10, seed=seed) == alone
+
+
+def test_one_read_only_size_object_is_shared_by_the_suites_of_a_size(monkeypatch):
+    seen = []
+    for name, suite in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, lambda size, *a, _f=suite:
+                            seen.append(size) or _f(size, *a))
+    assert all(r.passed for r in run_suites([4, 5], samples=5, seed=1))
+    assert len(seen) == 10 and len({id(size) for size in seen}) == 2
+    for size in seen:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            size.layout = None
+        values = [*vars(size).values(), *size.layout, *vars(size.calibration).values()]
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        # the layout's seven tables and the calibration's three slot arrays
+        assert len(arrays) == 10
+        assert not any(arr.flags.writeable for arr in arrays)
+
+
 def test_the_stokes_suite_builds_each_factor_stack_once(monkeypatch):
     calls = []
     for module in (stokes, verify):
@@ -479,9 +549,10 @@ def _random_field(n_plus_1, rng):
     return TodaField(n_plus_1, w, float(np.exp(rng.uniform(-0.5, 0.5))), v)
 
 
-def _suite_connections_loop(n_plus_1, samples, seed, tol):
+def _suite_connections_loop(size, samples, seed, tol):
     """The connections suite one trial at a time: the reference for the
     stacked suite."""
+    n_plus_1 = size.n_plus_1
     rng = np.random.default_rng([seed, n_plus_1, 4])
     worst = 0.0
     checks = 0
