@@ -43,8 +43,8 @@ from .linalg import (
     shift_matrix,
     signed_shift_matrix,
 )
+from .roots import table_supported_roots
 from .solutions import AsymptoticDataK, _check_members, _member, gamma_from_k
-from .stokes import q_pattern
 
 _SYM_TOL = 1e-9
 _MAX_RADIUS = math.sqrt(sys.float_info.max)  # the largest x whose x**2 is finite
@@ -296,7 +296,9 @@ def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
         bridge = d0 @ shift_matrix(n1).astype(complex) @ d0_inv
         r_bridge = max_abs(bridge - omega_pow(n1, -(m + 1)) * shift_matrix(n1))
 
-    pat = q_pattern(n1, 0)
+    # the head direction's pattern: the diagonal and its supported roots
+    pat = np.eye(n1, dtype=bool)
+    pat[tuple(np.array(table_supported_roots(n1, "head")).T)] = True
     probe = np.eye(n1) + pat.astype(complex)
     conj_probe = d0_inv @ probe @ d0
     pattern_ok = bool(np.array_equal(np.abs(conj_probe) > 1e-12,

@@ -14,6 +14,28 @@ diag(1, w, .., w^n) lie on a circle, and two roots (i, j), (j, k) on one
 Stokes ray would put w^i, w^j, w^k on one line, which three distinct points
 of a circle never are: no slot of a direction ends in a row where another
 slot of that direction starts.
+
+The two generators carry every relation of the family. The factor at
+direction 2j + h is q1 (h = 0) or q2 (h = 1) conjugated by P^j, a signed
+permutation, so its entries are the generator's, moved and sign-flipped:
+exact in floating point. :func:`_stokes_layout` asserts once per size, in
+integers, that the masks move the same way (pattern 2j + h is pattern h
+gathered by P^j) and that the reality involution C inverts the shift
+(C^2 = I and C P C = +-P^T). Then:
+
+- support and unipotency at 2j + h are those at h, entry for entry;
+- the transpose-inverse pair (l, l + n + 1) with l = 2j + h is the pair
+  (h, h + n + 1) conjugated by P^j, because P^j commutes with the transpose
+  (P^j P^jT = I) and the shift powers compose exactly as integer tables;
+- the reality pair (l, -l - off) is the pair (h, -h - off) conjugated by
+  P^j, because C P^-j C = +-P^j and conjugation by P^(n+1) = +-I is the
+  identity.
+
+Each entry of a residual at l is, up to one common sign, the same sum or
+difference of the same two numbers as an entry of the residual at h, and
+IEEE rounding is symmetric under a sign flip. So every direction's residual
+equals its generator's bit for bit, and checking directions 0 and 1 with
+their partners checks the whole family.
 """
 
 from __future__ import annotations
@@ -183,46 +205,68 @@ def q_family(n_plus_1: int, q1: np.ndarray, q2: np.ndarray) -> dict[int, np.ndar
     inverse. A violation raises ConsistencyError naming the first failing
     direction and, in a stack, the first failing member.
 
-    A member on its pattern is I + N with N^2 = 0 (see the module
-    docstring), so its transpose inverse is (2I - q)^T, compared entry by
-    entry. :func:`_stokes_layout` asserts the pattern fact this rests on,
-    and the periodicity of conjugation, exactly, once per size.
+    Both relations are checked at the generators' directions 0 and 1 only:
+    every other direction's residual equals its generator's bit for bit
+    (see the module docstring), so the first failing direction is 0 or 1.
+    A member on its pattern is I + N with N^2 = 0, so its transpose inverse
+    is (2I - q)^T, compared entry by entry. :func:`_stokes_layout` asserts
+    the facts this rests on exactly, once per size. The whole family is
+    then gathered from the checked generators.
     """
-    return _q_family(_stokes_layout(n_plus_1), q1, q2)
+    return _q_family(_stokes_layout(n_plus_1), q1, q2, range(2 * n_plus_1))
 
 
-def _q_family(layout: _Layout, q1, q2) -> dict[int, np.ndarray]:
-    """:func:`q_family` over the size's layout."""
+def _shift_gather(perm: np.ndarray, directions) -> np.ndarray:
+    """Flat indices into a stacked (q1, q2) of the entries that make up the
+    factors at ``directions``: entry (a, b) at direction 2j + h is entry
+    (perm[j, a], perm[j, b]) of generator h, perm being the shift powers'
+    table of :func:`_shift_action`."""
+    n1 = perm.shape[1]
+    j, h = np.divmod(np.asarray(directions), 2)
+    p = perm[j]
+    return (h[:, None, None] * n1 + p[:, :, None]) * n1 + p[:, None, :]
+
+
+def _conjugates(layout: _Layout, qs: np.ndarray, directions) -> np.ndarray:
+    """The factors at ``directions`` from the generator stack ``qs`` of
+    shape (..., 2, n+1, n+1), stacked on axis -3 in that order.
+
+    P^j q P^jT is a signed gather of q, as exact as the dense product; the
+    factor at 2j + h is the j-th conjugate of q1 (h = 0) or q2 (h = 1).
+    """
+    at = _shift_gather(layout.shift_perm, directions)
+    sign = layout.shift_sign[np.asarray(directions) // 2]
+    stack = np.take(qs.reshape(qs.shape[:-3] + (-1,)), at, axis=-1)
+    # the entries whose two signs differ are negated
+    return np.negative(stack, out=stack, where=sign[:, :, None] != sign[:, None, :])
+
+
+def _q_family(layout: _Layout, q1, q2, directions) -> dict[int, np.ndarray]:
+    """:func:`q_family`'s checks on the two generators over the size's
+    layout, then the factors at ``directions`` only, keyed by direction."""
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
     if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
         raise ConsistencyError("Stokes factors q1 and q2 must be finite")
     n1, pats = layout.n_plus_1, layout.patterns
 
-    # P^j q P^jT is a signed gather of q, as exact as the dense product.
-    # Member 2j + h is the j-th conjugate of q1 (h = 0) or q2 (h = 1).
     qs = np.stack([q1, q2], axis=-3)
     lead = qs.shape[:-3]
-    perm, sign = layout.shift_perm[:n1], layout.shift_sign[:n1]
-    stack = qs[..., np.arange(2)[:, None, None], perm[:, None, :, None],
-               perm[:, None, None, :]]
-    stack *= sign[:, None, :, None] * sign[:, None, None, :]
-    stack = stack.reshape(lead + (2 * n1, n1, n1))
-    bound = DEFAULT_TOL.bound(np.fmax(1.0, np.abs(qs).max(axis=(-3, -2, -1))))
+    mag = np.abs(qs)
+    bound = DEFAULT_TOL.bound(np.fmax(1.0, mag.max(axis=(-3, -2, -1))))
     bound = np.reshape(bound, (-1, 1))
     stacked = bool(lead)
 
-    mag = np.abs(stack)
-    mag[..., pats] = 0.0
-    off = mag.max(axis=(-2, -1)).reshape(-1, 2 * n1)
+    mag[..., pats[:2]] = 0.0
+    off = mag.max(axis=(-2, -1)).reshape(-1, 2)
     del mag
-    diag_err = np.abs(np.diagonal(stack, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
-    shape_ok = (off <= bound) & (diag_err.reshape(-1, 2 * n1) <= bound)
+    diag_err = np.abs(np.diagonal(qs, axis1=-2, axis2=-1) - 1.0).max(axis=-1)
+    shape_ok = (off <= bound) & (diag_err.reshape(-1, 2) <= bound)
 
     # q_(ell+n+1) - (2I - q_ell)^T, exact inverse of members on their pattern
-    rhs = stack[..., n1:, :, :] + stack[..., :n1, :, :].swapaxes(-1, -2)
+    rhs = _conjugates(layout, qs, (n1, n1 + 1)) + qs.swapaxes(-1, -2)
     rhs[..., np.arange(n1), np.arange(n1)] -= 2.0
-    err = np.abs(rhs).max(axis=(-2, -1)).reshape(-1, n1)
+    err = np.abs(rhs).max(axis=(-2, -1)).reshape(-1, 2)
     del rhs
     paired = err <= bound
     failed = np.flatnonzero(~(shape_ok.all(axis=1) & paired.all(axis=1)))
@@ -242,7 +286,8 @@ def _q_family(layout: _Layout, q1, q2) -> dict[int, np.ndarray]:
             )
         raise ConsistencyError(f"Stokes factor {ell}{_member(stacked, k)} is not unipotent")
 
-    return {ell: stack[..., ell, :, :] for ell in range(2 * n1)}
+    stack = _conjugates(layout, qs, directions)
+    return {ell: stack[..., k, :, :] for k, ell in enumerate(directions)}
 
 
 def full_monodromy(m0: MonodromyMatrix) -> np.ndarray:
@@ -291,8 +336,12 @@ class _Layout(NamedTuple):
 
 def _stokes_layout(n1: int) -> _Layout:
     """The Stokes table of one size, from one direction map and one shift
-    action. Asserted exactly: the (n+1)-st shift power is +-I, and no slot
-    of a direction ends in a row where another of its slots starts.
+    action. Asserted exactly: the (n+1)-st shift power is +-I, no slot of a
+    direction ends in a row where another of its slots starts, the pattern
+    of direction 2j + h is pattern h gathered by the j-th shift power, and
+    the reality involution C has C^2 = I and C P C = +-P^T. The last two
+    let the family's relations be checked at directions 0 and 1 only (see
+    the module docstring).
 
     The half-period transpose-inverse relation, with the inverse I - N of
     every factor, reads q2 - I = -Pm^T (q1 - I)^T Pm for the m-th shift
@@ -316,9 +365,22 @@ def _stokes_layout(n1: int) -> _Layout:
         raise AssertionError(f"direction {chained[0]} has a slot ending in a row where "
                              "another of its slots starts: its factors are not I + N "
                              "with N^2 = 0")
-    # |P| has its 1 in row a at column perm[1, a]
+    shifted = np.take(pats[:2], _shift_gather(perm, range(2 * n1)))
+    moved = np.flatnonzero((shifted != pats).any(axis=(-2, -1)))
+    if moved.size:
+        raise AssertionError(f"pattern {moved[0]} is not pattern {moved[0] % 2} "
+                             f"gathered by shift power {moved[0] // 2}")
+    # P as a dense signed permutation: row a has psign[1, a] at perm[1, a]
+    P = np.zeros((n1, n1), dtype=int)
+    P[np.arange(n1), perm[1]] = psign[1]
+    C = reality_conjugator(n1)
+    CPC = C @ P @ C
+    if not (np.array_equal(C @ C, np.eye(n1))
+            and (np.array_equal(CPC, P.T) or np.array_equal(CPC, -P.T))):
+        raise AssertionError("the reality conjugator is not an involution C with "
+                             "C P C = +-P^T")
     a, b = pats[:2].astype(int)
-    support = (a @ b @ np.eye(n1, dtype=int)[perm[1]]) > 0
+    support = (a @ b @ np.abs(P)) > 0
 
     head = tuple(table_supported_roots(n1, "head"))
     second = tuple(table_supported_roots(n1, "second"))
@@ -406,18 +468,26 @@ def reality_conjugator(n_plus_1: int) -> np.ndarray:
     return C
 
 
+def _reality_partner(n_plus_1: int, ell: int) -> int:
+    """The direction the reality relation pairs with ell: -ell-2 (even
+    sizes) or -ell-1 (odd sizes), mod 2(n+1). The pairing is an involution."""
+    return (-ell - (2 if n_plus_1 % 2 == 0 else 1)) % (2 * n_plus_1)
+
+
 def reality_residual(family: dict[int, np.ndarray]) -> float:
     """How far a real-coefficient family is from its reality relation.
 
     The relation pairs the factor at ell with the inverse of the factor at
-    -ell-2 (even sizes) or -ell-1 (odd sizes), conjugated by the reality
-    involution; indices are mod 2(n+1). Meaningful for real coefficients
-    only, which is the case the relation is stated for. A stacked family
-    (see :func:`q_family`) gives the worst residual over its members.
+    its partner, -ell-2 (even sizes) or -ell-1 (odd sizes), conjugated by
+    the reality involution; indices are mod 2(n+1). Each direction given is
+    evaluated against its partner, which must be given too. Meaningful for
+    real coefficients only, which is the case the relation is stated for.
+    A stacked family (see :func:`q_family`) gives the worst residual over
+    its members. Every direction's residual equals its generator's bit for
+    bit (see the module docstring), so directions 0 and 1 with their
+    partners give the full family's residual.
     """
-    n_plus_1 = family[0].shape[-1]
-    period = 2 * n_plus_1
-    off = 2 if n_plus_1 % 2 == 0 else 1
+    n_plus_1 = next(iter(family.values())).shape[-1]
     # the involution is a symmetric signed permutation, so C (2I - q) C is
     # 2I minus q at (rev[a], rev[b]) times C[a, rev[a]] C[b, rev[b]]
     C = reality_conjugator(n_plus_1)
@@ -426,10 +496,10 @@ def reality_residual(family: dict[int, np.ndarray]) -> float:
     ss = np.outer(C[diag, rev], C[diag, rev])
     # one direction at a time, so no copy of the whole family is made
     worst = 0.0
-    for ell in range(period):
-        q = family[(-ell - off) % period]
+    for ell, q_ell in family.items():
+        q = family[_reality_partner(n_plus_1, ell)]
         lhs = -ss * q[..., rev[:, None], rev[None, :]]
         lhs[..., diag, diag] += 2.0
-        lhs -= family[ell]
+        lhs -= q_ell
         worst = nan_max(worst, max_abs(lhs))
     return worst

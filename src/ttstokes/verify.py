@@ -47,6 +47,7 @@ from .stokes import (
     StokesParams,
     _Layout,
     _q_family,
+    _reality_partner,
     _stokes_from_normals,
     _stokes_layout,
     build_m0,
@@ -103,7 +104,10 @@ def _suite_roots(size, samples, seed, tol):
 
 def _stokes_trials(layout, z):
     """Worst residual of the stokes suite's trials whose standard normals
-    are the rows of ``z``: a trial's complex draw, then its real draw."""
+    are the rows of ``z``: a trial's complex draw, then its real draw.
+    Only the generators' directions 0 and 1 and their partners are built:
+    every other direction's residual equals its generator's bit for bit
+    (see the :mod:`~ttstokes.stokes` module docstring)."""
     n1 = layout.n_plus_1
     width = layout.width(real=False)
     p = _stokes_from_normals(layout, z[:, :width], False, 0.7)
@@ -111,18 +115,19 @@ def _stokes_trials(layout, z):
     # the modulus of each scalar: numpy's array modulus of a complex can
     # differ from the scalar one in the last bit
     worst = nan_max(0.0, *(abs(d - 1.0) for d in np.linalg.det(m0.matrix)))
-    fam = _q_family(layout, *m0.factors)
+    fam = _q_family(layout, *m0.factors, (0, 1, n1, n1 + 1))
     # every factor is I + N with N^2 = 0: its inverse is 2I - q
-    for ell in range(n1):
+    for ell in (0, 1):
         rhs = 2.0 * np.eye(n1) - fam[ell].swapaxes(-1, -2)
         err = np.abs(fam[ell + n1] - rhs).max(axis=(-2, -1))
         err /= np.maximum(1.0, np.abs(rhs).max(axis=(-2, -1)))
         worst = nan_max(worst, *err.tolist())
-    # the complex family is freed before the real one is built
+    # the complex factors are freed before the real ones are built
     del fam, rhs, m0
     pr = _stokes_from_normals(layout, z[:, width:], True, 0.7)
     fam = _q_family(layout, build_q(n1, "head", pr.head_coeffs),
-                    build_q(n1, "second", pr.second_coeffs))
+                    build_q(n1, "second", pr.second_coeffs),
+                    (0, 1, _reality_partner(n1, 0), _reality_partner(n1, 1)))
     return nan_max(worst, reality_residual(fam))
 
 
@@ -133,7 +138,10 @@ def _suite_stokes(size, samples, seed, tol):
     rng = np.random.default_rng([seed, n_plus_1, 1])
     trials = max(1, samples // 5)
     z = rng.normal(size=(trials, layout.width(real=False) + layout.width(real=True)))
-    worst = _in_chunks(trials, 2 * n_plus_1 ** 3,
+    # at its peak a trial holds about ten complex (n+1)^2 stacks (the factors
+    # and the monodromy, the generators, their partners and the residuals'
+    # temporaries), counted here in float64 entries
+    worst = _in_chunks(trials, 20 * n_plus_1 ** 2,
                        lambda a, b: _stokes_trials(layout, z[a:b]))
     zero = [dict.fromkeys(roots, 0.0) for roots in (layout.head, layout.second)]
     trivial = full_monodromy(build_m0(StokesParams(n_plus_1, *zero)))

@@ -4,7 +4,9 @@ fundamental monodromy.
 Reference fixtures for sizes 4 and 5 come from ttstokes.reference, which was
 transcribed by hand. Random-family tests draw from the constrained sampler,
 since generic unconstrained coefficients would violate the family's own
-transpose-inverse relation.
+transpose-inverse relation; the test that every direction has its
+generator's residuals takes generic ones on purpose, so that no residual is
+zero.
 """
 
 import tracemalloc
@@ -427,6 +429,94 @@ def test_q_family_failure_kinds_match_the_member_loop(monkeypatch):
         monkeypatch.setattr(stokes, "cyclic_for", lambda n, b=broken: b)
         with pytest.raises(AssertionError, match="not periodic"):
             q_family(n1, q1, q2)
+
+
+@pytest.mark.parametrize("n1", [4, 5, 7])
+def test_a_direction_map_that_is_not_shift_covariant_is_refused(n1, monkeypatch):
+    # directions 0 and 2 swapped: each direction keeps an unchained slot set
+    # and the shift stays periodic, but pattern 2 is no longer pattern 0
+    # moved by the shift, so direction 2 could not be checked through q1
+    real = stokes.direction_map(n1)
+    swapped = real.copy()
+    swapped[real == 0], swapped[real == 2] = 2, 0
+    monkeypatch.setattr(stokes, "direction_map", lambda n: swapped)
+    with pytest.raises(AssertionError,
+                       match="pattern 2 is not pattern 0 gathered by shift power 1"):
+        stokes._stokes_layout(n1)
+    with pytest.raises(AssertionError, match="pattern 2 is not pattern 0"):
+        q_family(n1, *_random_factors(n1, np.random.default_rng(n1), real=False))
+
+
+@pytest.mark.parametrize("n1", [4, 5, 6, 7])
+def test_a_reality_conjugator_that_does_not_invert_the_shift_is_refused(n1, monkeypatch):
+    C = stokes.reality_conjugator(n1)
+    flipped = C.copy()
+    flipped[[1, n1 - 1], [n1 - 1, 1]] *= -1  # still a symmetric involution
+    # the identity commutes with the shift; the shift itself is no
+    # involution, which at size 4 is the only broken fact; at size 4 the
+    # flipped pair still inverts the shift, so that mutant is a valid C there
+    mutants = [np.eye(n1), cyclic_for(n1)] + ([flipped] if n1 != 4 else [])
+    for mutant in mutants:
+        monkeypatch.setattr(stokes, "reality_conjugator", lambda n, m=mutant: m)
+        with pytest.raises(AssertionError, match="reality conjugator is not an involution"):
+            stokes._stokes_layout(n1)
+
+
+def _generic_factors(n1, rng, real, samples=3):
+    """Unipotent factors on the head and second patterns with independent
+    coefficients: they break the transpose-inverse and reality relations,
+    so q1's residuals, at least, are far from zero."""
+    qs = []
+    for which in ("head", "second"):
+        roots = table_supported_roots(n1, which)
+        z = rng.normal(size=(2, samples, len(roots)))
+        coeffs = z[0] if real else z[0] + 1j * z[1]
+        qs.append(build_q(n1, which, dict(zip(roots, coeffs.T))))
+    return np.stack(qs, axis=-3)
+
+
+def _transpose_inverse_residuals(fam, ell):
+    """The stokes cell's relative residual of q_(ell+n+1) = (2I - q_ell)^T,
+    per member."""
+    period = len(fam)
+    rhs = 2.0 * np.eye(period // 2) - fam[ell].swapaxes(-1, -2)
+    err = np.abs(fam[(ell + period // 2) % period] - rhs).max(axis=(-2, -1))
+    return err / np.maximum(1.0, np.abs(rhs).max(axis=(-2, -1)))
+
+
+def _reality_residuals(fam, ell):
+    """max|C (2I - q_partner) C - q_ell| per member, by dense products with
+    the involution, which has one +-1 in each row and so rounds nothing."""
+    n1 = len(fam) // 2
+    C = stokes.reality_conjugator(n1)
+    lhs = C @ (2.0 * np.eye(n1) - fam[stokes._reality_partner(n1, ell)]) @ C
+    return np.abs(lhs - fam[ell]).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_every_direction_has_its_generators_residuals_bit_for_bit(n1):
+    # the stokes cell checks directions 0 and 1 only (stokes module
+    # docstring): every direction's transpose-inverse and reality residual
+    # must equal its generator's exactly, member by member
+    layout = stokes._stokes_layout(n1)
+    rng = np.random.default_rng(9000 + n1)
+    period = 2 * n1
+    for real in (False, True):
+        qs = _generic_factors(n1, rng, real)
+        stack = stokes._conjugates(layout, qs, range(period))
+        fam = {ell: stack[:, ell] for ell in range(period)}
+        for residuals in (_transpose_inverse_residuals, _reality_residuals):
+            gens = [residuals(fam, h) for h in (0, 1)]
+            assert gens[0].min() > 0.1  # not vacuous
+            for ell in range(period):
+                got = residuals(fam, ell)
+                assert np.array_equal(got.view(np.uint64), gens[ell % 2].view(np.uint64))
+        # the generators with their partners give the family's residual
+        partners = {stokes._reality_partner(n1, h) for h in (0, 1)}
+        part = {ell: fam[ell] for ell in (0, 1, *partners)}
+        worst = nan_max(*(_reality_residual_loop({ell: q[k] for ell, q in fam.items()})
+                          for k in range(len(qs))))
+        assert reality_residual(part) == reality_residual(fam) == worst
 
 
 def test_q_family_takes_the_shift_powers_once_as_integer_tables(monkeypatch):

@@ -1,7 +1,7 @@
 """The verify suites' own guards: no vacuous pass for an empty sample, size
 list or suite list or a tolerance above 1, and no pass for a NaN residual (the builtin max would drop it); the stokes
-suite's inverses in closed form, and its checks failing on a broken
-relation; the stokes, solutions and
+suite's inverses in closed form, its checks failing on a broken relation
+and its building only the generators' directions; the stokes, solutions and
 connections suites on one sample stack per size, equal to the per-sample
 loops they replaced; the chunks of trials of the stokes, connections,
 steinberg and solutions suites, their bounded memory and the notes of
@@ -290,7 +290,7 @@ def test_a_failing_trial_gives_the_per_trial_note_naming_its_member(n1, monkeypa
 def test_a_later_chunk_names_its_trials(monkeypatch):
     layout = stokes._stokes_layout(4)
     row = layout.width(real=False) + layout.width(real=True)
-    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 3 * 2 * 4 ** 3)  # 3 trials
+    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 3 * 20 * 4 ** 2)  # 3 trials
     got, want = _stokes_notes(monkeypatch, 4, [7 * row])
     assert got == want.replace(" is not 1", " of member 1 is not 1") + (
         " (in trials 6..8; member 0 is trial 6)")
@@ -322,6 +322,22 @@ def test_the_stokes_and_steinberg_suites_make_one_call_per_stack(samples, monkey
     # real family, one reality check, and the cross-section stack
     assert sorted(calls) == sorted(
         ["build_m0"] * 6 + ["_q_family"] * 4 + ["reality_residual"] * 2)
+
+
+def test_the_stokes_cell_builds_only_the_generators_and_their_partners(monkeypatch):
+    # every other direction's residual equals its generator's (stokes module
+    # docstring), so no (S, 2(n+1), n+1, n+1) family is built
+    built = []
+    real = stokes._conjugates
+    monkeypatch.setattr(stokes, "_conjugates",
+                        lambda layout, qs, directions: built.append(
+                            (layout.n_plus_1, tuple(directions))) or real(layout, qs, directions))
+    assert all(r.passed for r in run_suites([6, 7], samples=50, seed=1, suites=["stokes"]))
+    # per size and family, complex then real: the transpose partners that
+    # the check needs, then the directions the cell reads (the generators
+    # with their transpose partners, or with their reality partners)
+    assert built == [(6, (6, 7)), (6, (0, 1, 6, 7)), (6, (6, 7)), (6, (0, 1, 10, 9)),
+                     (7, (7, 8)), (7, (0, 1, 7, 8)), (7, (7, 8)), (7, (0, 1, 13, 12))]
 
 
 def _suite_solutions_loop(size, samples, seed, tol):
@@ -479,8 +495,8 @@ def test_each_size_builds_its_tables_once_per_call(monkeypatch):
     assert all(r.passed for r in res) and len(res) == 5 * len(sizes)
     for name in ("_stokes_layout", "_shift_action", "calibrate"):
         assert sorted(calls[name]) == sizes, name
-    # the layout's, the positive system's and the connections cell's pattern
-    assert all(calls["direction_map"].count(n1) <= 3 for n1 in sizes)
+    # the layout's and the positive system's
+    assert all(calls["direction_map"].count(n1) <= 2 for n1 in sizes)
 
 
 def test_a_repeated_size_or_suite_runs_once():
