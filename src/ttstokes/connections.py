@@ -23,6 +23,17 @@ of variable contributes its derivative, so the checks implemented here read
 
 and membership in the twisted real form on the circle |zeta| = 1/x is
 tested on B = i zeta A(zeta), which the reversal-conjugation fixes exactly.
+
+The samples of a report are built as whole arrays with the values the
+per-sample scalar arithmetic gives, bit for bit.  Two operations need care:
+a product of two complex sample values is written out in real parts (numpy's
+vectorized complex multiply can differ from the scalar one in the last bit),
+and a square is ``np.power(z, 2)``, not the ``z**2`` fast path, for a complex
+z, and Python's ``x**2`` for a radius x.  Member k of a stack draws its
+uniforms from ``default_rng(seed + k)``; the lambda samples of
+:func:`omega_hat_symmetry_report` are the first uniforms of the zeta samples
+of :func:`symmetry_report` with the same seed, so a caller that runs both
+draws once per member and hands each core its slice.
 """
 
 from __future__ import annotations
@@ -107,36 +118,48 @@ def build_W(f: TodaField) -> np.ndarray:
     return mat
 
 
+def _radius_squares(f: TodaField) -> np.ndarray:
+    """x**2 of each member's radius, in the shape of x, squared as Python
+    squares a float: an array square can differ in the last bit."""
+    return np.reshape([x**2 for x in np.reshape(f.x, -1).tolist()], np.shape(f.x))
+
+
 def _alpha_hat_stack(f: TodaField, zetas) -> np.ndarray:
     """alpha_hat at every zeta: (len(zetas), n+1, n+1) for one field, and
     (S, m, n+1, n+1) for a stack, whose ``zetas`` holds m values per member.
 
     Only the 3(n+1) nonzero entries are computed: W^T / zeta^2 on the
     subdiagonal and corner, x w_x / zeta on the diagonal, x^2 W on the
-    superdiagonal and corner. Each square, of a zeta or of a radius x, is
-    taken on the scalar as given: an array ``z**2`` can differ from the
-    scalar one in the last bit.
+    superdiagonal and corner. zeta^2 is ``np.power(zeta, 2)``, which equals
+    the scalar square bit for bit; the ``z**2`` fast path on an array does
+    not.
     """
     z = np.array(zetas, dtype=complex)
     if np.any(z == 0):
         raise ValueError("alpha_hat has a pole at zeta = 0")
-    flat = zetas if f.w.ndim == 1 else [zeta for row in zetas for zeta in row]
-    sq = np.array([zeta**2 for zeta in flat], dtype=complex).reshape(z.shape)
+    sq = np.power(z, 2)
     n1 = f.n_plus_1
     i = np.arange(n1)
     up = (i + 1) % n1
     w = build_W(f)[..., None, i, up]
-    x2 = np.reshape([x**2 for x in np.reshape(f.x, -1).tolist()], np.shape(f.x))
     out = np.zeros(z.shape + (n1, n1), dtype=complex)
     out[..., up, i] = -w / sq[..., None]
     out[..., i, i] = -(f.xwx.astype(complex)[..., None, :] / z[..., None])
-    out[..., i, up] = x2[..., None, None] * w
+    out[..., i, up] = _radius_squares(f)[..., None, None] * w
     return out
 
 
-def _tau(mats: np.ndarray) -> np.ndarray:
-    d = omega_diag(mats.shape[-1])
-    return np.linalg.inv(d) @ mats @ d
+def _tau_factors(n1: int) -> tuple:
+    """The diagonal D = diag(omega^i) and its inverse, as ``_tau`` takes them."""
+    d = omega_diag(n1)
+    return np.linalg.inv(d), d
+
+
+def _tau(mats: np.ndarray, factors: tuple) -> np.ndarray:
+    """D^-1 A D as the dense matmuls: scaling rows and columns by
+    broadcasting rounds differently."""
+    d_inv, d = factors
+    return d_inv @ mats @ d
 
 
 def _sigma(mats: np.ndarray) -> np.ndarray:
@@ -158,12 +181,31 @@ def _report(cls, n1: int, *fields):
     return cls(n1, *fields)
 
 
-def _member_draws(seed: int, members: int, samples: int, cols: int) -> list:
-    """Each member's uniforms on [0, 1), ``samples`` rows of ``cols``, member
-    k drawing from ``default_rng(seed + k)``; a row holds the values that
-    ``cols`` scalar ``rng.uniform()`` calls return."""
-    return [np.random.default_rng(seed + k).random((samples, cols)).tolist()
-            for k in range(members)]
+def _member_draws(seed: int, members: int, samples: int, cols: int) -> np.ndarray:
+    """Each member's uniforms on [0, 1), (members, samples, cols), member k
+    drawing from ``default_rng(seed + k)``; a row holds the values that
+    ``cols`` scalar ``rng.uniform()`` calls return, so the first rows of a
+    narrower draw are the first uniforms of a wider one."""
+    out = np.empty((members, samples, cols))
+    for k in range(members):
+        np.random.default_rng(seed + k).random(out=out[k])
+    return out
+
+
+def _sample_points(draws: np.ndarray) -> np.ndarray:
+    """e^(-1 + 2r) e^(2 pi i t) of each row's first two uniforms (r, t):
+    -1 + 2r is the value ``rng.uniform(-1, 1)`` makes of the same draw."""
+    return np.exp(-1.0 + 2.0 * draws[..., 0]) * np.exp(2j * np.pi * draws[..., 1])
+
+
+def _times(a, b) -> np.ndarray:
+    """a * b of complex values written out in real parts, as the scalar
+    product rounds it: numpy's vectorized complex multiply can differ in the
+    last bit."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,30 +232,34 @@ def symmetry_report(f: TodaField, zeta_samples: int = 20,
     """
     if zeta_samples < 1:
         raise ValueError("need at least one sample")
+    lead = f.w.shape[:-1]
+    draws = _member_draws(seed, int(np.prod(lead)), zeta_samples, 3)
+    return _symmetry_report(f, draws.reshape(lead + draws.shape[1:]),
+                            _tau_factors(f.n_plus_1))
+
+
+def _symmetry_report(f: TodaField, draws: np.ndarray, tau: tuple) -> SymmetryReport:
+    """:func:`symmetry_report` over each member's uniforms, ``draws`` of shape
+    (..., samples, 3): a row's (r, t) make zeta and its third the point on
+    the circle. ``tau`` is :func:`_tau_factors` of the size."""
     n1 = f.n_plus_1
     lead = f.w.shape[:-1]
+    samples = draws.shape[-2]
     om = omega_pow(n1, 1)
-    xs = np.reshape(f.x, -1).tolist()
-    zetas, jac, circ = [], [], []
-    for x, draws in zip(xs, _member_draws(seed, len(xs), zeta_samples, 3)):
-        args = []
-        for r, turn, turn_c in draws:
-            # -1 + 2 r is the value rng.uniform(-1, 1) makes of the same draw
-            zeta = np.exp(-1.0 + 2.0 * r) * np.exp(2j * np.pi * turn)
-            zc = np.conj(zeta)
-            circle = np.exp(2j * np.pi * turn_c) / x
-            args.append((zeta, om * zeta, -zeta, 1.0 / (x**2 * zc), zc, circle))
-            jac.append(x**2 * zc**2)
-            circ.append(1j * circle)
-        # six blocks of zeta_samples values, one per argument column
-        zetas.append([z for col in zip(*args) for z in col])
-    stack = _alpha_hat_stack(f, zetas[0] if not lead else zetas)
+    x = np.asarray(f.x)[..., None]
+    x2 = _radius_squares(f)[..., None]
+    zeta = _sample_points(draws)
+    zc = np.conj(zeta)
+    circle = np.exp(2j * np.pi * draws[..., 2]) / x
+    # six blocks of samples, one per argument of alpha_hat
+    zetas = np.concatenate([zeta, _times(om, zeta), -zeta, 1.0 / (x2 * zc), zc, circle],
+                           axis=-1)
     a, a_om, a_neg, a_c, a_zc, a_circ = np.moveaxis(
-        stack.reshape(lead + (6, zeta_samples, n1, n1)), -4, 0)
-    jac = np.reshape(jac, lead + (zeta_samples, 1, 1))
-    b = np.reshape(circ, lead + (zeta_samples, 1, 1)) * a_circ
+        _alpha_hat_stack(f, zetas).reshape(lead + (6, samples, n1, n1)), -4, 0)
+    jac = (x2 * np.power(zc, 2))[..., None, None]
+    b = (1j * circle)[..., None, None] * a_circ
     res = np.array([
-        rel_residuals(_tau(a), om * a_om),
+        rel_residuals(_tau(a, tau), om * a_om),
         rel_residuals(_sigma(a), -a_neg),
         rel_residuals(_creal(a), -a_c / jac),
         rel_residuals(np.conj(a_zc), a),
@@ -363,21 +409,20 @@ def _omega_hat_stack(d: OmegaHatData, lams) -> np.ndarray:
     (S, m, n+1, n+1) for a stack, whose ``lams`` holds m values per member.
     The coefficient is -(n+1)/N * z/lambda^2 * eta + m/lambda, with eta
     carrying p_i = c_i z^{k_i} on the subdiagonal and p_0 in the top-right
-    corner; the scalar factor of eta is formed per lambda."""
+    corner; the scalar factor of eta is formed per lambda. Only the 2(n+1)
+    nonzero entries are computed."""
     lam = np.array(lams, dtype=complex)
     if np.any(lam == 0):
         raise ValueError("omega_hat has a pole at lambda = 0")
     n1 = d.n_plus_1
-    rows = [lams] if d.c.ndim == 1 else lams
-    coef = np.array([[-(n1 / big_n) * (z / lam_j**2) for lam_j in row]
-                     for z, big_n, row in zip(np.reshape(d.z, -1).tolist(),
-                                              np.reshape(d.N, -1).tolist(), rows)],
-                    dtype=complex).reshape(lam.shape)
+    coef = (-(n1 / np.asarray(d.N))[..., None]
+            * (np.asarray(d.z)[..., None] / np.power(lam, 2)))
+    p = d.c * np.power(np.asarray(d.z)[..., None], d.k)
     i = np.arange(n1)
-    eta = np.zeros(d.c.shape + (n1,), dtype=complex)
-    eta[..., i, (i - 1) % n1] = d.c * np.power(np.asarray(d.z)[..., None], d.k)
-    return (coef[..., None, None] * eta[..., None, :, :]
-            + _diag(d.m).astype(complex)[..., None, :, :] / lam[..., None, None])
+    out = np.zeros(lam.shape + (n1, n1), dtype=complex)
+    out[..., i, (i - 1) % n1] = coef[..., None] * p[..., None, :]
+    out[..., i, i] = d.m.astype(complex)[..., None, :] / lam[..., None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -402,17 +447,26 @@ def omega_hat_symmetry_report(d: OmegaHatData, lambda_samples: int = 20,
     """
     if lambda_samples < 1:
         raise ValueError("need at least one sample")
+    lead = d.c.shape[:-1]
+    draws = _member_draws(seed, int(np.prod(lead)), lambda_samples, 2)
+    return _omega_hat_symmetry_report(d, draws.reshape(lead + draws.shape[1:]),
+                                      _tau_factors(d.n_plus_1))
+
+
+def _omega_hat_symmetry_report(d: OmegaHatData, draws: np.ndarray,
+                               tau: tuple) -> OmegaHatSymmetryReport:
+    """:func:`omega_hat_symmetry_report` over each member's uniforms,
+    ``draws`` of shape (..., samples, 2), a row's (r, t) making lambda.
+    ``tau`` is :func:`_tau_factors` of the size."""
     n1 = d.n_plus_1
     lead = d.c.shape[:-1]
+    samples = draws.shape[-2]
     om = omega_pow(n1, 1)
-    rows = []
-    for draws in _member_draws(seed, int(np.prod(lead)), lambda_samples, 2):
-        lams = [np.exp(-1.0 + 2.0 * r) * np.exp(2j * np.pi * turn) for r, turn in draws]
-        rows.append(lams + [om * lam for lam in lams] + [-lam for lam in lams])
-    stack = _omega_hat_stack(d, rows[0] if not lead else rows)
+    lam = _sample_points(draws)
     fmat, f_om, f_neg = np.moveaxis(
-        stack.reshape(lead + (3, lambda_samples, n1, n1)), -4, 0)
-    r_cyc = rel_residuals(_tau(fmat), om * f_om).max(axis=-1)
+        _omega_hat_stack(d, np.concatenate([lam, _times(om, lam), -lam], axis=-1))
+        .reshape(lead + (3, samples, n1, n1)), -4, 0)
+    r_cyc = rel_residuals(_tau(fmat, tau), om * f_om).max(axis=-1)
     r_anti = rel_residuals(_sigma(fmat), -f_neg).max(axis=-1)
     return _report(OmegaHatSymmetryReport, n1, r_cyc, r_anti)
 

@@ -19,16 +19,17 @@ import numpy as np
 from .connections import (
     OmegaHatData,
     TodaField,
+    _member_draws,
+    _omega_hat_symmetry_report,
+    _symmetry_report,
+    _tau_factors,
     build_W,
     diagonalizer_check,
-    omega_hat_symmetry_report,
-    symmetry_report,
     toda_rhs,
 )
 from .linalg import _in_chunks, char_poly, max_abs, nan_max
 from .roots import (
     _roots_on,
-    half_period_roots,
     order_diagram,
     shifted_table_roots,
     simple_system_check,
@@ -94,11 +95,15 @@ def _suite_roots(size, samples, seed, tol):
               for ell in range(2 * n1))
     diag = order_diagram(n1)
     head_part, tail_part = diag.simple_roots()
-    positive = half_period_roots(n1)
-    bad += not simple_system_check(n1, head_part + tail_part, positive).ok
-    pos = set(positive)
-    bad += any(diag.is_positive((i, j)) != ((i, j) in pos)
-               for i in range(n1) for j in range(n1) if i != j)
+    # the half-period positive system: the roots on the first n+1 directions
+    pos = (slot_dir >= 0) & (slot_dir < n1)
+    rows, cols = np.nonzero(pos)
+    bad += not simple_system_check(n1, head_part + tail_part,
+                                   zip(rows.tolist(), cols.tolist())).ok
+    # (i, j) is positive in the diagram order when i ranks above j
+    rank = np.empty(n1, dtype=int)
+    rank[list(diag.order)] = np.arange(n1)
+    bad += not np.array_equal(rank[:, None] > rank, pos)
     return SuiteResult("roots", n1, 2 * n1 + 2, float(bad), bad == 0)
 
 
@@ -193,6 +198,18 @@ def _suite_solutions(size, samples, seed, tol):
     return SuiteResult("solutions", n_plus_1, checks, worst, worst < tol)
 
 
+def _connection_reports(f, d, seed):
+    """``symmetry_report(f, 5, seed)`` and ``omega_hat_symmetry_report(d, 5,
+    seed)`` of a stack of trials, from one draw per trial: trial t's ten
+    lambda uniforms are the first of the fifteen its zeta samples take from
+    ``default_rng(seed + t)``."""
+    trials = len(f.w)
+    u = _member_draws(seed, trials, 5, 3)
+    tau = _tau_factors(f.n_plus_1)
+    lam_u = u.reshape(trials, 15)[:, :10].reshape(trials, 5, 2)
+    return _symmetry_report(f, u, tau), _omega_hat_symmetry_report(d, lam_u, tau)
+
+
 def _connection_trials(n1, u, seed):
     """Worst residual of the connections suite's trials whose uniforms are
     the rows of ``u``, trial t's zeta and lambda samples drawn from
@@ -212,14 +229,13 @@ def _connection_trials(n1, u, seed):
         x[:, n1 - m:] = x[:, m:0:-1]
     d = OmegaHatData(n1, c, k, u[:, -2] + 1j * u[:, -1])
 
-    rep = symmetry_report(f, zeta_samples=5, seed=seed)
+    rep, orep = _connection_reports(f, d, seed)
     drep = diagonalizer_check(f)
     w_mat = build_W(f)
     comm = np.swapaxes(w_mat, -1, -2) @ w_mat - w_mat @ np.swapaxes(w_mat, -1, -2)
     i = np.arange(n1)
     on_diag = np.zeros_like(comm)
     on_diag[:, i, i] = comm[:, i, i]
-    orep = omega_hat_symmetry_report(d, lambda_samples=5, seed=seed)
     res = np.stack([
         rep.cyclic, rep.anti, rep.reality, rep.conj, rep.real_form,
         drep.fourier_residual, drep.w_residual, drep.wt_residual, drep.bridge_residual,

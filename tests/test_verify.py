@@ -220,7 +220,7 @@ def test_the_chunked_stokes_suite_equals_the_per_trial_loop(seed, monkeypatch):
     sizes = range(3, 13)
     want = run_suites(sizes, samples=50, seed=seed, suites=["stokes"])
     # one trial per chunk, then chunks of 3 trials at n+1 = 5
-    for entries in (1, 3 * 2 * 5 ** 3):
+    for entries in (1, 3 * 20 * 5 ** 2):
         monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", entries)
         assert run_suites(sizes, samples=50, seed=seed, suites=["stokes"]) == want
     monkeypatch.setitem(verify.SUITES, "stokes", _suite_stokes_loop)
@@ -493,10 +493,20 @@ def test_each_size_builds_its_tables_once_per_call(monkeypatch):
     sizes = list(range(3, 11))
     res = run_suites(sizes, samples=50, seed=7)
     assert all(r.passed for r in res) and len(res) == 5 * len(sizes)
-    for name in ("_stokes_layout", "_shift_action", "calibrate"):
+    # the roots cell reads its positive system off the layout's direction map
+    for name in ("_stokes_layout", "_shift_action", "calibrate", "direction_map"):
         assert sorted(calls[name]) == sizes, name
-    # the layout's and the positive system's
-    assert all(calls["direction_map"].count(n1) <= 2 for n1 in sizes)
+
+
+@pytest.mark.parametrize("n1", [3, 4, 7, 12])
+def test_the_roots_cell_fails_a_diagram_order_off_the_positive_system(n1, monkeypatch):
+    # the reversed order negates every simple root and flips every rank
+    # comparison, so the simple-system and positive-system checks fail once each
+    real = verify.order_diagram
+    monkeypatch.setattr(verify, "order_diagram", lambda n: dataclasses.replace(
+        real(n), order=real(n).order[::-1]))
+    (res,) = run_suites([n1], samples=5, seed=1, suites=["roots"])
+    assert (res.max_residual, res.passed, res.checks) == (2.0, False, 2 * n1 + 2)
 
 
 def test_a_repeated_size_or_suite_runs_once():
@@ -637,26 +647,77 @@ def test_the_connections_suite_memory_does_not_grow_with_the_sample_count():
 
 
 def test_the_connections_suite_makes_one_report_call_per_chunk(monkeypatch):
+    names = ("_symmetry_report", "diagonalizer_check", "_omega_hat_symmetry_report",
+             "build_W", "toda_rhs")
     calls = []
-    for name in ("symmetry_report", "diagonalizer_check", "omega_hat_symmetry_report",
-                 "build_W", "toda_rhs"):
+    for name in names:
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *a, _n=name, _f=real, **k:
                             calls.append(_n) or _f(*a, **k))
-    seeds = []
-    for name, rows in (("symmetry_report", "w"), ("omega_hat_symmetry_report", "c")):
+    draws, widths = [], []
+    real_draws = verify._member_draws
+    monkeypatch.setattr(verify, "_member_draws", lambda seed, members, *a:
+                        draws.append((members, seed)) or real_draws(seed, members, *a))
+    for name in ("_symmetry_report", "_omega_hat_symmetry_report"):
         counted = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda data, _f=counted, _r=rows, **k:
-                            seeds.append((len(getattr(data, _r)), k["seed"]))
-                            or _f(data, **k))
+        monkeypatch.setattr(verify, name, lambda data, u, tau, _f=counted:
+                            widths.append(u.shape) or _f(data, u, tau))
+    generators = []
+    default_rng = np.random.default_rng
+
+    def rng(seed):
+        if not isinstance(seed, list):  # not the suite's own generator
+            generators.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
     res = run_suites([6, 24], samples=50, seed=1, suites=["connections"])
     assert all(r.passed for r in res)
     # ten trials: one chunk at n+1 = 6, two (7 + 3 trials) at n+1 = 24
-    assert sorted(calls) == sorted(
-        ["symmetry_report", "diagonalizer_check", "omega_hat_symmetry_report",
-         "build_W", "toda_rhs"] * 3)
-    # a chunk's member k draws from the seed of its trial: seed + start + k
-    assert seeds == [(10, 1)] * 2 + [(7, 1)] * 2 + [(3, 8)] * 2
+    assert sorted(calls) == sorted(names * 3)
+    # a chunk's member k draws from the seed of its trial, seed + start + k,
+    # once for both reports: each trial's generator is built once per size
+    assert draws == [(10, 1), (7, 1), (3, 8)]
+    assert generators == list(range(1, 11)) * 2
+    assert widths == [(10, 5, 3), (10, 5, 2), (7, 5, 3), (7, 5, 2), (3, 5, 3), (3, 5, 2)]
+
+
+def _assert_same_report(got, want):
+    """Every field of ``got`` equals ``want``'s bit for bit, NaN for NaN,
+    with the same types."""
+    assert type(got) is type(want)
+    for name in want.__dataclass_fields__:
+        g, w = getattr(got, name), getattr(want, name)
+        assert type(g) is type(w), name
+        assert np.array_equal(g, w, equal_nan=True), (name, g, w)
+
+
+@pytest.mark.filterwarnings("ignore:field breaks")
+@pytest.mark.parametrize("n1", range(3, 41))
+def test_the_shared_draw_equals_the_two_reports_called_apart(n1):
+    # the larger stacks hold a field breaking v_i + v_(n-i) = 0, a NaN field
+    # and a member with index-asymmetric c, so not every residual is rounding
+    rng = np.random.default_rng(700 + n1)
+    m = n1 // 2
+    for trials in (1, 4, 9):
+        w, v = np.zeros((2, trials, n1))
+        w[:, :m], v[:, :m] = rng.uniform(-1, 1, (2, trials, m))
+        w[:, n1 - m:], v[:, n1 - m:] = -w[:, m - 1::-1], -v[:, m - 1::-1]
+        k, c = rng.uniform(0.5, 2, (2, trials, n1))
+        # symmetric under j -> n+1-j
+        k[:, 1:] = (k[:, 1:] + k[:, :0:-1]) / 2
+        c[:, 1:] = (c[:, 1:] + c[:, :0:-1]) / 2
+        if trials > 1:
+            w[1, 0] += 0.3
+            w[-1, m] = np.nan
+            c[2, 1] += 0.5
+        f = TodaField(n1, w, np.exp(rng.uniform(-0.5, 0.5, trials)), v)
+        z = rng.uniform(0.5, 2, trials) + 1j * rng.uniform(-1, 1, trials)
+        d = OmegaHatData(n1, c, k, z)
+        seed = int(rng.integers(1000))
+        rep, orep = verify._connection_reports(f, d, seed)
+        _assert_same_report(rep, symmetry_report(f, 5, seed))
+        _assert_same_report(orep, omega_hat_symmetry_report(d, 5, seed))
 
 
 class _NanUniforms:
