@@ -10,6 +10,12 @@ Conventions used across the package:
 * polynomial coefficient vectors are monic and stored in increasing-degree
   order, coeffs[k] multiplying mu**k, with coeffs[-1] == 1;
 * ``n_plus_1`` is the matrix size (the Lie theory lives in sl(n+1)).
+
+Stacked kernels (``char_poly``, ``rel_residuals``) are whole-array numpy.
+The eigenvalue gate is not: it checks one lambda at a time in Python
+complex arithmetic, the same operations as a scalar reference loop. At
+n+1 <= 16 a vectorized gate spends more on its few dozen small numpy calls
+per matrix than the scalar loop spends on its arithmetic.
 """
 
 from __future__ import annotations
@@ -213,7 +219,19 @@ def eigenvalues(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Every returned lambda must nearly annihilate the independently recomputed
     characteristic polynomial: |p(lambda)| <= tol.bound(sum_k |c_k||lambda|^k).
-    Failing that is a NumericalError, not a silent return.
+    Failing that is a NumericalError, not a silent return; so is a lambda
+    whose check leaves the float range (a power |lambda|^k or a modulus
+    overflows), whose bound would otherwise read infinite.
+
+    The gate runs one lambda at a time in Python complex and float
+    arithmetic: the scale summed in increasing k, then p(lambda) by Horner's
+    rule from the top coefficient. That is the arithmetic of a plain scalar
+    loop, bit for bit; Python's complex multiply rounds each part on its own,
+    as an unfused product does. At the sizes the package works at (n+1 up to
+    about 16), this is faster than a vectorized gate, whose cost is a few
+    dozen small numpy calls per matrix whatever its size. A lambda whose
+    verdict is already known (a repeat, or for real M the conjugate of one
+    that passed) is not computed again.
 
     A real M takes LAPACK's real solver, whose complex eigenvalues come in
     exact conjugate pairs, and a real characteristic polynomial. The values
@@ -227,31 +245,49 @@ def eigenvalues(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         vals = np.linalg.eigvals(M).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from None
-    coeffs = char_poly(M)
-    # scale_i = sum_k |c_k| |lambda_i|^k, summed in increasing k
-    powers = np.float_power(_modulus(vals)[:, None], np.arange(coeffs.size))
-    scale = np.add.accumulate(_modulus(coeffs) * powers, axis=1)[:, -1]
-    # Horner's rule for all lambdas at once, multiplying by Re x and by i Im x
-    # in turn: each product then rounds once per part, as scalar complex
-    # arithmetic does (a fused complex multiply would not)
-    re, im = vals.real.astype(complex), 1j * vals.imag
-    p = np.zeros(vals.shape, dtype=complex)
-    for c in coeffs[::-1].tolist():
-        p = p * re + p * im + c
-    resid = _modulus(p)
-    bound = tol.bound(scale)
-    # written so that a NaN residual fails too
-    bad = ~(resid <= bound)
-    if bad.any():
-        i = int(np.argmax(bad))
+    coeffs = char_poly(M).tolist()
+    top_down = coeffs[::-1]
+    lams = vals.tolist()
+    # A value equal to one that passed passes too (signed zeros aside, which
+    # no modulus sees). With real coefficients so does the conjugate of one:
+    # each of its Horner steps is the conjugate of the first's, rounded
+    # alike. So each conjugate pair of a real M is computed once.
+    passed = set()
+    real = M.dtype.kind == "f"
+    i = 0
+    try:
+        mods = [abs(c) for c in coeffs]
+        for i, lam in enumerate(lams):
+            if lam in passed:
+                continue
+            r = abs(lam)
+            scale = 0.0
+            for k, m in enumerate(mods):
+                scale += m * r ** k
+            p = 0j
+            for c in top_down:
+                p = p * lam + c
+            resid = abs(p)
+            bound = tol.bound(scale)
+            # written so that a NaN residual fails too
+            if not resid <= bound:
+                raise NumericalError(
+                    "characteristic polynomial residual %.3e exceeds %.3e "
+                    "at lambda = %s" % (resid, bound, lam)
+                )
+            passed.add(lam)
+            if real:
+                passed.add(lam.conjugate())
+    except OverflowError:
         raise NumericalError(
-            "characteristic polynomial residual %.3e exceeds %.3e "
-            "at lambda = %s" % (resid[i], bound[i], vals[i])
-        )
+            "characteristic polynomial check overflows at lambda = %s" % lams[i]
+        ) from None
     return vals
 
 
 _OVERFLOW = "multiset values overflow: absolute value too large"
+# parts up to 2**1020 give differences up to 2**1021 and moduli below 2**1022
+_NO_OVERFLOW = 2.0 ** 1020
 
 
 def match_multisets(a, b, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -271,18 +307,24 @@ def match_multisets(a, b, tol: Tolerance = DEFAULT_TOL) -> float:
     B = np.asarray(b, dtype=complex)
     if A.size != B.size:
         raise ConsistencyError(f"multiset sizes differ: {A.size} vs {B.size}")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+    # the largest part of any value: NaN or inf when one is not finite
+    top = float(np.abs(np.concatenate((A, B), axis=None).view(float)).max(initial=0.0))
+    if not top < math.inf:
         raise ConsistencyError("multisets contain a non-finite value")
     # each accepted pair is measured again in Python complex arithmetic
     a, b = A.tolist(), B.tolist()
     n = len(a)
-    with np.errstate(over="ignore"):
-        diff = A[:, None] - B
-        dist = _modulus(diff)
-    # a finite difference with an infinite modulus is where abs() overflows
-    inf = np.isinf(dist)
-    if inf.any() and np.isfinite(diff[inf]).any():
-        raise ConsistencyError(_OVERFLOW)
+    if top <= _NO_OVERFLOW:
+        dist = _modulus(A[:, None] - B)
+    else:
+        # a part past 2**1020 can overflow a difference or a modulus
+        with np.errstate(over="ignore"):
+            diff = A[:, None] - B
+            dist = _modulus(diff)
+        # a finite difference with an infinite modulus is where abs() overflows
+        inf = np.isinf(dist)
+        if inf.any() and np.isfinite(diff[inf]).any():
+            raise ConsistencyError(_OVERFLOW)
     row_done = [False] * n
     col_done = [False] * n
     worst = 0.0

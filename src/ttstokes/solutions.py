@@ -228,7 +228,9 @@ def random_polytope_gamma(n_plus_1: int, rng: np.random.Generator,
     else:
         rho[..., m + 1:] = u
         rho[..., :m] = -u[..., ::-1]
-    return alcove_to_gamma(AlcovePoint(n_plus_1, rho))
+    # alcove_to_gamma's formula; rho is anti-symmetric by construction, so
+    # only gamma is checked
+    return GammaVector(n_plus_1, n_plus_1 * rho - shift_vector(n_plus_1))
 
 
 def s_formulas(n_plus_1: int, g: GammaVector) -> tuple[float, float]:
@@ -249,21 +251,34 @@ def s_formulas(n_plus_1: int, g: GammaVector) -> tuple[float, float]:
     raise ValueError("closed forms are only available for sizes 4 and 5")
 
 
+def _check_sizes(cal: SectionCalibration, g: GammaVector) -> None:
+    """Raise ValueError unless ``cal`` and ``g`` are of one size."""
+    if cal.n_plus_1 != g.n_plus_1:
+        raise ValueError("calibration size does not match gamma size")
+
+
+def _section_of_angles(cal: SectionCalibration,
+                       a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The monic polynomials (float64, increasing order) of the eigenvalue
+    lists with the angles ``a`` of :func:`_gamma_angles`, and the float64
+    section values with those polynomials, one row or matrix per member."""
+    coeffs = _gamma_char_coeffs(cal.n_plus_1, a)
+    return coeffs, reconstruct_from_chi(cal, _signed_coeffs(coeffs))
+
+
 def _section_from_gamma(cal: SectionCalibration,
                         g: GammaVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenvalue lists of ``g``, their monic polynomials (float64,
     increasing order) and the float64 section values with those polynomials,
     one row or matrix per member of a stack.
 
-    :func:`gamma_to_m0` returns the section values; the verify suite
-    compares all three, so each polynomial is expanded once.
+    The verify suite and the from-gamma command compare all three, so each
+    polynomial is expanded once; :func:`gamma_to_m0` builds only the last
+    two.
     """
-    if cal.n_plus_1 != g.n_plus_1:
-        raise ValueError("calibration size does not match gamma size")
+    _check_sizes(cal, g)
     a = _gamma_angles(g)
-    coeffs = _gamma_char_coeffs(g.n_plus_1, a)
-    return (_eigenvalue_lists(g.n_plus_1, a), coeffs,
-            reconstruct_from_chi(cal, _signed_coeffs(coeffs)))
+    return (_eigenvalue_lists(g.n_plus_1, a), *_section_of_angles(cal, a))
 
 
 def gamma_to_m0(cal: SectionCalibration, g: GammaVector) -> MonodromyMatrix:
@@ -276,7 +291,8 @@ def gamma_to_m0(cal: SectionCalibration, g: GammaVector) -> MonodromyMatrix:
     those coefficients, a matrix in SL(n+1, R). A stack of gammas gives the
     stack (S, n+1, n+1) of monodromies.
     """
-    return MonodromyMatrix(g.n_plus_1, _section_from_gamma(cal, g)[2])
+    _check_sizes(cal, g)
+    return MonodromyMatrix(g.n_plus_1, _section_of_angles(cal, _gamma_angles(g))[1])
 
 
 @dataclass(frozen=True)

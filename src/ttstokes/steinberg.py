@@ -122,6 +122,11 @@ class SectionCalibration:
     with C the cyclic shift (see the module docstring). The calibration
     holds only integers and is immutable: the slot arrays are read-only, and
     they are left out of equality since root order and signs determine them.
+
+    It also caches, built once from the fields above, what every section
+    and relabeling call reads: ``shift``, the cyclic shift C as an integer
+    matrix, and ``chi_source_index`` and ``chi_sign_vector``, the relabeling
+    tuples as arrays. These are read-only too, and left out of equality.
     """
 
     n_plus_1: int
@@ -132,6 +137,20 @@ class SectionCalibration:
     slot_rows: np.ndarray = field(repr=False, compare=False)
     slot_cols: np.ndarray = field(repr=False, compare=False)
     slot_signs: np.ndarray = field(repr=False, compare=False)
+    shift: np.ndarray = field(init=False, repr=False, compare=False)
+    chi_source_index: np.ndarray = field(init=False, repr=False, compare=False)
+    chi_sign_vector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        derived = {
+            "shift": cyclic_for(self.n_plus_1),
+            "chi_source_index": self.chi_sources,
+            "chi_sign_vector": self.chi_signs,
+        }
+        for name, value in derived.items():
+            arr = np.array(value, dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def flips(self) -> tuple[int, ...]:
@@ -156,7 +175,7 @@ class SectionCalibration:
     def chi_of_t(self, t) -> np.ndarray:
         """chi(s(t)) read off the relabeling; t is (n,) or a stack (S, n)."""
         t = np.asarray(t)
-        return np.array(self.chi_signs) * t[..., np.array(self.chi_sources)]
+        return self.chi_sign_vector * t[..., self.chi_source_index]
 
     def t_of_chi(self, e) -> np.ndarray:
         """The inverse relabeling; e is (n,) or a stack (S, n). Real e
@@ -164,7 +183,7 @@ class SectionCalibration:
         e = _working(e)
         t = np.zeros(e.shape, dtype=e.dtype)
         # transposed, the coordinate axis comes first for (n,) and (S, n)
-        t.T[np.array(self.chi_sources)] = (np.array(self.chi_signs) * e).T
+        t.T[self.chi_source_index] = (self.chi_sign_vector * e).T
         return t
 
 
@@ -334,7 +353,7 @@ def steinberg_section(cal: SectionCalibration, t) -> np.ndarray:
     if t.ndim not in (1, 2) or t.shape[-1] != n1 - 1:
         raise ValueError(f"expected {n1 - 1} coordinates, got shape {t.shape}")
     M = np.empty(t.shape[:-1] + (n1, n1), dtype=t.dtype)
-    M[...] = cyclic_for(n1)
+    M[...] = cal.shift
     M[..., cal.slot_rows, cal.slot_cols] += cal.slot_signs * t
     return M
 

@@ -41,6 +41,7 @@ their partners checks the whole family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -108,9 +109,19 @@ class StokesParams:
         _check_keys(self.n_plus_1, "second", self.second_coeffs)
 
 
+@lru_cache(maxsize=256, typed=True)
+def _table_keys(n_plus_1: int, which: str) -> frozenset[Root]:
+    """The ``which`` root set as a frozen set, built once per size and table.
+
+    ``typed`` keeps a size of another type, such as the float 4.0, from
+    reusing the entry of the int 4, so it meets the table as before.
+    """
+    return frozenset(table_supported_roots(n_plus_1, which))
+
+
 def _check_keys(n_plus_1: int, which: str, coeffs: dict[Root, complex]) -> None:
     """Raise ValueError unless ``coeffs`` is keyed by the ``which`` root set."""
-    expect = set(table_supported_roots(n_plus_1, which))
+    expect = _table_keys(n_plus_1, which)
     if set(coeffs) != expect:
         raise ValueError(f"{which} coefficients keyed by {sorted(set(coeffs))}, "
                          f"expected {sorted(expect)}")

@@ -29,6 +29,13 @@ from ttstokes.linalg import (
     shift_matrix,
     signed_shift_matrix,
 )
+from ttstokes.solutions import (
+    AlcovePoint,
+    alcove_to_gamma,
+    eigenvalues_from_gamma,
+    gamma_to_m0,
+    random_polytope_gamma,
+)
 from ttstokes.steinberg import calibrate, steinberg_section
 
 
@@ -600,6 +607,118 @@ def test_eigenvalue_gate_fails_a_nan_residual(monkeypatch):
     monkeypatch.setattr(linalg, "char_poly", nan_poly)
     with pytest.raises(NumericalError, match="residual nan"):
         eigenvalues(np.diag([1.0, 2.0, 3.0]))
+
+
+# ---------------------------------------------------------------------------
+# the from-gamma query path: the gate and the match on its own spectra
+# ---------------------------------------------------------------------------
+
+def _alcove_gamma(n1, u):
+    """The gamma whose free alcove coordinates are the sorted ``u``, laid
+    out as random_polytope_gamma lays out its draw."""
+    m = n1 // 2
+    u = np.asarray(u, dtype=float)
+    rho = np.zeros(n1)
+    if n1 % 2 == 0:
+        rho[:m], rho[m:] = u, -u[::-1]
+    else:
+        rho[m + 1:], rho[:m] = u, -u[::-1]
+    return alcove_to_gamma(AlcovePoint(n1, rho))
+
+
+def _query_gammas(n1):
+    """Interior draws, a point near every kind of wall, and the vertices of
+    the alcove at size n1."""
+    m = n1 // 2
+    rng = np.random.default_rng([960, n1])
+    kinds = {f"interior {k}": random_polytope_gamma(n1, rng) for k in range(4)}
+    # ties and both ends within 1e-7: consecutive gamma gaps within 1e-6 of -2
+    u = np.sort(rng.uniform(0.0, 1.0, m))
+    u[0], u[-1] = 1e-7, 1.0 - 1e-7
+    if m > 2:
+        u[2] = u[1] + 1e-7
+    kinds["near the walls"] = _alcove_gamma(n1, np.sort(u))
+    for zeros in range(m + 1):
+        kinds[f"vertex {zeros}"] = _alcove_gamma(n1, [0.0] * zeros + [1.0] * (m - zeros))
+    return kinds
+
+
+def _gate_verdict(M, tol):
+    """The gate's verdict on M at tol, asserted equal to the loop's outcome:
+    the same values, or the same error and message."""
+    got, want = _outcome(eigenvalues, M, tol), _outcome(_eigenvalues_loop, M, tol)
+    assert got[0] == want[0], (M, tol)
+    if got[0] == "returned":
+        assert np.array_equal(got[1], want[1]), (M, tol)
+    else:
+        assert got[1] == want[1], (M, tol)
+    return got[0]
+
+
+def _worst_ratio(M):
+    """Largest |p(lambda)| / scale over the spectrum, by the loop's arithmetic:
+    a relative tolerance of this puts the worst lambda on the bound."""
+    coeffs = _char_poly_loop(M)
+    ratio = 0.0
+    for lam in np.linalg.eigvals(_in_own_dtype(M)).astype(complex):
+        scale = sum(abs(c) * abs(lam) ** k for k, c in enumerate(coeffs))
+        ratio = max(ratio, abs(_horner(coeffs, lam)) / scale)
+    return ratio
+
+
+@pytest.mark.parametrize("n1", range(4, 17))
+def test_eigenvalue_gate_equals_the_loop_on_query_monodromies(n1):
+    cal = calibrate(n1)
+    for kind, g in _query_gammas(n1).items():
+        M = gamma_to_m0(cal, g).matrix
+        ratio = _worst_ratio(M)
+        # the last two put the worst lambda on the bound and at twice it
+        tols = [Tolerance(), Tolerance(1e-8, 1e-8), Tolerance(1e-300, ratio),
+                Tolerance(1e-300, ratio / 2)]
+        verdicts = [_gate_verdict(M, tol) for tol in tols]
+        assert verdicts[-1] == "NumericalError", kind
+
+
+@pytest.mark.parametrize("n1", range(4, 17))
+def test_match_multisets_equals_the_loop_on_query_spectra(n1):
+    cal = calibrate(n1)
+    outcomes = set()
+    for kind, g in _query_gammas(n1).items():
+        got_spectrum = np.linalg.eigvals(gamma_to_m0(cal, g).matrix).astype(complex)
+        want_spectrum = eigenvalues_from_gamma(g)
+        for tol in (Tolerance(), Tolerance(1e-8, 1e-8), Tolerance(1e-4, 1e-4)):
+            got = _outcome(match_multisets, got_spectrum, want_spectrum, tol)
+            want = _outcome(_match_multisets_loop, got_spectrum, want_spectrum, tol)
+            assert got == want, (kind, tol)
+            assert type(got[1]) is type(want[1])
+            outcomes.add(got[0])
+    # the vertices' repeated eigenvalues miss the tight tolerances
+    assert outcomes == {"returned", "ConsistencyError"}
+
+
+def test_eigenvalue_gate_equals_the_loop_on_repeated_and_conjugate_values():
+    # the gate checks a repeated value, or for real M the conjugate of one
+    # that passed, only once; signed zeros and exact pairs must not change a
+    # verdict or a message
+    rot = np.array([[0.3, -1.2], [1.2, 0.3]])
+    real = [np.diag([2.0, 2.0, -0.0, 0.0, 1.0]),
+            np.kron(np.eye(3), rot),
+            np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]]),
+            shift_matrix(6), signed_shift_matrix(8)]
+    cases = real + [M * (1 + 1j) for M in real] + [M.astype(complex) for M in real]
+    # a conjugate pair under complex coefficients: p(lambda) is exactly 0
+    # and p(conj lambda) is not, so only a real M may skip the partner
+    cases.append(np.diag([-0.9 + 3.3j, -0.9 - 3.3j, 0.2 - 0.4j]))
+    tols = (Tolerance(), Tolerance(1e-14, 1e-14), Tolerance(1e-300, 1e-300))
+    verdicts = {_gate_verdict(M, tol) for M in cases for tol in tols}
+    assert verdicts == {"returned", "NumericalError"}
+
+
+def test_the_gate_raises_when_its_arithmetic_overflows():
+    # |lambda|^k passes the float range at k = 2: an infinite bound would
+    # pass any residual, so the gate refuses the matrix instead
+    with pytest.raises(NumericalError, match="check overflows at lambda"):
+        eigenvalues(np.diag([1e200, 1.0]))
 
 
 def test_tolerance_validation():

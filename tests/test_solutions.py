@@ -249,6 +249,24 @@ def test_stacked_draw_equals_single_draws(n1):
     assert rng_stack.uniform() == rng_loop.uniform()
 
 
+@pytest.mark.parametrize("n1", range(3, 25))
+def test_the_draw_is_the_alcove_chart_and_the_monodromy_the_section(n1):
+    # the sorted uniforms laid out as rho and mapped by alcove_to_gamma, and
+    # the section value of the verify route, both bit for bit
+    m = n1 // 2
+    u = np.sort(np.random.default_rng(n1).uniform(0.0, 1.0, (STACK, m)), axis=-1)
+    rho = np.zeros((STACK, n1))
+    if n1 % 2 == 0:
+        rho[:, :m], rho[:, m:] = u, -u[:, ::-1]
+    else:
+        rho[:, m + 1:], rho[:, :m] = u, -u[:, ::-1]
+    g = random_polytope_gamma(n1, np.random.default_rng(n1), STACK)
+    assert np.array_equal(g.gamma, alcove_to_gamma(AlcovePoint(n1, rho)).gamma)
+    cal = calibrate(n1)
+    assert np.array_equal(gamma_to_m0(cal, g).matrix,
+                          solutions._section_from_gamma(cal, g)[2])
+
+
 def test_an_empty_stack_is_drawn_and_mapped():
     cal = calibrate(5)
     g = random_polytope_gamma(5, np.random.default_rng(0), 0)

@@ -432,6 +432,30 @@ def test_section_at_zero_is_the_shift():
         assert np.array_equal(again, expect)
 
 
+@pytest.mark.parametrize("n1", [3, 4, 9, 16])
+def test_writing_into_sections_leaves_the_cached_constants_alone(n1):
+    cal = calibrate(n1)
+    rng = np.random.default_rng(470 + n1)
+    t = rng.normal(size=(3, n1 - 1))
+    want = [steinberg_section(cal, row) for row in t]
+    for arr in (cal.shift, cal.chi_source_index, cal.chi_sign_vector):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # a single value, a stack and the relabeled coordinates, each scribbled on
+    single, stack = steinberg_section(cal, t[0]), steinberg_section(cal, t)
+    coords = cal.t_of_chi(cal.chi_of_t(t[0]))
+    for arr in (single, stack, coords):
+        assert arr.flags.writeable
+        arr[...] = 7.0
+    assert np.array_equal(cal.shift, cyclic_for(n1))
+    assert cal.chi_source_index.tolist() == list(cal.chi_sources)
+    assert cal.chi_sign_vector.tolist() == list(cal.chi_signs)
+    for row, expect in zip(t, want):
+        assert np.array_equal(steinberg_section(cal, row), expect)
+    assert np.array_equal(steinberg_section(cal, t), np.stack(want))
+
+
 def test_section_4_matches_monodromy_display():
     cal = calibrate(4)
     rng = np.random.default_rng(5)

@@ -206,6 +206,33 @@ def test_stokes_params_validates_keys():
         StokesParams(4, {(1, 0): 1.0}, {(1, 3): 0.0})
 
 
+def test_key_checks_keep_their_messages_and_build_each_table_once(monkeypatch):
+    calls = []
+    real = stokes.table_supported_roots
+    monkeypatch.setattr(stokes, "table_supported_roots",
+                        lambda *a: calls.append(a) or real(*a))
+    stokes._table_keys.cache_clear()
+    head, second = (dict.fromkeys(real(5, w), 0.0) for w in ("head", "second"))
+    for _ in range(3):
+        StokesParams(5, head, second)
+        build_q(5, "head", head)
+        build_q(5, "second", second)
+    assert sorted(calls) == [(5, "head"), (5, "second")]
+    with pytest.raises(ValueError) as exc:
+        build_q(5, "head", {(1, 0): 1.0})
+    assert str(exc.value) == (f"head coefficients keyed by [(1, 0)], "
+                              f"expected {sorted(real(5, 'head'))}")
+    with pytest.raises(ValueError) as exc:
+        StokesParams(5, head, {**second, (0, 0): 1.0})
+    assert str(exc.value) == (f"second coefficients keyed by "
+                              f"{sorted([*second, (0, 0)])}, "
+                              f"expected {sorted(real(5, 'second'))}")
+    # a size of another type does not reuse the int size's entry
+    with pytest.raises(TypeError):
+        StokesParams(5.0, head, second)
+    stokes._table_keys.cache_clear()
+
+
 def test_build_m0_reference_4():
     s1, s2 = 0.7, -0.3
     m0 = build_m0(params_4(s1, s2))

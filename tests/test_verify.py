@@ -545,8 +545,9 @@ def test_one_read_only_size_object_is_shared_by_the_suites_of_a_size(monkeypatch
             size.layout = None
         values = [*vars(size).values(), *size.layout, *vars(size.calibration).values()]
         arrays = [v for v in values if isinstance(v, np.ndarray)]
-        # the layout's seven tables and the calibration's three slot arrays
-        assert len(arrays) == 10
+        # the layout's seven tables, the calibration's three slot arrays and
+        # its three cached section and relabeling constants
+        assert len(arrays) == 13
         assert not any(arr.flags.writeable for arr in arrays)
 
 
