@@ -34,8 +34,8 @@ from . import reference
 from .roots import (
     _roots_on,
     direction_map,
-    shifted_table_roots,
     singular_directions,
+    table_agreement,
     table_supported_roots,
 )
 from .solutions import (
@@ -237,11 +237,12 @@ def _cmd_directions(ns):
 def _cmd_roots(ns):
     n1 = ns.n
     slot_dir = direction_map(n1)
+    agreement = table_agreement(slot_dir).tolist()
     rows = []
     mismatches = 0
     for d in singular_directions(n1):
         from_arg = _roots_on(slot_dir, d.ell)
-        agrees = set(from_arg) == shifted_table_roots(n1, d.ell)
+        agrees = agreement[d.ell]
         mismatches += 0 if agrees else 1
         rows.append({
             "ell": d.ell,

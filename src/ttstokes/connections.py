@@ -24,6 +24,25 @@ of variable contributes its derivative, so the checks implemented here read
 and membership in the twisted real form on the circle |zeta| = 1/x is
 tested on B = i zeta A(zeta), which the reversal-conjugation fixes exactly.
 
+The reports keep alpha_hat and omega_hat on their bands.  alpha_hat has
+3(n+1) nonzero entries and omega_hat 2(n+1), so a stack of them is held as
+(..., 3, n+1) or (..., 2, n+1): band 0 holds the entries (j+1, j), band 1
+the diagonal (j, j) and band 2 (alpha_hat only) the entries (j, j+1),
+indices cyclic.  Entry (i, j) of R A^T R is A's (n-j, n-i) and of R A R
+is A's (n-i, n-j) for the reversal R, so on the bands both are exact index
+maps: an off-diagonal entry j comes from entry n-1-j (of the same band for
+R A^T R, of the other off-diagonal band for R A R), a diagonal entry j
+from entry n-j.  The sigma, reality, conjugation and real-form identities
+are these maps with negation and conjugation, compared band to band; off
+the bands both sides are 0, so the residuals are those of the dense
+matrices bit for bit.  That needs n+1 >= 3: at n+1 = 2 the two
+off-diagonal bands are the same entries.  The tau identity stays dense:
+D^-1 A D is the stacked matmuls of the dense matrices (scaling the bands
+by D's entries rounds differently from the matmul), and its right-hand
+side is subtracted on the bands.  Each report makes its own products:
+joining the two reports' products would need each report's first samples
+built apart from its other arguments, which costs more than it saves.
+
 The samples of a report are built as whole arrays with the values the
 per-sample scalar arithmetic gives, bit for bit.  Two operations need care:
 a product of two complex sample values is written out in real parts (numpy's
@@ -42,6 +61,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +75,7 @@ from .linalg import (
     shift_matrix,
     signed_shift_matrix,
 )
-from .roots import table_supported_roots
+from .roots import _check_size, table_supported_roots
 from .solutions import AsymptoticDataK, _check_members, _member, gamma_from_k
 
 _SYM_TOL = 1e-9
@@ -73,7 +94,8 @@ class TodaField:
     Both vectors should satisfy v_i + v_{n-i} = 0.  A violation only breaks
     the anti-symmetry and reality identities, and the negative controls need
     such fields, so it warns instead of raising: once per breaking member,
-    in member order.
+    in member order.  The size n+1 is at least 3, as everywhere in the
+    package (see the module docstring for why the bands need it).
     """
 
     n_plus_1: int
@@ -82,6 +104,7 @@ class TodaField:
     xwx: np.ndarray
 
     def __post_init__(self):
+        _check_size(self.n_plus_1)
         w = np.asarray(self.w, dtype=float)
         v = np.asarray(self.xwx, dtype=float)
         if w.ndim not in (1, 2) or w.shape[-1] != self.n_plus_1 or v.shape != w.shape:
@@ -107,14 +130,20 @@ class TodaField:
         object.__setattr__(self, "xwx", v)
 
 
+def _w_entries(f: TodaField) -> np.ndarray:
+    """The nonzero entries e^{w_{j+1} - w_j} of W at (j, j+1), j = 0 .. n,
+    the last in the corner: (n+1,), or (S, n+1) for a stack."""
+    up = (np.arange(f.n_plus_1) + 1) % f.n_plus_1
+    return np.exp(f.w[..., up] - f.w)
+
+
 def build_W(f: TodaField) -> np.ndarray:
     """Cyclic matrix e^{-w} Pi e^{w}, written out entrywise: (n+1, n+1), or
     (S, n+1, n+1) for a stack."""
     n1 = f.n_plus_1
     i = np.arange(n1)
-    up = (i + 1) % n1
     mat = np.zeros(f.w.shape[:-1] + (n1, n1), dtype=complex)
-    mat[..., i, up] = np.exp(f.w[..., up] - f.w)
+    mat[..., i, (i + 1) % n1] = _w_entries(f)
     return mat
 
 
@@ -124,52 +153,84 @@ def _radius_squares(f: TodaField) -> np.ndarray:
     return np.reshape([x**2 for x in np.reshape(f.x, -1).tolist()], np.shape(f.x))
 
 
-def _alpha_hat_stack(f: TodaField, zetas) -> np.ndarray:
-    """alpha_hat at every zeta: (len(zetas), n+1, n+1) for one field, and
-    (S, m, n+1, n+1) for a stack, whose ``zetas`` holds m values per member.
+class _Bands(NamedTuple):
+    """One size's band bookkeeping, read-only.  Band 0 holds the entries
+    (j+1, j), band 1 the diagonal and band 2 the entries (j, j+1), indices
+    cyclic; a stack's bands are indexed flat, band by band, and a two-band
+    stack uses the first 2(n+1) indices of ``flat`` and ``transposed``."""
 
-    Only the 3(n+1) nonzero entries are computed: W^T / zeta^2 on the
-    subdiagonal and corner, x w_x / zeta on the diagonal, x^2 W on the
-    superdiagonal and corner. zeta^2 is ``np.power(zeta, 2)``, which equals
-    the scalar square bit for bit; the ``z**2`` fast path on an array does
-    not.
+    flat: np.ndarray        # the dense index i (n+1) + j of each band entry
+    transposed: np.ndarray  # the band entries of A that R A^T R's take
+    reversed: np.ndarray    # the band entries of A that R A R's take
+    d_inv: np.ndarray       # D^-1 and D, D = diag(omega^i), for the tau products
+    d: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _bands(n1: int) -> _Bands:
+    """The band bookkeeping of size n+1, built once per size."""
+    j = np.arange(n1)
+    up = (j + 1) % n1
+    # an off-diagonal entry j of R A^T R or R A R is entry n-1-j of A's
+    # same or other off-diagonal band, a diagonal entry j is A's n-j
+    off, dia = (n1 - 2 - j) % n1, n1 - 1 - j
+    d = omega_diag(n1)
+    out = _Bands(np.concatenate([up * n1 + j, j * n1 + j, j * n1 + up]),
+                 np.concatenate([off, n1 + dia, 2 * n1 + off]),
+                 np.concatenate([2 * n1 + off, n1 + dia, off]),
+                 np.linalg.inv(d), d)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _alpha_hat_bands(f: TodaField, zetas) -> np.ndarray:
+    """alpha_hat's bands at every zeta: (len(zetas), 3, n+1) for one field,
+    and (S, m, 3, n+1) for a stack, whose ``zetas`` holds m values per
+    member.
+
+    Band 0 is -W^T / zeta^2, band 1 -x w_x / zeta and band 2 x^2 W.  zeta^2
+    is ``np.power(zeta, 2)``, which equals the scalar square bit for bit;
+    the ``z**2`` fast path on an array does not.
     """
     z = np.array(zetas, dtype=complex)
     if np.any(z == 0):
         raise ValueError("alpha_hat has a pole at zeta = 0")
     sq = np.power(z, 2)
-    n1 = f.n_plus_1
-    i = np.arange(n1)
-    up = (i + 1) % n1
-    w = build_W(f)[..., None, i, up]
-    out = np.zeros(z.shape + (n1, n1), dtype=complex)
-    out[..., up, i] = -w / sq[..., None]
-    out[..., i, i] = -(f.xwx.astype(complex)[..., None, :] / z[..., None])
-    out[..., i, up] = _radius_squares(f)[..., None, None] * w
+    w = _w_entries(f).astype(complex)[..., None, :]
+    out = np.empty(z.shape + (3, f.n_plus_1), dtype=complex)
+    out[..., 0, :] = -w / sq[..., None]
+    out[..., 1, :] = -(f.xwx.astype(complex)[..., None, :] / z[..., None])
+    out[..., 2, :] = _radius_squares(f)[..., None, None] * w
     return out
 
 
-def _tau_factors(n1: int) -> tuple:
-    """The diagonal D = diag(omega^i) and its inverse, as ``_tau`` takes them."""
-    d = omega_diag(n1)
-    return np.linalg.inv(d), d
+def _gather(bands: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The bands (..., k, n+1) whose flat entry e is entry ``index[e]`` of
+    ``bands``, flat: with :attr:`_Bands.transposed` or
+    :attr:`_Bands.reversed`, the bands of R A^T R or R A R for the reversal
+    R, an exact gather."""
+    shape = bands.shape
+    flat = bands.reshape(shape[:-2] + (-1,))
+    return flat[..., index[:flat.shape[-1]]].reshape(shape)
 
 
-def _tau(mats: np.ndarray, factors: tuple) -> np.ndarray:
-    """D^-1 A D as the dense matmuls: scaling rows and columns by
-    broadcasting rounds differently."""
-    d_inv, d = factors
-    return d_inv @ mats @ d
-
-
-def _sigma(mats: np.ndarray) -> np.ndarray:
-    """-R A^T R for the reversal R, as an index flip."""
-    return -np.swapaxes(mats, -1, -2)[..., ::-1, ::-1]
-
-
-def _creal(mats: np.ndarray) -> np.ndarray:
-    """R conj(A) R for the reversal R, as an index flip."""
-    return np.conj(mats)[..., ::-1, ::-1]
+def _tau_residuals(a: np.ndarray, rhs: np.ndarray, tables: _Bands) -> np.ndarray:
+    """:func:`~ttstokes.linalg.rel_residuals` of D^-1 A D against ``rhs``,
+    D = diag(omega^i), for the band stacks ``a`` and ``rhs``, as the dense
+    matrices give it.  D^-1 A D is the dense matmuls of the dense A: scaling
+    the bands by D's entries rounds differently.  Off the bands rhs is 0, so
+    the product's entries there enter as they are."""
+    n1 = a.shape[-1]
+    k = a.shape[-2] * n1
+    lead = a.shape[:-2]
+    dense = np.zeros(lead + (n1 * n1,), dtype=complex)
+    dense[..., tables.flat[:k]] = a.reshape(lead + (k,))
+    diff = tables.d_inv @ dense.reshape(lead + (n1, n1)) @ tables.d
+    diff = diff.reshape(lead + (n1 * n1,))
+    diff[..., tables.flat[:k]] -= rhs.reshape(lead + (k,))
+    return (np.max(np.abs(diff), axis=-1)
+            / np.fmax(1.0, np.max(np.abs(rhs), axis=(-2, -1))))
 
 
 def _report(cls, n1: int, *fields):
@@ -234,14 +295,13 @@ def symmetry_report(f: TodaField, zeta_samples: int = 20,
         raise ValueError("need at least one sample")
     lead = f.w.shape[:-1]
     draws = _member_draws(seed, int(np.prod(lead)), zeta_samples, 3)
-    return _symmetry_report(f, draws.reshape(lead + draws.shape[1:]),
-                            _tau_factors(f.n_plus_1))
+    return _symmetry_report(f, draws.reshape(lead + draws.shape[1:]), _bands(f.n_plus_1))
 
 
-def _symmetry_report(f: TodaField, draws: np.ndarray, tau: tuple) -> SymmetryReport:
+def _symmetry_report(f: TodaField, draws: np.ndarray, tables: _Bands) -> SymmetryReport:
     """:func:`symmetry_report` over each member's uniforms, ``draws`` of shape
     (..., samples, 3): a row's (r, t) make zeta and its third the point on
-    the circle. ``tau`` is :func:`_tau_factors` of the size."""
+    the circle.  ``tables`` is :func:`_bands` of the size."""
     n1 = f.n_plus_1
     lead = f.w.shape[:-1]
     samples = draws.shape[-2]
@@ -255,15 +315,15 @@ def _symmetry_report(f: TodaField, draws: np.ndarray, tau: tuple) -> SymmetryRep
     zetas = np.concatenate([zeta, _times(om, zeta), -zeta, 1.0 / (x2 * zc), zc, circle],
                            axis=-1)
     a, a_om, a_neg, a_c, a_zc, a_circ = np.moveaxis(
-        _alpha_hat_stack(f, zetas).reshape(lead + (6, samples, n1, n1)), -4, 0)
+        _alpha_hat_bands(f, zetas).reshape(lead + (6, samples, 3, n1)), -4, 0)
     jac = (x2 * np.power(zc, 2))[..., None, None]
     b = (1j * circle)[..., None, None] * a_circ
     res = np.array([
-        rel_residuals(_tau(a, tau), om * a_om),
-        rel_residuals(_sigma(a), -a_neg),
-        rel_residuals(_creal(a), -a_c / jac),
+        _tau_residuals(a, om * a_om, tables),
+        rel_residuals(-_gather(a, tables.transposed), -a_neg),
+        rel_residuals(np.conj(_gather(a, tables.reversed)), -a_c / jac),
         rel_residuals(np.conj(a_zc), a),
-        rel_residuals(_creal(b), b),
+        rel_residuals(np.conj(_gather(b, tables.reversed)), b),
     ]).max(axis=-1)
     # one field's residuals are numpy floats, as this report has always given
     return SymmetryReport(n1, *res)
@@ -308,11 +368,50 @@ def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
     (omega^(-1/2) for even sizes on the signed shift, omega^-(m+1) for odd
     sizes on the shift itself).  The last check confirms that conjugation by
     the inner diagonal preserves Stokes-factor support patterns.  The
-    Fourier, bridge and pattern checks do not involve the field, so a stack
-    makes them once and every member reports the same values.
+    Fourier, bridge and pattern checks do not involve the field: they are
+    made once per size, and every member of a stack reports the same values.
     """
     n1 = f.n_plus_1
     lead = f.w.shape[:-1]
+    size = _diagonalizers(n1)
+    # stacked products with the diagonal matrices, as the one-field matmuls:
+    # scaling rows or columns by broadcasting rounds differently
+    ew = _diag(np.exp(f.w))
+    ewi = _diag(np.exp(-f.w))
+    p0 = ewi @ size.om @ size.d0
+    p0_inv = size.d0_inv_om_inv @ ew
+    p_inf = ew @ size.om_inv @ size.d0_inv
+    p_inf_inv = size.d0_om @ ewi
+
+    w = build_W(f)
+    axes = (-2, -1)
+    r_w = np.max(np.abs(w - p0 @ size.d @ p0_inv), axis=axes)
+    r_wt = np.max(np.abs(np.swapaxes(w, -1, -2) - p_inf @ size.d @ p_inf_inv), axis=axes)
+    return _report(DiagonalizerReport, n1, np.full(lead, size.r_fourier), r_w, r_wt,
+                   np.full(lead, size.r_bridge), np.full(lead, size.pattern_ok))
+
+
+class _Diagonalizers(NamedTuple):
+    """The field-free part of :func:`diagonalizer_check` for one size: the
+    matrices the dressed diagonalizers are made of, read-only, and the
+    Fourier, bridge and pattern results."""
+
+    d: np.ndarray              # diag(omega^i)
+    om: np.ndarray             # the Fourier matrix and its inverse
+    om_inv: np.ndarray
+    d0: np.ndarray             # the inner diagonal and its inverse
+    d0_inv: np.ndarray
+    d0_inv_om_inv: np.ndarray  # d0^-1 om^-1 and d0 om, the first products of
+    d0_om: np.ndarray          # p0^-1 = d0^-1 om^-1 e^w and p_inf^-1 = d0 om e^-w
+    r_fourier: float
+    r_bridge: float
+    pattern_ok: bool
+
+
+@lru_cache(maxsize=256)
+def _diagonalizers(n1: int) -> _Diagonalizers:
+    """The field-free part of :func:`diagonalizer_check`, built once per
+    size."""
     d = omega_diag(n1)
     om = fourier_matrix(n1)
     om_inv = np.conj(om) / n1
@@ -320,20 +419,6 @@ def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
 
     d0 = _inner_diagonal(n1)
     d0_inv = np.conj(d0)
-    # stacked products with the diagonal matrices, as the one-field matmuls:
-    # scaling rows or columns by broadcasting rounds differently
-    ew = _diag(np.exp(f.w))
-    ewi = _diag(np.exp(-f.w))
-    p0 = ewi @ om @ d0
-    p0_inv = d0_inv @ om_inv @ ew
-    p_inf = ew @ om_inv @ d0_inv
-    p_inf_inv = d0 @ om @ ewi
-
-    w = build_W(f)
-    axes = (-2, -1)
-    r_w = np.max(np.abs(w - p0 @ d @ p0_inv), axis=axes)
-    r_wt = np.max(np.abs(np.swapaxes(w, -1, -2) - p_inf @ d @ p_inf_inv), axis=axes)
-
     if n1 % 2 == 0:
         bridge = d0 @ signed_shift_matrix(n1).astype(complex) @ d0_inv
         r_bridge = max_abs(bridge - omega_pow(n1, -0.5) * shift_matrix(n1))
@@ -350,8 +435,10 @@ def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
     pattern_ok = bool(np.array_equal(np.abs(conj_probe) > 1e-12,
                                      np.abs(probe) > 1e-12))
 
-    return _report(DiagonalizerReport, n1, np.full(lead, r_fourier), r_w, r_wt,
-                   np.full(lead, r_bridge), np.full(lead, pattern_ok))
+    mats = (d, om, om_inv, d0, d0_inv, d0_inv @ om_inv, d0 @ om)
+    for a in mats:
+        a.setflags(write=False)
+    return _Diagonalizers(*mats, r_fourier, r_bridge, pattern_ok)
 
 
 @dataclass(frozen=True)
@@ -368,6 +455,7 @@ class OmegaHatData:
     anti-symmetry identity for the 1-form additionally needs c symmetric
     under the same index involution; that is the caller's choice, and the
     symmetry report exposes the violation rather than this constructor.
+    The size n+1 is at least 3, as for :class:`TodaField`.
     """
 
     n_plus_1: int
@@ -377,6 +465,7 @@ class OmegaHatData:
     m: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_size(self.n_plus_1)
         cc = np.asarray(self.c, dtype=float)
         if cc.ndim not in (1, 2) or cc.shape[-1] != self.n_plus_1:
             raise ValueError("c must have length n_plus_1")
@@ -404,13 +493,13 @@ class OmegaHatData:
         return float(n) if n.ndim == 0 else n
 
 
-def _omega_hat_stack(d: OmegaHatData, lams) -> np.ndarray:
-    """omega_hat at every lambda: (len(lams), n+1, n+1) for one member, and
-    (S, m, n+1, n+1) for a stack, whose ``lams`` holds m values per member.
-    The coefficient is -(n+1)/N * z/lambda^2 * eta + m/lambda, with eta
-    carrying p_i = c_i z^{k_i} on the subdiagonal and p_0 in the top-right
-    corner; the scalar factor of eta is formed per lambda. Only the 2(n+1)
-    nonzero entries are computed."""
+def _omega_hat_bands(d: OmegaHatData, lams) -> np.ndarray:
+    """omega_hat's two bands at every lambda: (len(lams), 2, n+1) for one
+    member, and (S, m, 2, n+1) for a stack, whose ``lams`` holds m values
+    per member.  The coefficient is -(n+1)/N * z/lambda^2 * eta + m/lambda,
+    with eta carrying p_i = c_i z^{k_i} at (i, i-1), so band 0 holds
+    -(n+1)/N * z/lambda^2 * p_{j+1} and band 1 m_j / lambda; the scalar
+    factor of eta is formed per lambda."""
     lam = np.array(lams, dtype=complex)
     if np.any(lam == 0):
         raise ValueError("omega_hat has a pole at lambda = 0")
@@ -418,10 +507,9 @@ def _omega_hat_stack(d: OmegaHatData, lams) -> np.ndarray:
     coef = (-(n1 / np.asarray(d.N))[..., None]
             * (np.asarray(d.z)[..., None] / np.power(lam, 2)))
     p = d.c * np.power(np.asarray(d.z)[..., None], d.k)
-    i = np.arange(n1)
-    out = np.zeros(lam.shape + (n1, n1), dtype=complex)
-    out[..., i, (i - 1) % n1] = coef[..., None] * p[..., None, :]
-    out[..., i, i] = d.m.astype(complex)[..., None, :] / lam[..., None]
+    out = np.empty(lam.shape + (2, n1), dtype=complex)
+    out[..., 0, :] = (coef[..., None] * p[..., None, :])[..., (np.arange(n1) + 1) % n1]
+    out[..., 1, :] = d.m.astype(complex)[..., None, :] / lam[..., None]
     return out
 
 
@@ -450,32 +538,39 @@ def omega_hat_symmetry_report(d: OmegaHatData, lambda_samples: int = 20,
     lead = d.c.shape[:-1]
     draws = _member_draws(seed, int(np.prod(lead)), lambda_samples, 2)
     return _omega_hat_symmetry_report(d, draws.reshape(lead + draws.shape[1:]),
-                                      _tau_factors(d.n_plus_1))
+                                      _bands(d.n_plus_1))
 
 
 def _omega_hat_symmetry_report(d: OmegaHatData, draws: np.ndarray,
-                               tau: tuple) -> OmegaHatSymmetryReport:
+                               tables: _Bands) -> OmegaHatSymmetryReport:
     """:func:`omega_hat_symmetry_report` over each member's uniforms,
     ``draws`` of shape (..., samples, 2), a row's (r, t) making lambda.
-    ``tau`` is :func:`_tau_factors` of the size."""
+    ``tables`` is :func:`_bands` of the size."""
     n1 = d.n_plus_1
     lead = d.c.shape[:-1]
     samples = draws.shape[-2]
     om = omega_pow(n1, 1)
     lam = _sample_points(draws)
     fmat, f_om, f_neg = np.moveaxis(
-        _omega_hat_stack(d, np.concatenate([lam, _times(om, lam), -lam], axis=-1))
-        .reshape(lead + (3, samples, n1, n1)), -4, 0)
-    r_cyc = rel_residuals(_tau(fmat, tau), om * f_om).max(axis=-1)
-    r_anti = rel_residuals(_sigma(fmat), -f_neg).max(axis=-1)
+        _omega_hat_bands(d, np.concatenate([lam, _times(om, lam), -lam], axis=-1))
+        .reshape(lead + (3, samples, 2, n1)), -4, 0)
+    r_cyc = _tau_residuals(fmat, om * f_om, tables).max(axis=-1)
+    r_anti = rel_residuals(-_gather(fmat, tables.transposed), -f_neg).max(axis=-1)
     return _report(OmegaHatSymmetryReport, n1, r_cyc, r_anti)
 
 
-def toda_rhs(f: TodaField) -> np.ndarray:
+def _commutator(w: np.ndarray) -> np.ndarray:
+    """[W^T, W] of W or of each member of a stack."""
+    wt = np.swapaxes(w, -1, -2)
+    return wt @ w - w @ wt
+
+
+def toda_rhs(f: TodaField, comm: np.ndarray | None = None) -> np.ndarray:
     """Diagonal of [W^T, W] as a real vector: entry j is
     e^{2(w_j - w_{j-1})} - e^{2(w_{j+1} - w_j)} with cyclic indices.  A
-    stack gives one row per member."""
-    w = build_W(f)
-    wt = np.swapaxes(w, -1, -2)
-    comm = wt @ w - w @ wt
+    stack gives one row per member.  ``comm`` is f's [W^T, W] when the
+    caller has made it already.  The diagonal is copied out contiguous: a
+    sum over the strided view rounds differently."""
+    if comm is None:
+        comm = _commutator(build_W(f))
     return np.diagonal(comm, axis1=-2, axis2=-1).real.copy()

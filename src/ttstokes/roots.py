@@ -35,6 +35,7 @@ __all__ = [
     "supported_roots",
     "table_supported_roots",
     "shifted_table_roots",
+    "table_agreement",
     "half_period_roots",
     "order_diagram",
     "simple_system_check",
@@ -58,6 +59,17 @@ def root_vector(n_plus_1: int, root: Root) -> np.ndarray:
     v[i] = 1
     v[j] = -1
     return v
+
+
+def _root_vectors(n_plus_1: int, roots) -> np.ndarray:
+    """The :func:`root_vector` of each root as the rows of one integer
+    array; as there, j's -1 overwrites i's 1 when i == j."""
+    i, j = np.array(roots, dtype=int).reshape(len(roots), 2).T
+    rows = np.arange(len(roots))
+    out = np.zeros((len(roots), n_plus_1), dtype=int)
+    out[rows, i] = 1
+    out[rows, j] = -1
+    return out
 
 
 @dataclass(frozen=True)
@@ -236,6 +248,28 @@ def shifted_table_roots(n_plus_1: int, ell: int) -> set[Root]:
             for i, j in table_supported_roots(n_plus_1, which)}
 
 
+def table_agreement(slot_dir: np.ndarray, tables=None) -> np.ndarray:
+    """Per direction ell = 0 .. 2n+1, whether the roots that the direction
+    map ``slot_dir`` puts on ell are exactly :func:`shifted_table_roots` of
+    ell: a (2(n+1),) bool array.
+
+    ``tables`` holds the size's head and second tables, built when not
+    given.  The prediction of every direction is scattered into one
+    (2(n+1), n+1, n+1) mask and compared with the map in one step.
+    """
+    n_plus_1 = len(slot_dir)
+    if tables is None:
+        tables = [table_supported_roots(n_plus_1, w) for w in ("head", "second")]
+    ell = np.arange(2 * n_plus_1)
+    predicted = np.zeros((2 * n_plus_1, n_plus_1, n_plus_1), dtype=bool)
+    for parity, table in enumerate(tables):
+        # the directions of this parity, each shifted down by ell // 2
+        ells = ell[parity::2, None]
+        i, j = np.array(table, dtype=int).reshape(-1, 2).T
+        predicted[ells, (i - ells // 2) % n_plus_1, (j - ells // 2) % n_plus_1] = True
+    return np.all(predicted == (slot_dir == ell[:, None, None]), axis=(1, 2))
+
+
 def half_period_roots(n_plus_1: int) -> list[Root]:
     """The roots supported on the first n+1 directions, sorted
     lexicographically.
@@ -373,7 +407,8 @@ def simple_system_check(
         return SimpleSystemCertificate(
             False, f"candidate has {len(candidate)} roots, need {n}", {}
         )
-    A = np.array([root_vector(n_plus_1, r) for r in candidate], dtype=float).T
+    vectors = _root_vectors(n_plus_1, candidate)
+    A = vectors.T.astype(float)
     if np.linalg.matrix_rank(A) < n:
         return SimpleSystemCertificate(
             False, "candidate roots are not linearly independent", {}
@@ -381,11 +416,10 @@ def simple_system_check(
     # one solve for every positive root; the first root, in ``positive``
     # order, failing the integer check or else the sign check is reported
     positive = list(positive)
-    targets = np.array([root_vector(n_plus_1, p) for p in positive])
-    targets = targets.reshape(-1, n_plus_1).T
+    targets = _root_vectors(n_plus_1, positive).T
     x, *_ = np.linalg.lstsq(A, targets.astype(float), rcond=None)
     x_int = np.rint(x).astype(int)
-    integral = np.all(A.astype(int) @ x_int == targets, axis=0)
+    integral = np.all(vectors.T @ x_int == targets, axis=0)
     failed = np.flatnonzero(~(integral & np.all(x_int >= 0, axis=0)))
     if failed.size:
         k = failed[0]

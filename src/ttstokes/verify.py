@@ -19,21 +19,17 @@ import numpy as np
 from .connections import (
     OmegaHatData,
     TodaField,
+    _bands,
+    _commutator,
     _member_draws,
     _omega_hat_symmetry_report,
     _symmetry_report,
-    _tau_factors,
     build_W,
     diagonalizer_check,
     toda_rhs,
 )
 from .linalg import _in_chunks, char_poly, max_abs, nan_max
-from .roots import (
-    _roots_on,
-    order_diagram,
-    shifted_table_roots,
-    simple_system_check,
-)
+from .roots import order_diagram, simple_system_check, table_agreement
 from .solutions import (
     GammaVector,
     _section_from_gamma,
@@ -91,8 +87,8 @@ def _failed(name: str, n1: int, exc: Exception) -> SuiteResult:
 def _suite_roots(size, samples, seed, tol):
     n1, slot_dir = size.n_plus_1, size.layout.directions
     # one check per direction, then the simple system and the diagram order
-    bad = sum(set(_roots_on(slot_dir, ell)) != shifted_table_roots(n1, ell)
-              for ell in range(2 * n1))
+    agree = table_agreement(slot_dir, (size.layout.head, size.layout.second))
+    bad = int(np.count_nonzero(~agree))
     diag = order_diagram(n1)
     head_part, tail_part = diag.simple_roots()
     # the half-period positive system: the roots on the first n+1 directions
@@ -205,9 +201,9 @@ def _connection_reports(f, d, seed):
     ``default_rng(seed + t)``."""
     trials = len(f.w)
     u = _member_draws(seed, trials, 5, 3)
-    tau = _tau_factors(f.n_plus_1)
+    tables = _bands(f.n_plus_1)
     lam_u = u.reshape(trials, 15)[:, :10].reshape(trials, 5, 2)
-    return _symmetry_report(f, u, tau), _omega_hat_symmetry_report(d, lam_u, tau)
+    return _symmetry_report(f, u, tables), _omega_hat_symmetry_report(d, lam_u, tables)
 
 
 def _connection_trials(n1, u, seed):
@@ -231,8 +227,7 @@ def _connection_trials(n1, u, seed):
 
     rep, orep = _connection_reports(f, d, seed)
     drep = diagonalizer_check(f)
-    w_mat = build_W(f)
-    comm = np.swapaxes(w_mat, -1, -2) @ w_mat - w_mat @ np.swapaxes(w_mat, -1, -2)
+    comm = _commutator(build_W(f))
     i = np.arange(n1)
     on_diag = np.zeros_like(comm)
     on_diag[:, i, i] = comm[:, i, i]
@@ -241,7 +236,7 @@ def _connection_trials(n1, u, seed):
         drep.fourier_residual, drep.w_residual, drep.wt_residual, drep.bridge_residual,
         np.where(drep.pattern_ok, 0.0, 1.0),
         np.max(np.abs(comm - on_diag), axis=(1, 2)),
-        np.abs(np.sum(toda_rhs(f), axis=1)),
+        np.abs(np.sum(toda_rhs(f, comm), axis=1)),
         orep.cyclic, orep.anti,
     ], axis=1)
     return nan_max(0.0, *res.ravel().tolist())
@@ -257,7 +252,9 @@ def _suite_connections(size, samples, seed, tol):
     lows = [-1.0] * (2 * m) + [-0.5] + [-0.5, 0.5] * (m + 1) + [0.5, -1.0]
     highs = [1.0] * (2 * m) + [0.5] + [2.0] * (2 * m + 2) + [2.0, 1.0]
     u = rng.uniform(lows, highs, size=(trials, len(lows)))
-    # the largest stack of a chunk is alpha_hat at 30 zetas per trial
+    # at its peak a trial holds about 20 (n+1)^2 complex entries (a report's
+    # dense tau samples with their two products, the diagonalizer's stacks),
+    # counted here as 30 for a margin
     worst = _in_chunks(trials, 30 * n_plus_1 ** 2,
                        lambda a, b: _connection_trials(n_plus_1, u[a:b], seed + a))
     return SuiteResult("connections", n_plus_1, 13 * trials, worst, worst < tol)

@@ -20,10 +20,12 @@ from ttstokes.connections import (
     OmegaHatSymmetryReport,
     SymmetryReport,
     TodaField,
-    _alpha_hat_stack,
-    _creal,
-    _omega_hat_stack,
-    _sigma,
+    _alpha_hat_bands,
+    _bands,
+    _gather,
+    _omega_hat_bands,
+    _radius_squares,
+    _tau_residuals,
     build_W,
     diagonalizer_check,
     omega_hat_symmetry_report,
@@ -35,21 +37,88 @@ from ttstokes.linalg import (
     nan_max,
     omega_diag,
     omega_pow,
+    rel_residuals,
     shift_matrix,
 )
 from ttstokes.solutions import gamma_from_k
 
 
+# the dense builders and index flips that the band stacks replaced, kept as
+# the oracles of the bands
+
+
+def _alpha_hat_stack(f, zetas):
+    """alpha_hat at every zeta: (len(zetas), n+1, n+1) for one field, and
+    (S, m, n+1, n+1) for a stack, whose ``zetas`` holds m values per member.
+    Only the 3(n+1) nonzero entries are computed."""
+    z = np.array(zetas, dtype=complex)
+    if np.any(z == 0):
+        raise ValueError("alpha_hat has a pole at zeta = 0")
+    sq = np.power(z, 2)
+    n1 = f.n_plus_1
+    i = np.arange(n1)
+    up = (i + 1) % n1
+    w = build_W(f)[..., None, i, up]
+    out = np.zeros(z.shape + (n1, n1), dtype=complex)
+    out[..., up, i] = -w / sq[..., None]
+    out[..., i, i] = -(f.xwx.astype(complex)[..., None, :] / z[..., None])
+    out[..., i, up] = _radius_squares(f)[..., None, None] * w
+    return out
+
+
+def _omega_hat_stack(d, lams):
+    """omega_hat at every lambda: (len(lams), n+1, n+1) for one member, and
+    (S, m, n+1, n+1) for a stack.  Only the 2(n+1) nonzero entries are
+    computed."""
+    lam = np.array(lams, dtype=complex)
+    if np.any(lam == 0):
+        raise ValueError("omega_hat has a pole at lambda = 0")
+    n1 = d.n_plus_1
+    coef = (-(n1 / np.asarray(d.N))[..., None]
+            * (np.asarray(d.z)[..., None] / np.power(lam, 2)))
+    p = d.c * np.power(np.asarray(d.z)[..., None], d.k)
+    i = np.arange(n1)
+    out = np.zeros(lam.shape + (n1, n1), dtype=complex)
+    out[..., i, (i - 1) % n1] = coef[..., None] * p[..., None, :]
+    out[..., i, i] = d.m.astype(complex)[..., None, :] / lam[..., None]
+    return out
+
+
+def _sigma(mats):
+    """-R A^T R for the reversal R, as an index flip."""
+    return -np.swapaxes(mats, -1, -2)[..., ::-1, ::-1]
+
+
+def _creal(mats):
+    """R conj(A) R for the reversal R, as an index flip."""
+    return np.conj(mats)[..., ::-1, ::-1]
+
+
+def _dense(bands):
+    """The dense matrices of a band stack (..., 2 or 3, n+1): band 0 at
+    (j+1, j), band 1 on the diagonal, band 2 at (j, j+1), cyclically."""
+    n1 = bands.shape[-1]
+    i = np.arange(n1)
+    up = (i + 1) % n1
+    out = np.zeros(bands.shape[:-2] + (n1, n1), dtype=complex)
+    out[..., up, i] = bands[..., 0, :]
+    out[..., i, i] = bands[..., 1, :]
+    if bands.shape[-2] == 3:
+        out[..., i, up] = bands[..., 2, :]
+    return out
+
+
 def build_alpha_hat(f, zeta):
-    """alpha_hat at one zeta; (S, n+1, n+1) for a stack of fields."""
+    """alpha_hat at one zeta, from its bands; (S, n+1, n+1) for a stack of
+    fields."""
     zetas = [zeta] if f.w.ndim == 1 else [[zeta]] * len(f.w)
-    return _alpha_hat_stack(f, zetas)[..., 0, :, :]
+    return _dense(_alpha_hat_bands(f, zetas))[..., 0, :, :]
 
 
 def build_omega_hat(d, lam):
-    """omega_hat at one lambda; (S, n+1, n+1) for a stack."""
+    """omega_hat at one lambda, from its bands; (S, n+1, n+1) for a stack."""
     lams = [lam] if d.c.ndim == 1 else [[lam]] * len(d.c)
-    return _omega_hat_stack(d, lams)[..., 0, :, :]
+    return _dense(_omega_hat_bands(d, lams))[..., 0, :, :]
 
 
 def random_field(n1, rng, scale=1.0):
@@ -494,7 +563,7 @@ def _omega_variants(n1, rng):
     return OmegaHatData(n1, c, k, z), OmegaHatData(n1, c_asym, k, z), nand
 
 
-@pytest.mark.parametrize("n1", range(3, 41))
+@pytest.mark.parametrize("n1", [*range(3, 41), 41, 48, 57, 64])
 def test_stacked_reports_equal_the_sample_loops(n1):
     rng = np.random.default_rng(5000 + n1)
     fields = _field_variants(n1, rng)
@@ -546,7 +615,6 @@ def test_single_builders_equal_the_dense_formulas(zeta):
 
 @pytest.mark.parametrize("n1", [3, 4, 7, 12])
 def test_the_alpha_hat_stack_scatters_the_dense_formula(n1):
-    from ttstokes.connections import _alpha_hat_stack
     f = random_field(n1, np.random.default_rng(40 + n1))
     zetas = [0.7 - 0.4j, 1.0, 2, np.complex128(0.3 + 1j), -1.5]
     stack = _alpha_hat_stack(f, zetas)
@@ -554,6 +622,87 @@ def test_the_alpha_hat_stack_scatters_the_dense_formula(n1):
     for a, zeta in zip(stack, zetas):
         assert np.array_equal(a, _alpha_hat_dense(f, zeta))
         assert np.count_nonzero(a) <= 3 * n1
+
+
+@pytest.mark.filterwarnings("ignore:field breaks")
+@pytest.mark.parametrize("n1", [3, 4, 5, 8, 11, 16, 33, 64])
+def test_the_band_stacks_scatter_to_the_dense_stacks(n1):
+    rng = np.random.default_rng(8500 + n1)
+    zetas = [0.7 - 0.4j, 1.0, 2, np.complex128(0.3 + 1j), -1.5]
+    for f in _field_variants(n1, rng):
+        bands = _alpha_hat_bands(f, zetas)
+        assert bands.shape == (5, 3, n1)
+        assert np.array_equal(_dense(bands), _alpha_hat_stack(f, zetas), equal_nan=True)
+    f = _stacked(n1, _member_fields(n1, rng, 5))
+    zs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    assert np.array_equal(_dense(_alpha_hat_bands(f, zs)), _alpha_hat_stack(f, zs),
+                          equal_nan=True)
+    for d in _omega_variants(n1, rng):
+        bands = _omega_hat_bands(d, zetas)
+        assert bands.shape == (5, 2, n1)
+        assert np.array_equal(_dense(bands), _omega_hat_stack(d, zetas), equal_nan=True)
+    d = _stacked_data(n1, _member_datas(n1, rng, 5))
+    assert np.array_equal(_dense(_omega_hat_bands(d, zs)), _omega_hat_stack(d, zs))
+
+
+@pytest.mark.parametrize("n1", [3, 4, 7, 12, 25, 64])
+def test_the_band_gathers_equal_the_index_flips(n1):
+    rng = np.random.default_rng(8600 + n1)
+    tables = _bands(n1)
+    bands = rng.normal(size=(4, 3, 3, n1)) + 1j * rng.normal(size=(4, 3, 3, n1))
+    for k in (2, 3):
+        assert np.array_equal(_dense(-_gather(bands[..., :k, :], tables.transposed)),
+                              _sigma(_dense(bands[..., :k, :])))
+    assert np.array_equal(_dense(np.conj(_gather(bands, tables.reversed))),
+                          _creal(_dense(bands)))
+    # R A R swaps the off-diagonal bands, which a two-band stack lacks
+    with pytest.raises(IndexError):
+        _gather(bands[..., :2, :], tables.reversed)
+
+
+@pytest.mark.parametrize("n1", [3, 4, 7, 12, 25, 64])
+def test_the_tau_residuals_equal_the_dense_ones(n1):
+    rng = np.random.default_rng(8700 + n1)
+    tables = _bands(n1)
+    d = omega_diag(n1)
+    for k in (2, 3):
+        a, rhs = rng.normal(size=(2, 6, 2, k, n1)) + 1j * rng.normal(size=(2, 6, 2, k, n1))
+        a[1, 0, 0, 1] = np.nan
+        rhs[2, 1, k - 1, 0] = np.inf
+        rhs[3, 0] = 0.0
+        with np.errstate(invalid="ignore"):  # inf / inf
+            want = rel_residuals(np.linalg.inv(d) @ _dense(a) @ d, _dense(rhs))
+            got = _tau_residuals(a, rhs, tables)
+        assert got.shape == (6, 2)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[1, 0]) and not np.isnan(got[0, 0])
+
+
+def test_the_band_tables_are_built_once_per_size_and_read_only():
+    assert _bands(9) is _bands(9)
+    for a in _bands(9):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+@pytest.mark.parametrize("n1", [0, 1, 2])
+def test_sizes_below_three_are_rejected(n1):
+    # at n+1 = 2 the two off-diagonal bands are the same two entries, so a
+    # dense alpha_hat would get -zeta^-2 W^T overwritten by x^2 W
+    with pytest.raises(ValueError, match=f"need matrix size at least 3, got {n1}"):
+        TodaField(n1, np.zeros(n1), 1.0, np.zeros(n1))
+    with pytest.raises(ValueError, match=f"need matrix size at least 3, got {n1}"):
+        OmegaHatData(n1, np.ones(n1), np.zeros(n1), 1.0 + 0j)
+
+
+@pytest.mark.parametrize("n1", [3, 8, 13, 40])
+def test_toda_rhs_from_a_given_commutator(n1):
+    f = _stacked(n1, [random_field(n1, np.random.default_rng(8800 + n1 + j))
+                      for j in range(4)])
+    w = build_W(f)
+    comm = np.swapaxes(w, -1, -2) @ w - w @ np.swapaxes(w, -1, -2)
+    rhs = toda_rhs(f, comm)
+    assert np.array_equal(rhs, toda_rhs(f)) and rhs.flags.c_contiguous
 
 
 @pytest.mark.parametrize("samples", [0, -1])

@@ -362,3 +362,53 @@ def test_half_period_roots_reads_one_map(monkeypatch):
     monkeypatch.setattr(roots, "supported_roots", None)
     assert len(half_period_roots(9)) == 36
     assert calls == [9]
+
+
+# ---------------------------------------------------------------------------
+# the tables against the direction map, all directions at once
+# ---------------------------------------------------------------------------
+
+def _table_agreement_loop(slot_dir):
+    """The per-direction set comparison that table_agreement replaced, kept
+    as its reference."""
+    n1 = len(slot_dir)
+    return [set(roots._roots_on(slot_dir, ell)) == roots.shifted_table_roots(n1, ell)
+            for ell in range(2 * n1)]
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_table_agreement_equals_the_per_direction_sets(n1):
+    slot_dir = direction_map(n1)
+    got = roots.table_agreement(slot_dir)
+    assert got.dtype == bool and got.shape == (2 * n1,)
+    assert got.tolist() == _table_agreement_loop(slot_dir) == [True] * (2 * n1)
+    tables = [tuple(table_supported_roots(n1, w)) for w in ("head", "second")]
+    assert roots.table_agreement(slot_dir, tables).tolist() == got.tolist()
+    # two roots on different directions trade places: both directions fail
+    off = np.argwhere(~np.eye(n1, dtype=bool))
+    a = tuple(off[0])
+    b = tuple(next(p for p in off if slot_dir[tuple(p)] != slot_dir[a]))
+    swapped = slot_dir.copy()
+    swapped[a], swapped[b] = slot_dir[b], slot_dir[a]
+    got = roots.table_agreement(swapped)
+    assert got.tolist() == _table_agreement_loop(swapped)
+    assert np.flatnonzero(~got).tolist() == sorted([slot_dir[a], slot_dir[b]])
+
+
+def test_table_agreement_sees_a_root_on_no_direction():
+    slot_dir = direction_map(6)
+    slot_dir[1, 0] = -1  # a root the map drops: its direction disagrees
+    got = roots.table_agreement(slot_dir)
+    assert got.tolist() == _table_agreement_loop(slot_dir)
+    assert np.count_nonzero(~got) == 1
+
+
+@pytest.mark.parametrize("n1", [3, 4, 9, 20])
+def test_root_vectors_equal_the_per_root_vectors(n1):
+    rts = [(i, j) for i in range(n1) for j in range(n1)]  # the diagonal too
+    got = roots._root_vectors(n1, rts)
+    assert got.dtype == np.array([root_vector(n1, r) for r in rts]).dtype
+    assert np.array_equal(got, [root_vector(n1, r) for r in rts])
+    assert roots._root_vectors(n1, []).shape == (0, n1)
+    with pytest.raises(ValueError):
+        roots._root_vectors(n1, [(0, 1, 2)])
