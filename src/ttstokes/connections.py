@@ -4,14 +4,18 @@ symmetry identities.
 The central objects:
 
   * ``W``, the cyclic matrix with superdiagonal e^{w_{i+1}-w_i} and corner
-    e^{w_0-w_n}, equal to e^{-w} Pi e^{w} for the plain shift Pi;
+    e^{w_0-w_n}, equal to e^{-w} Pi e^{w} for the plain shift Pi.  Its n+1
+    nonzero entries a_j = e^{w_{j+1}-w_j}, its band, are derived once per
+    field, and everything that reads W reads them;
   * ``alpha_hat``, the loop-parameter coefficient
     -zeta^-2 W^T - zeta^-1 diag(x w_x) + x^2 W of the flat 1-form;
   * the Fourier-type diagonalizers of W and W^T and the exact scalar bridge
     between the signed and plain shifts;
   * ``omega_hat``, the asymptotic 1-form coefficient built from exponent
     data k and residue coefficients c;
-  * the Toda right-hand side diag[W^T, W].
+  * the Toda right-hand side diag[W^T, W], which is a_{j-1}^2 - a_j^2 on
+    the band.  [W^T, W] is diagonal: W has one nonzero entry per row and
+    column, so every off-diagonal product has a factor that is exactly 0.
 
 Symmetries are identities of 1-forms.  At the coefficient level each change
 of variable contributes its derivative, so the checks implemented here read
@@ -96,12 +100,21 @@ class TodaField:
     such fields, so it warns instead of raising: once per breaking member,
     in member order.  The size n+1 is at least 3, as everywhere in the
     package (see the module docstring for why the bands need it).
+
+    Two read-only arrays are derived once, from the values given: ``a``,
+    W's band a_j = e^{w_{j+1} - w_j} (the last wraps to w_0) in the shape
+    of w, and ``x2``, each member's x**2 in the shape of x (0-d for one
+    field), squared as Python squares a float because an array square can
+    differ in the last bit.  A caller who edits ``w`` in place needs a new
+    field.
     """
 
     n_plus_1: int
     w: np.ndarray
     x: float
     xwx: np.ndarray
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    x2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_size(self.n_plus_1)
@@ -128,29 +141,22 @@ class TodaField:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", xs[0] if w.ndim == 1 else np.array(xs))
         object.__setattr__(self, "xwx", v)
-
-
-def _w_entries(f: TodaField) -> np.ndarray:
-    """The nonzero entries e^{w_{j+1} - w_j} of W at (j, j+1), j = 0 .. n,
-    the last in the corner: (n+1,), or (S, n+1) for a stack."""
-    up = (np.arange(f.n_plus_1) + 1) % f.n_plus_1
-    return np.exp(f.w[..., up] - f.w)
+        up = (np.arange(self.n_plus_1) + 1) % self.n_plus_1
+        derived = {"a": np.exp(w[..., up] - w),
+                   "x2": np.reshape([x**2 for x in xs], np.shape(self.x))}
+        for name, value in derived.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def build_W(f: TodaField) -> np.ndarray:
-    """Cyclic matrix e^{-w} Pi e^{w}, written out entrywise: (n+1, n+1), or
-    (S, n+1, n+1) for a stack."""
+    """Cyclic matrix e^{-w} Pi e^{w}, its band scattered to (j, j+1):
+    (n+1, n+1), or (S, n+1, n+1) for a stack."""
     n1 = f.n_plus_1
     i = np.arange(n1)
     mat = np.zeros(f.w.shape[:-1] + (n1, n1), dtype=complex)
-    mat[..., i, (i + 1) % n1] = _w_entries(f)
+    mat[..., i, (i + 1) % n1] = f.a
     return mat
-
-
-def _radius_squares(f: TodaField) -> np.ndarray:
-    """x**2 of each member's radius, in the shape of x, squared as Python
-    squares a float: an array square can differ in the last bit."""
-    return np.reshape([x**2 for x in np.reshape(f.x, -1).tolist()], np.shape(f.x))
 
 
 class _Bands(NamedTuple):
@@ -197,11 +203,11 @@ def _alpha_hat_bands(f: TodaField, zetas) -> np.ndarray:
     if np.any(z == 0):
         raise ValueError("alpha_hat has a pole at zeta = 0")
     sq = np.power(z, 2)
-    w = _w_entries(f).astype(complex)[..., None, :]
+    w = f.a.astype(complex)[..., None, :]
     out = np.empty(z.shape + (3, f.n_plus_1), dtype=complex)
     out[..., 0, :] = -w / sq[..., None]
     out[..., 1, :] = -(f.xwx.astype(complex)[..., None, :] / z[..., None])
-    out[..., 2, :] = _radius_squares(f)[..., None, None] * w
+    out[..., 2, :] = f.x2[..., None, None] * w
     return out
 
 
@@ -307,7 +313,7 @@ def _symmetry_report(f: TodaField, draws: np.ndarray, tables: _Bands) -> Symmetr
     samples = draws.shape[-2]
     om = omega_pow(n1, 1)
     x = np.asarray(f.x)[..., None]
-    x2 = _radius_squares(f)[..., None]
+    x2 = f.x2[..., None]
     zeta = _sample_points(draws)
     zc = np.conj(zeta)
     circle = np.exp(2j * np.pi * draws[..., 2]) / x
@@ -450,7 +456,9 @@ class OmegaHatData:
     of shape (S, n+1), one member per row, with z of shape (S,).  Validation
     runs per member, and a stack's error names its first failing member.
 
-    The diagonal vector m is derived from k, never supplied: it is -gamma/2
+    The diagonal vector m and the total degree N (a float, or an (S,) array
+    for a stack) are derived from k, never supplied, as
+    :class:`~ttstokes.solutions.AsymptoticDataK` gives them: m is -gamma/2
     for the gamma determined by the exponents, hence anti-symmetric.  The
     anti-symmetry identity for the 1-form additionally needs c symmetric
     under the same index involution; that is the caller's choice, and the
@@ -463,6 +471,7 @@ class OmegaHatData:
     k: np.ndarray
     z: complex
     m: np.ndarray = field(init=False)
+    N: float = field(init=False)
 
     def __post_init__(self):
         _check_size(self.n_plus_1)
@@ -485,12 +494,7 @@ class OmegaHatData:
         object.__setattr__(self, "k", data.k)
         object.__setattr__(self, "z", z.item() if z.ndim == 0 else z)
         object.__setattr__(self, "m", -gamma_from_k(data).gamma / 2.0)
-
-    @property
-    def N(self):
-        """The total degree: a float, or an (S,) array for a stack."""
-        n = self.n_plus_1 + np.sum(self.k, axis=-1)
-        return float(n) if n.ndim == 0 else n
+        object.__setattr__(self, "N", data.N)
 
 
 def _omega_hat_bands(d: OmegaHatData, lams) -> np.ndarray:
@@ -559,18 +563,12 @@ def _omega_hat_symmetry_report(d: OmegaHatData, draws: np.ndarray,
     return _report(OmegaHatSymmetryReport, n1, r_cyc, r_anti)
 
 
-def _commutator(w: np.ndarray) -> np.ndarray:
-    """[W^T, W] of W or of each member of a stack."""
-    wt = np.swapaxes(w, -1, -2)
-    return wt @ w - w @ wt
-
-
-def toda_rhs(f: TodaField, comm: np.ndarray | None = None) -> np.ndarray:
+def toda_rhs(f: TodaField) -> np.ndarray:
     """Diagonal of [W^T, W] as a real vector: entry j is
-    e^{2(w_j - w_{j-1})} - e^{2(w_{j+1} - w_j)} with cyclic indices.  A
-    stack gives one row per member.  ``comm`` is f's [W^T, W] when the
-    caller has made it already.  The diagonal is copied out contiguous: a
-    sum over the strided view rounds differently."""
-    if comm is None:
-        comm = _commutator(build_W(f))
-    return np.diagonal(comm, axis1=-2, axis2=-1).real.copy()
+    a_{j-1}^2 - a_j^2 = e^{2(w_j - w_{j-1})} - e^{2(w_{j+1} - w_j)} with
+    cyclic indices, read off the field's band.  A stack gives one row per
+    member.  For a finite W these are the dense commutator's diagonal
+    entries bit for bit; where an entry of W overflows they are +-inf, where
+    the dense product gives NaN from inf * 0."""
+    sq = np.square(f.a)
+    return np.roll(sq, 1, axis=-1) - sq

@@ -34,7 +34,6 @@ __all__ = [
     "direction_map",
     "supported_roots",
     "table_supported_roots",
-    "shifted_table_roots",
     "table_agreement",
     "half_period_roots",
     "order_diagram",
@@ -239,19 +238,11 @@ def table_supported_roots(n_plus_1: int, which: str) -> list[Root]:
     return a + b
 
 
-def shifted_table_roots(n_plus_1: int, ell: int) -> set[Root]:
-    """Closed-form prediction for any direction: the head/second table for
-    the parity of ell, shifted down by ell//2 in both indices."""
-    which = "head" if ell % 2 == 0 else "second"
-    s = ell // 2
-    return {((i - s) % n_plus_1, (j - s) % n_plus_1)
-            for i, j in table_supported_roots(n_plus_1, which)}
-
-
 def table_agreement(slot_dir: np.ndarray, tables=None) -> np.ndarray:
     """Per direction ell = 0 .. 2n+1, whether the roots that the direction
-    map ``slot_dir`` puts on ell are exactly :func:`shifted_table_roots` of
-    ell: a (2(n+1),) bool array.
+    map ``slot_dir`` puts on ell are exactly the closed-form prediction: the
+    head table for even ell, the second for odd ell, shifted down by ell//2
+    in both indices.  A (2(n+1),) bool array.
 
     ``tables`` holds the size's head and second tables, built when not
     given.  The prediction of every direction is scattered into one

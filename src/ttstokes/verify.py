@@ -3,7 +3,8 @@
 Each suite bundles the structural identities of one module into a single
 (max residual, pass) summary for a given size.  Every suite is called as
 ``suite(size, samples, seed, tol)`` with the :class:`SizeTables` that
-:func:`run_suites` builds once per size and call.  Discrete facts (set
+:func:`run_suites` makes once per size and call, whose tables are built on
+their first read.  Discrete facts (set
 equalities, pattern membership, dimension counts) contribute 0 or 1 to the
 residual, and tolerances are at most 1, so a failed one never passes.
 Residuals are accumulated with :func:`~ttstokes.linalg.nan_max`, so a NaN
@@ -13,6 +14,7 @@ anywhere makes the cell's residual NaN and the cell fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,11 +22,9 @@ from .connections import (
     OmegaHatData,
     TodaField,
     _bands,
-    _commutator,
     _member_draws,
     _omega_hat_symmetry_report,
     _symmetry_report,
-    build_W,
     diagonalizer_check,
     toda_rhs,
 )
@@ -66,22 +66,28 @@ class SuiteResult:
 
 @dataclass(frozen=True)
 class SizeTables:
-    """What one size's suites share: its Stokes layout and, for a calibrated
-    suite, its calibration or the error that :meth:`calibrated` raises."""
+    """What one size's suites share, each built on its first read: the
+    size's Stokes layout, and its calibration or the error that
+    :meth:`calibrated` raises, kept so that each calibrated cell gets its
+    note."""
 
     n_plus_1: int
-    layout: _Layout
-    calibration: SectionCalibration | Exception | None = None
+
+    @cached_property
+    def layout(self) -> _Layout:
+        return _stokes_layout(self.n_plus_1)
+
+    @cached_property
+    def calibration(self) -> SectionCalibration | Exception:
+        try:
+            return calibrate(self.n_plus_1)
+        except Exception as exc:
+            return exc
 
     def calibrated(self) -> SectionCalibration:
         if isinstance(self.calibration, Exception):
             raise self.calibration
         return self.calibration
-
-
-def _failed(name: str, n1: int, exc: Exception) -> SuiteResult:
-    """The cell of a suite that raised."""
-    return SuiteResult(name, n1, 0, float("inf"), False, f"{type(exc).__name__}: {exc}")
 
 
 def _suite_roots(size, samples, seed, tol):
@@ -227,16 +233,13 @@ def _connection_trials(n1, u, seed):
 
     rep, orep = _connection_reports(f, d, seed)
     drep = diagonalizer_check(f)
-    comm = _commutator(build_W(f))
-    i = np.arange(n1)
-    on_diag = np.zeros_like(comm)
-    on_diag[:, i, i] = comm[:, i, i]
+    # one column per check; [W^T, W] is diagonal by construction (see the
+    # connections module docstring), so only its trace is checked
     res = np.stack([
         rep.cyclic, rep.anti, rep.reality, rep.conj, rep.real_form,
         drep.fourier_residual, drep.w_residual, drep.wt_residual, drep.bridge_residual,
         np.where(drep.pattern_ok, 0.0, 1.0),
-        np.max(np.abs(comm - on_diag), axis=(1, 2)),
-        np.abs(np.sum(toda_rhs(f, comm), axis=1)),
+        np.abs(np.sum(toda_rhs(f), axis=1)),
         orep.cyclic, orep.anti,
     ], axis=1)
     return nan_max(0.0, *res.ravel().tolist())
@@ -278,7 +281,8 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the named suites (all by default) over the given sizes.
 
-    Each size runs once, its suites sharing one :class:`SizeTables`.
+    Each size runs once, its suites sharing one :class:`SizeTables`, which
+    builds only the tables that they read.
     Results come back sorted by suite name then size.  A suite that raises
     is reported as failed with an infinite residual instead of aborting the
     whole run.  No size, no suite, fewer than one sample or a tolerance
@@ -304,21 +308,13 @@ def run_suites(
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"available: {', '.join(sorted(SUITES))}")
-    calibrated = not {"solutions", "steinberg"}.isdisjoint(names)  # the calibrated suites
     out = []
     for n1 in sizes:
-        try:
-            layout = _stokes_layout(n1)
-        except Exception as exc:  # no tables: each of the size's cells fails
-            out.extend(_failed(name, n1, exc) for name in names)
-            continue
-        try:
-            size = SizeTables(n1, layout, calibrate(n1) if calibrated else None)
-        except Exception as exc:  # the note of each calibrated cell
-            size = SizeTables(n1, layout, exc)
+        size = SizeTables(n1)
         for name in names:
             try:
                 out.append(SUITES[name](size, samples, seed, tol))
-            except Exception as exc:  # suite bug or genuine violation
-                out.append(_failed(name, n1, exc))
+            except Exception as exc:  # suite bug, genuine violation or no tables
+                out.append(SuiteResult(name, n1, 0, float("inf"), False,
+                                       f"{type(exc).__name__}: {exc}"))
     return sorted(out, key=lambda r: (r.suite, r.n_plus_1))

@@ -24,7 +24,6 @@ from ttstokes.connections import (
     _bands,
     _gather,
     _omega_hat_bands,
-    _radius_squares,
     _tau_residuals,
     build_W,
     diagonalizer_check,
@@ -62,7 +61,7 @@ def _alpha_hat_stack(f, zetas):
     out = np.zeros(z.shape + (n1, n1), dtype=complex)
     out[..., up, i] = -w / sq[..., None]
     out[..., i, i] = -(f.xwx.astype(complex)[..., None, :] / z[..., None])
-    out[..., i, up] = _radius_squares(f)[..., None, None] * w
+    out[..., i, up] = f.x2[..., None, None] * w
     return out
 
 
@@ -594,9 +593,9 @@ def test_build_w_equals_the_entry_loop(n1):
     rng = np.random.default_rng(6000 + n1)
     for scale in (1.0, 30.0, 1e3):
         w = rng.uniform(-scale, scale, n1)
-        with pytest.warns(UserWarning):
+        # e^{|w| ~ 1e3} is inf in the field's band and in the loop
+        with pytest.warns(UserWarning), np.errstate(over="ignore"):
             f = TodaField(n1, w, 1.0, np.zeros(n1))
-        with np.errstate(over="ignore"):  # e^{|w| ~ 1e3} is inf in both
             assert np.array_equal(build_W(f), _w_loop(f))
 
 
@@ -695,14 +694,62 @@ def test_sizes_below_three_are_rejected(n1):
         OmegaHatData(n1, np.ones(n1), np.zeros(n1), 1.0 + 0j)
 
 
-@pytest.mark.parametrize("n1", [3, 8, 13, 40])
-def test_toda_rhs_from_a_given_commutator(n1):
-    f = _stacked(n1, [random_field(n1, np.random.default_rng(8800 + n1 + j))
-                      for j in range(4)])
+def _dense_commutator(f):
+    """[W^T, W] of the dense W, of one field or of each member of a stack."""
     w = build_W(f)
-    comm = np.swapaxes(w, -1, -2) @ w - w @ np.swapaxes(w, -1, -2)
-    rhs = toda_rhs(f, comm)
-    assert np.array_equal(rhs, toda_rhs(f)) and rhs.flags.c_contiguous
+    wt = np.swapaxes(w, -1, -2)
+    return wt @ w - w @ wt
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_toda_rhs_is_the_diagonal_of_the_dense_commutator(n1):
+    rng = np.random.default_rng(8800 + n1)
+    members = [random_field(n1, rng) for _ in range(4)]
+    off = ~np.eye(n1, dtype=bool)
+    for f in [*members, _stacked(n1, members)]:
+        comm = _dense_commutator(f)
+        diag = np.diagonal(comm, axis1=-2, axis2=-1)
+        rhs = toda_rhs(f)
+        assert rhs.dtype == float and rhs.shape == f.w.shape and rhs.flags.c_contiguous
+        assert np.array_equal(rhs, diag.real) and not np.any(diag.imag)
+        # one nonzero per row and column of W: every off-diagonal term has a
+        # factor that is exactly 0
+        assert np.all(comm[..., off] == 0.0)
+
+
+@pytest.mark.parametrize("n1", [4, 5, 8, 13, 64])
+def test_toda_rhs_is_infinite_where_an_entry_of_w_overflows(n1):
+    # w_0 = -800 = -w_n: a_0 = a_(n-1) = e^800 is inf and a_n = e^-1600 is 0
+    w = np.zeros(n1)
+    w[0], w[-1] = -800.0, 800.0
+    with np.errstate(over="ignore"):
+        f = TodaField(n1, w, 1.0, np.zeros(n1))
+    want = np.zeros(n1)
+    want[[0, 1, n1 - 2, n1 - 1]] = [-np.inf, np.inf, -np.inf, np.inf]
+    assert np.array_equal(toda_rhs(f), want)
+    # the dense product meets inf * 0 there and gives NaN, elsewhere the same
+    with np.errstate(invalid="ignore"):
+        dense = np.diagonal(_dense_commutator(f)).real
+    assert np.all(np.isnan(dense) | (dense == want))
+
+
+@pytest.mark.filterwarnings("ignore:field breaks")
+@pytest.mark.parametrize("n1", [3, 4, 7, 16])
+def test_toda_rhs_spreads_a_nan_value_to_its_three_entries(n1):
+    rng = np.random.default_rng(8900 + n1)
+    members = [random_field(n1, rng) for _ in range(n1)]
+    for j, f in enumerate(members):
+        f.w[j] = np.nan
+        members[j] = TodaField(n1, f.w, f.x, f.xwx)
+    for f in [*members, _stacked(n1, members)]:
+        rhs = toda_rhs(f)
+        assert np.array_equal(rhs, np.diagonal(_dense_commutator(f), axis1=-2,
+                                               axis2=-1).real, equal_nan=True)
+    # member j's NaN w_j reaches a_(j-1) and a_j, so entries j-1, j and j+1
+    for j, row in enumerate(rhs):
+        want = np.zeros(n1, dtype=bool)
+        want[[(j - 1) % n1, j, (j + 1) % n1]] = True
+        assert np.array_equal(np.isnan(row), want)
 
 
 @pytest.mark.parametrize("samples", [0, -1])

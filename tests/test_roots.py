@@ -15,6 +15,7 @@ import pytest
 from ttstokes import roots
 from ttstokes.linalg import omega_pow
 from ttstokes.roots import (
+    Root,
     SimpleSystemCertificate,
     direction_map,
     half_period_roots,
@@ -368,11 +369,20 @@ def test_half_period_roots_reads_one_map(monkeypatch):
 # the tables against the direction map, all directions at once
 # ---------------------------------------------------------------------------
 
+def shifted_table_roots(n_plus_1: int, ell: int) -> set[Root]:
+    """Closed-form prediction for any direction: the head/second table for
+    the parity of ell, shifted down by ell//2 in both indices."""
+    which = "head" if ell % 2 == 0 else "second"
+    s = ell // 2
+    return {((i - s) % n_plus_1, (j - s) % n_plus_1)
+            for i, j in table_supported_roots(n_plus_1, which)}
+
+
 def _table_agreement_loop(slot_dir):
     """The per-direction set comparison that table_agreement replaced, kept
     as its reference."""
     n1 = len(slot_dir)
-    return [set(roots._roots_on(slot_dir, ell)) == roots.shifted_table_roots(n1, ell)
+    return [set(roots._roots_on(slot_dir, ell)) == shifted_table_roots(n1, ell)
             for ell in range(2 * n1)]
 
 

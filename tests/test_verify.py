@@ -496,6 +496,13 @@ def test_each_size_builds_its_tables_once_per_call(monkeypatch):
     # the roots cell reads its positive system off the layout's direction map
     for name in ("_stokes_layout", "_shift_action", "calibrate", "direction_map"):
         assert sorted(calls[name]) == sizes, name
+    # the connections and solutions cells read no layout: runs of them alone
+    # build none, and only the solutions run calibrates
+    calls.clear()
+    assert all(r.passed for r in run_suites(sizes, samples=5, seed=7, suites=["connections"]))
+    assert calls == {}
+    assert all(r.passed for r in run_suites(sizes, samples=5, seed=7, suites=["solutions"]))
+    assert calls == {"calibrate": sizes}
 
 
 @pytest.mark.parametrize("n1", [3, 4, 7, 12])
@@ -649,7 +656,7 @@ def test_the_connections_suite_memory_does_not_grow_with_the_sample_count():
 
 def test_the_connections_suite_makes_one_report_call_per_chunk(monkeypatch):
     names = ("_symmetry_report", "diagonalizer_check", "_omega_hat_symmetry_report",
-             "build_W", "toda_rhs")
+             "toda_rhs")
     calls = []
     for name in names:
         real = getattr(verify, name)
