@@ -188,8 +188,10 @@ def _floats(text: str, flag: str) -> list[float]:
         vals = [float(x) for x in text.split(",")]
     except ValueError as exc:  # float's message names the entry, not the flag
         raise ValueError(f"{flag}: {exc}") from None
-    if not all(np.isfinite(vals)):
-        raise ValueError(f"{flag} values must be finite")
+    # beyond 2**1000 the polytope and alcove arithmetic overflows; both lie
+    # within a few times n+1 of 0, so such a value is as unusable as inf
+    if not all(abs(v) <= 2.0 ** 1000 for v in vals):  # also false for NaN
+        raise ValueError(f"{flag} values must be finite and at most 2**1000 in size")
     return vals
 
 

@@ -2,15 +2,18 @@
 
 A root alpha_{ij} (i != j) acts on diag(h_0, ..., h_n) as h_i - h_j and is
 stored as the plain tuple (i, j). Each root is supported on exactly one of
-the 2(n+1) anti-Stokes directions. The argument condition on differences of
-roots of unity gives them all at once as one integer map (``direction_map``),
-which every supported-root set and Stokes pattern is read from; the closed
-form index tables are a separate route, so the two can be tested against
-each other.
+the 2(n+1) anti-Stokes directions, the one at the argument of
 
-The zigzag order diagram encodes a total order on {0..n} whose consecutive
-pairs reproduce exactly the head and tail supported-root sets, giving a
-simple system adapted to the Stokes factors.
+    omega^j - omega^i = 2i sin(pi (j - i)/(n+1)) e^{i pi (i + j)/(n+1)}.
+
+The sine is positive exactly when j > i, so a root's direction depends only
+on i + j and on which index is larger. ``direction_map`` stays the
+floating-point route: it evaluates the argument on the unit circle, and every
+supported-root set and Stokes pattern is read from it. The closed-form
+tables and the zigzag order diagram, whose consecutive pairs give the head
+and tail roots as a simple system adapted to the Stokes factors, follow from
+the identity by integer rules, so the two routes are tested against each
+other.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "half_period_roots",
     "order_diagram",
     "simple_system_check",
-    "root_vector",
 ]
 
 # Unit-circle comparison slack. Directions are separated by pi/(n+1) or more,
@@ -51,18 +53,9 @@ def _check_size(n_plus_1: int) -> None:
         raise ValueError(f"need matrix size at least 3, got {n_plus_1}")
 
 
-def root_vector(n_plus_1: int, root: Root) -> np.ndarray:
-    """Coordinate vector e_i - e_j of the root (i, j)."""
-    i, j = root
-    v = np.zeros(n_plus_1, dtype=int)
-    v[i] = 1
-    v[j] = -1
-    return v
-
-
 def _root_vectors(n_plus_1: int, roots) -> np.ndarray:
-    """The :func:`root_vector` of each root as the rows of one integer
-    array; as there, j's -1 overwrites i's 1 when i == j."""
+    """The coordinate vector e_i - e_j of each root (i, j) as the rows of
+    one integer array; j's -1 overwrites i's 1 when i == j."""
     i, j = np.array(roots, dtype=int).reshape(len(roots), 2).T
     rows = np.arange(len(roots))
     out = np.zeros((len(roots), n_plus_1), dtype=int)
@@ -151,91 +144,38 @@ def supported_roots(n_plus_1: int, ell: int) -> list[Root]:
 # closed-form index tables for the first, second, and last directions
 # ---------------------------------------------------------------------------
 
+# The tables that list their low run first, by (n+1) mod 4. Which run comes
+# first is the tables' own convention, not geometry; calibrate's root order
+# and the Stokes sampler's draw order follow it.
+_LOW_FIRST = ({"head"}, {"head"}, {"second", "tail"},
+              {"head", "second", "tail"})
+
+
 def table_supported_roots(n_plus_1: int, which: str) -> list[Root]:
     """Supported roots for the first ('head'), second, or last ('tail')
     direction, from the closed-form tables, kept in table order (left to
     right).
 
-    The table order matters downstream: the cross-section calibration
-    consumes head and tail blocks in exactly this order. Each set is two
-    arithmetic runs of pairs; the case split is on the parity of n+1 and
-    then on the parity of m (half the size, rounded down). Each case maps a
-    table name to a function building its runs, so that only the requested
-    table is built.
+    Direction ell = 0, 1 or n carries the roots with i + j = s mod n+1,
+    s = floor(n/2) - ell, in two runs: ``low``, the (s - j, j) with i > j,
+    and ``high``, the (s + 1 + j, n - j) with i < j (i + j = s + n + 1).
+    At the tail s wraps to floor(n/2) + 1, which transposes both runs. The
+    run listed first is the tables' convention, ``_LOW_FIRST`` by (n+1)
+    mod 4: the cross-section calibration consumes head and tail blocks in
+    exactly this order.
     """
     _check_size(n_plus_1)
     if which not in ("head", "second", "tail"):
         raise ValueError(f"which must be head, second, or tail, got {which!r}")
-    if n_plus_1 % 2 == 0:
-        m = n_plus_1 // 2
-        if m % 2 == 0:
-            c = m // 2
-            seqs = {
-                "head": lambda: (
-                    [(2 * c - 1 - j, j) for j in range(c)],
-                    [(2 * c + j, 4 * c - 1 - j) for j in range(c)],
-                ),
-                "second": lambda: (
-                    [(2 * c - 1 + j, 4 * c - 1 - j) for j in range(c)],
-                    [(2 * c - 2 - j, j) for j in range(c - 1)],
-                ),
-                "tail": lambda: (
-                    [(4 * c - 1 - j, 2 * c + 1 + j) for j in range(c - 1)],
-                    [(j, 2 * c - j) for j in range(c)],
-                ),
-            }
-        else:
-            c = (m - 1) // 2
-            seqs = {
-                "head": lambda: (
-                    [(2 * c + 1 + j, 4 * c + 1 - j) for j in range(c)],
-                    [(2 * c - j, j) for j in range(c)],
-                ),
-                "second": lambda: (
-                    [(2 * c - 1 - j, j) for j in range(c)],
-                    [(2 * c + j, 4 * c + 1 - j) for j in range(c + 1)],
-                ),
-                "tail": lambda: (
-                    [(j, 2 * c + 1 - j) for j in range(c + 1)],
-                    [(4 * c + 1 - j, 2 * c + 2 + j) for j in range(c)],
-                ),
-            }
-    else:
-        m = n_plus_1 // 2
-        if m % 2 == 0:
-            c = m // 2
-            seqs = {
-                "head": lambda: (
-                    [(2 * c - j, j) for j in range(c)],
-                    [(2 * c + 1 + j, 4 * c - j) for j in range(c)],
-                ),
-                "second": lambda: (
-                    [(2 * c + j, 4 * c - j) for j in range(c)],
-                    [(2 * c - 1 - j, j) for j in range(c)],
-                ),
-                "tail": lambda: (
-                    [(4 * c - j, 2 * c + 2 + j) for j in range(c - 1)],
-                    [(j, 2 * c + 1 - j) for j in range(c + 1)],
-                ),
-            }
-        else:
-            c = (m - 1) // 2
-            seqs = {
-                "head": lambda: (
-                    [(2 * c + 1 - j, j) for j in range(c + 1)],
-                    [(2 * c + 2 + j, 4 * c + 2 - j) for j in range(c)],
-                ),
-                "second": lambda: (
-                    [(2 * c - j, j) for j in range(c)],
-                    [(2 * c + 1 + j, 4 * c + 2 - j) for j in range(c + 1)],
-                ),
-                "tail": lambda: (
-                    [(j, 2 * c + 2 - j) for j in range(c + 1)],
-                    [(4 * c + 2 - j, 2 * c + 3 + j) for j in range(c)],
-                ),
-            }
-    a, b = seqs[which]()
-    return a + b
+    n = n_plus_1 - 1
+    ell = {"head": 0, "second": 1, "tail": n}[which]
+    s = (n // 2 - ell) % n_plus_1
+    low = [(s - j, j) for j in range((s + 1) // 2)]
+    high = [(s + 1 + j, n - j) for j in range((n - s) // 2)]
+    runs = low + high if which in _LOW_FIRST[n_plus_1 % 4] else high + low
+    if ell > n // 2:  # s wrapped past 0
+        runs = [(j, i) for i, j in runs]
+    return runs
 
 
 def table_agreement(slot_dir: np.ndarray, tables=None) -> np.ndarray:
@@ -299,14 +239,6 @@ class OrderDiagram:
     bottom: tuple[int, ...]
     order: tuple[int, ...]
 
-    def rank(self, idx: int) -> int:
-        return self.order.index(idx)
-
-    def is_positive(self, root: Root) -> bool:
-        """True when (i, j) has i greater than j in the diagram order."""
-        i, j = root
-        return self.rank(i) > self.rank(j)
-
     def simple_roots(self) -> tuple[list[Root], list[Root]]:
         """(head part, tail part) of the adapted simple system."""
         head_part: list[Root] = []
@@ -323,42 +255,26 @@ class OrderDiagram:
 def order_diagram(n_plus_1: int) -> OrderDiagram:
     """Build the zigzag diagram for the given size.
 
-    The two rows are runs of consecutive indices (wrapping through 0 on the
-    top row); which row starts the zigzag depends on the parity of both n+1
-    and m.
+    With s = floor(n/2), the head reflection i -> s - i and the tail
+    reflection i -> s + 1 - i (both mod n+1) swap the two indices of every
+    head and every tail root respectively. The order walks from the largest
+    index that either reflection fixes, applying the other reflection first
+    and then alternating, so consecutive entries alternate between head and
+    tail pairs. The top row is every other entry of the walk: the alternate
+    set that contains 0.
     """
     _check_size(n_plus_1)
-    if n_plus_1 % 2 == 0:
-        m = n_plus_1 // 2
-        if m % 2 == 0:
-            c = m // 2
-            top = list(range(3 * c, 4 * c)) + list(range(c))
-            bottom = list(range(3 * c - 1, c - 1, -1))
-            first, second = top, bottom
-        else:
-            c = (m - 1) // 2
-            bottom = list(range(3 * c + 1, c, -1))
-            top = list(range(3 * c + 2, 4 * c + 2)) + list(range(c + 1))
-            first, second = bottom, top
-    else:
-        m = n_plus_1 // 2
-        if m % 2 == 0:
-            c = m // 2
-            top = list(range(3 * c + 1, 4 * c + 1)) + list(range(c + 1))
-            bottom = list(range(3 * c, c, -1))
-            first, second = top, bottom
-        else:
-            c = (m - 1) // 2
-            bottom = list(range(3 * c + 2, c, -1))
-            top = list(range(3 * c + 3, 4 * c + 3)) + list(range(c + 1))
-            first, second = bottom, top
-    order: list[int] = []
-    for k in range(max(len(first), len(second))):
-        if k < len(first):
-            order.append(first[k])
-        if k < len(second):
-            order.append(second[k])
-    return OrderDiagram(n_plus_1, tuple(top), tuple(bottom), tuple(order))
+    s = (n_plus_1 - 1) // 2
+    centres = (s, s + 1)  # of the head and the tail reflection
+    start, k = max((i, k) for k in (0, 1) for i in range(n_plus_1)
+                   if (2 * i - centres[k]) % n_plus_1 == 0)
+    order = [start]
+    for _ in range(n_plus_1 - 1):
+        k = 1 - k
+        order.append((centres[k] - order[-1]) % n_plus_1)
+    rows = (tuple(order[::2]), tuple(order[1::2]))
+    top, bottom = rows if 0 in rows[0] else rows[::-1]
+    return OrderDiagram(n_plus_1, top, bottom, tuple(order))
 
 
 # ---------------------------------------------------------------------------

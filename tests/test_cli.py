@@ -166,12 +166,27 @@ def test_usage_error_unparsable_list_entry_names_the_flag_and_entry(capsys, argv
     ["from-gamma", "--n", "4", "--gamma=-inf,0,0,inf"],
     ["from-gamma", "--n", "5", "--gamma-free", "nan,0"],
     ["alcove", "--n", "4", "--rho", "0.25,nan,-0.75,-0.25"],
+    # finite, but the polytope and alcove arithmetic would overflow
+    ["from-gamma", "--n", "4", "--gamma-free", "1e308,0"],
+    ["alcove", "--n", "4", "--rho", "1e308,0,0,-1e308"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_usage_error_non_finite_input(capsys, flags):
     code, out, err = run_cli(capsys, *flags)
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["from-gamma", "--n", "4", "--gamma-free", f"{2.0 ** 1000!r},0"],
+    ["alcove", "--n", "4", "--rho", f"{2.0 ** 1000!r},0,0,{-2.0 ** 1000!r}"],
+])
+@pytest.mark.filterwarnings("error")
+def test_largest_accepted_input_runs_clean(capsys, flags):
+    code, out, err = run_cli(capsys, *flags)
+    assert code == 0
+    assert "nan" not in out and err == ""
 
 
 @pytest.mark.parametrize("exc_type",

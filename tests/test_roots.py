@@ -4,7 +4,8 @@ diagrams.
 The explicit sets for sizes 4 and 5 are frozen reference data; the size-3
 sets were worked out by hand from the argument condition before any code
 existed. Property tests tie the closed-form tables to the argument condition
-across sizes 3..12.
+across sizes 3..64, and the one-rule tables and diagram to the four-case
+transcriptions of the paper's tables across sizes 3..200.
 """
 
 import itertools
@@ -15,12 +16,12 @@ import pytest
 from ttstokes import roots
 from ttstokes.linalg import omega_pow
 from ttstokes.roots import (
+    OrderDiagram,
     Root,
     SimpleSystemCertificate,
     direction_map,
     half_period_roots,
     order_diagram,
-    root_vector,
     simple_system_check,
     singular_direction,
     singular_directions,
@@ -125,9 +126,9 @@ def test_tables_match_reference(n1):
     assert set(table_supported_roots(n1, "tail")) == ref[n1 - 1]
 
 
-@pytest.mark.parametrize("n1", range(3, 13))
+@pytest.mark.parametrize("n1", range(3, 65))
 def test_tables_match_argument_condition(n1):
-    """Closed-form tables against the direct argument computation, 3..12."""
+    """Closed-form tables against the direct argument computation, 3..64."""
     assert set(table_supported_roots(n1, "head")) == set(supported_roots(n1, 0))
     assert set(table_supported_roots(n1, "second")) == set(supported_roots(n1, 1))
     assert set(table_supported_roots(n1, "tail")) == set(supported_roots(n1, n1 - 1))
@@ -195,7 +196,7 @@ def test_order_diagram_8():
     assert d.order == (6, 5, 7, 4, 0, 3, 1, 2)
 
 
-@pytest.mark.parametrize("n1", range(3, 13))
+@pytest.mark.parametrize("n1", range(3, 65))
 def test_diagram_is_a_permutation(n1):
     d = order_diagram(n1)
     assert sorted(d.order) == list(range(n1))
@@ -203,7 +204,7 @@ def test_diagram_is_a_permutation(n1):
     assert set(d.top).isdisjoint(d.bottom)
 
 
-@pytest.mark.parametrize("n1", range(3, 13))
+@pytest.mark.parametrize("n1", range(3, 65))
 def test_diagram_simples_split_matches_tables(n1):
     d = order_diagram(n1)
     head_part, tail_part = d.simple_roots()
@@ -212,11 +213,13 @@ def test_diagram_simples_split_matches_tables(n1):
     assert len(head_part) + len(tail_part) == n1 - 1
 
 
-@pytest.mark.parametrize("n1", range(3, 13))
+@pytest.mark.parametrize("n1", range(3, 65))
 def test_diagram_positivity_matches_half_period(n1):
     d = order_diagram(n1)
+    rank = {idx: r for r, idx in enumerate(d.order)}
     pairs = itertools.permutations(range(n1), 2)
-    assert {r for r in pairs if d.is_positive(r)} == set(half_period_roots(n1))
+    positive = {(i, j) for i, j in pairs if rank[i] > rank[j]}
+    assert positive == set(half_period_roots(n1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +270,16 @@ def test_diagram_yields_simple_system(n1):
     assert cert.ok, cert.reason
     for coeffs in cert.coefficients.values():
         assert all(0 <= c <= n1 - 1 for c in coeffs)
+
+
+def root_vector(n_plus_1: int, root: Root) -> np.ndarray:
+    """Coordinate vector e_i - e_j of the root (i, j): the oracle of
+    ``roots._root_vectors``."""
+    i, j = root
+    v = np.zeros(n_plus_1, dtype=int)
+    v[i] = 1
+    v[j] = -1
+    return v
 
 
 def _simple_system_check_loop(n_plus_1, candidate, positive=None):
@@ -422,3 +435,158 @@ def test_root_vectors_equal_the_per_root_vectors(n1):
     assert roots._root_vectors(n1, []).shape == (0, n1)
     with pytest.raises(ValueError):
         roots._root_vectors(n1, [(0, 1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# the one-rule tables and diagram against the paper's four cases
+# ---------------------------------------------------------------------------
+
+def four_case_tables(n_plus_1: int, which: str) -> list[Root]:
+    """The closed-form tables as ``table_supported_roots`` built them
+    before it derived them from one rule: the paper's tables transcribed as
+    four cases, split on the parity of n+1 and then of m. Kept as the
+    oracle of the table order."""
+    roots._check_size(n_plus_1)
+    if which not in ("head", "second", "tail"):
+        raise ValueError(f"which must be head, second, or tail, got {which!r}")
+    if n_plus_1 % 2 == 0:
+        m = n_plus_1 // 2
+        if m % 2 == 0:
+            c = m // 2
+            seqs = {
+                "head": lambda: (
+                    [(2 * c - 1 - j, j) for j in range(c)],
+                    [(2 * c + j, 4 * c - 1 - j) for j in range(c)],
+                ),
+                "second": lambda: (
+                    [(2 * c - 1 + j, 4 * c - 1 - j) for j in range(c)],
+                    [(2 * c - 2 - j, j) for j in range(c - 1)],
+                ),
+                "tail": lambda: (
+                    [(4 * c - 1 - j, 2 * c + 1 + j) for j in range(c - 1)],
+                    [(j, 2 * c - j) for j in range(c)],
+                ),
+            }
+        else:
+            c = (m - 1) // 2
+            seqs = {
+                "head": lambda: (
+                    [(2 * c + 1 + j, 4 * c + 1 - j) for j in range(c)],
+                    [(2 * c - j, j) for j in range(c)],
+                ),
+                "second": lambda: (
+                    [(2 * c - 1 - j, j) for j in range(c)],
+                    [(2 * c + j, 4 * c + 1 - j) for j in range(c + 1)],
+                ),
+                "tail": lambda: (
+                    [(j, 2 * c + 1 - j) for j in range(c + 1)],
+                    [(4 * c + 1 - j, 2 * c + 2 + j) for j in range(c)],
+                ),
+            }
+    else:
+        m = n_plus_1 // 2
+        if m % 2 == 0:
+            c = m // 2
+            seqs = {
+                "head": lambda: (
+                    [(2 * c - j, j) for j in range(c)],
+                    [(2 * c + 1 + j, 4 * c - j) for j in range(c)],
+                ),
+                "second": lambda: (
+                    [(2 * c + j, 4 * c - j) for j in range(c)],
+                    [(2 * c - 1 - j, j) for j in range(c)],
+                ),
+                "tail": lambda: (
+                    [(4 * c - j, 2 * c + 2 + j) for j in range(c - 1)],
+                    [(j, 2 * c + 1 - j) for j in range(c + 1)],
+                ),
+            }
+        else:
+            c = (m - 1) // 2
+            seqs = {
+                "head": lambda: (
+                    [(2 * c + 1 - j, j) for j in range(c + 1)],
+                    [(2 * c + 2 + j, 4 * c + 2 - j) for j in range(c)],
+                ),
+                "second": lambda: (
+                    [(2 * c - j, j) for j in range(c)],
+                    [(2 * c + 1 + j, 4 * c + 2 - j) for j in range(c + 1)],
+                ),
+                "tail": lambda: (
+                    [(j, 2 * c + 2 - j) for j in range(c + 1)],
+                    [(4 * c + 2 - j, 2 * c + 3 + j) for j in range(c)],
+                ),
+            }
+    a, b = seqs[which]()
+    return a + b
+
+
+def four_case_diagram(n_plus_1: int) -> OrderDiagram:
+    """The zigzag diagram as ``order_diagram`` built it before it walked
+    the two reflections: the paper's diagrams transcribed as four cases,
+    split on the parity of n+1 and then of m. Kept as its oracle."""
+    roots._check_size(n_plus_1)
+    if n_plus_1 % 2 == 0:
+        m = n_plus_1 // 2
+        if m % 2 == 0:
+            c = m // 2
+            top = list(range(3 * c, 4 * c)) + list(range(c))
+            bottom = list(range(3 * c - 1, c - 1, -1))
+            first, second = top, bottom
+        else:
+            c = (m - 1) // 2
+            bottom = list(range(3 * c + 1, c, -1))
+            top = list(range(3 * c + 2, 4 * c + 2)) + list(range(c + 1))
+            first, second = bottom, top
+    else:
+        m = n_plus_1 // 2
+        if m % 2 == 0:
+            c = m // 2
+            top = list(range(3 * c + 1, 4 * c + 1)) + list(range(c + 1))
+            bottom = list(range(3 * c, c, -1))
+            first, second = top, bottom
+        else:
+            c = (m - 1) // 2
+            bottom = list(range(3 * c + 2, c, -1))
+            top = list(range(3 * c + 3, 4 * c + 3)) + list(range(c + 1))
+            first, second = bottom, top
+    order: list[int] = []
+    for k in range(max(len(first), len(second))):
+        if k < len(first):
+            order.append(first[k])
+        if k < len(second):
+            order.append(second[k])
+    return OrderDiagram(n_plus_1, tuple(top), tuple(bottom), tuple(order))
+
+
+@pytest.mark.parametrize("n1", range(3, 201))
+def test_tables_and_diagram_equal_the_four_cases(n1):
+    """Same roots in the same order: calibrate and the Stokes sampler
+    consume the tables in table order."""
+    for which in ("head", "second", "tail"):
+        assert table_supported_roots(n1, which) == four_case_tables(n1, which)
+    assert order_diagram(n1) == four_case_diagram(n1)
+
+
+@pytest.mark.parametrize("residue", range(4))
+@pytest.mark.parametrize("which", ["head", "second", "tail"])
+def test_flipping_a_run_order_entry_breaks_the_tables(monkeypatch, residue, which):
+    flipped = [set(entry) for entry in roots._LOW_FIRST]
+    flipped[residue] ^= {which}
+    monkeypatch.setattr(roots, "_LOW_FIRST", tuple(flipped))
+    sizes = [n1 for n1 in range(3, 201) if n1 % 4 == residue]
+    assert any(table_supported_roots(n1, which) != four_case_tables(n1, which)
+               for n1 in sizes)
+
+
+def test_float_size_and_bad_table_name_still_raise():
+    with pytest.raises(TypeError):
+        table_supported_roots(5.0, "head")
+    with pytest.raises(TypeError):
+        order_diagram(4.0)
+    with pytest.raises(ValueError, match="which must be head, second, or tail"):
+        table_supported_roots(5, "first")
+    with pytest.raises(ValueError, match="at least 3"):
+        table_supported_roots(2, "head")
+    with pytest.raises(ValueError, match="at least 3"):
+        order_diagram(2)
