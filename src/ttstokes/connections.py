@@ -357,14 +357,6 @@ def _inner_diagonal(n1: int) -> np.ndarray:
     return np.diag([omega_pow(n1, i * (m + 1)) for i in range(n1)])
 
 
-def _diag(v: np.ndarray) -> np.ndarray:
-    """np.diag of each row of ``v``: the stack (..., n, n)."""
-    i = np.arange(v.shape[-1])
-    out = np.zeros(v.shape + v.shape[-1:], dtype=v.dtype)
-    out[..., i, i] = v
-    return out
-
-
 def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
     """Residuals of the diagonalization identities.
 
@@ -380,14 +372,14 @@ def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
     n1 = f.n_plus_1
     lead = f.w.shape[:-1]
     size = _diagonalizers(n1)
-    # stacked products with the diagonal matrices, as the one-field matmuls:
-    # scaling rows or columns by broadcasting rounds differently
-    ew = _diag(np.exp(f.w))
-    ewi = _diag(np.exp(-f.w))
-    p0 = ewi @ size.om @ size.d0
-    p0_inv = size.d0_inv_om_inv @ ew
-    p_inf = ew @ size.om_inv @ size.d0_inv
-    p_inf_inv = size.d0_om @ ewi
+    # e^{+-w} is real, so scaling rows or columns by it gives the bits of a
+    # product with diag(e^{+-w}); the complex diagonals d0 and d stay
+    # matmuls, as scaling by a complex vector rounds differently
+    ew, ewi = np.exp(f.w), np.exp(-f.w)
+    p0 = (ewi[..., :, None] * size.om) @ size.d0
+    p0_inv = size.d0_inv_om_inv * ew[..., None, :]
+    p_inf = (ew[..., :, None] * size.om_inv) @ size.d0_inv
+    p_inf_inv = size.d0_om * ewi[..., None, :]
 
     w = build_W(f)
     axes = (-2, -1)

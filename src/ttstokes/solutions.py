@@ -25,7 +25,7 @@ from .steinberg import SectionCalibration, _signed_coeffs, reconstruct_from_chi
 from .stokes import MonodromyMatrix
 
 _SYM_TOL = 1e-9
-_SLACK = 1e-9  # of the polytope and alcove inequalities
+_SLACK = 1e-9  # of the polytope facets, the alcove's too, on gamma's scale
 _PLUS_MINUS_I = np.array([1j, -1j])
 
 
@@ -82,20 +82,24 @@ def _member_result(ok: np.ndarray):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _in_polytope(gam: np.ndarray) -> np.ndarray:
-    """:func:`polytope_contains` as a numpy bool, 0-d for one vector."""
-    diffs = np.concatenate([gam[..., 1:] - gam[..., :-1],
-                            gam[..., :1] - gam[..., -1:]], axis=-1)
-    return diffs.min(axis=-1) >= -2.0 - _SLACK
+def _cyclic_gaps(v: np.ndarray) -> np.ndarray:
+    """v_(a+1) - v_a on the last axis, the last gap wrapping to v_0 - v_n."""
+    return np.concatenate([v[..., 1:], v[..., :1]], axis=-1) - v
+
+
+def _in_polytope(gaps: np.ndarray) -> np.ndarray:
+    """Whether gamma's cyclic ``gaps`` are all >= -2 (numpy bool, 0-d or (S,))."""
+    return gaps.min(axis=-1) >= -2.0 - _SLACK
 
 
 def polytope_contains(g: GammaVector):
     """Cyclic gap constraints: each consecutive difference of gamma is >= -2,
-    including the wrap-around gamma_0 - gamma_n >= -2, each up to ``_SLACK``.
+    including the wrap-around gamma_0 - gamma_n >= -2, each up to ``_SLACK``,
+    the one slack on gamma's scale that :meth:`AlcovePoint.in_alcove` shares.
 
     A bool for one vector, one bool per member for a stack.
     """
-    return _member_result(_in_polytope(g.gamma))
+    return _member_result(_in_polytope(_cyclic_gaps(g.gamma)))
 
 
 def _gamma_angles(g: GammaVector) -> np.ndarray:
@@ -104,7 +108,7 @@ def _gamma_angles(g: GammaVector) -> np.ndarray:
 
     Each member outside the polytope warns once, in member order.
     """
-    inside = _in_polytope(g.gamma)
+    inside = _in_polytope(_cyclic_gaps(g.gamma))
     if not inside.all():
         for k in np.flatnonzero(~inside.reshape(-1)).tolist():
             warnings.warn(f"gamma outside the polytope{_member(g.gamma.ndim, k)}: "
@@ -177,9 +181,8 @@ def shift_vector(n_plus_1: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlcovePoint:
-    """Normalized coordinates rho, anti-symmetric like gamma; ``in_alcove``
-    tests the defining chain of inequalities. Like gamma, ``rho`` is one
-    point (n+1,) or a stack (S, n+1)."""
+    """Normalized coordinates rho = (gamma + shift) / (n+1), anti-symmetric
+    like gamma, and like gamma one point (n+1,) or a stack (S, n+1)."""
 
     n_plus_1: int
     rho: np.ndarray
@@ -189,14 +192,12 @@ class AlcovePoint:
             self, "rho", _antisymmetric(self.n_plus_1, self.rho, "rho"))
 
     def in_alcove(self):
-        """A bool for one point, one bool per member for a stack."""
-        m = self.n_plus_1 // 2
-        if self.n_plus_1 % 2 == 0:
-            seq = np.concatenate([self.rho[..., m:], self.rho[..., :m]], axis=-1)
-        else:
-            seq = self.rho
-        ok = np.all(seq[..., 1:] - seq[..., :-1] >= -_SLACK, axis=-1)
-        return _member_result(ok & (seq[..., -1] <= 2.0 + seq[..., 0] + _SLACK))
+        """The polytope's n+1 facets and bound, read through the chart on
+        gamma's scale: one bool, or one per member of a stack. That the
+        alcove's chain is these facets over n+1 is certified in integers by
+        test_the_alcove_chain_is_the_polytope_facets_in_integers."""
+        gaps = self.n_plus_1 * _cyclic_gaps(self.rho)
+        return _member_result(_in_polytope(gaps - _cyclic_gaps(shift_vector(self.n_plus_1))))
 
 
 def alcove_coords(g: GammaVector) -> AlcovePoint:
@@ -228,9 +229,7 @@ def random_polytope_gamma(n_plus_1: int, rng: np.random.Generator,
     else:
         rho[..., m + 1:] = u
         rho[..., :m] = -u[..., ::-1]
-    # alcove_to_gamma's formula; rho is anti-symmetric by construction, so
-    # only gamma is checked
-    return GammaVector(n_plus_1, n_plus_1 * rho - shift_vector(n_plus_1))
+    return alcove_to_gamma(AlcovePoint(n_plus_1, rho))
 
 
 def s_formulas(n_plus_1: int, g: GammaVector) -> tuple[float, float]:

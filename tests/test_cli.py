@@ -18,6 +18,8 @@ from ttstokes.linalg import ConsistencyError, NumericalError
 from ttstokes.steinberg import CalibrationError
 from ttstokes.verify import run_suites
 
+from test_solutions import wall_gammas
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -351,6 +353,31 @@ def test_alcove_gamma_direction(capsys):
                            "--gamma", "1,0.5,0,-0.5,-1")
     assert code == 0
     assert "in alcove: yes" in out
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_alcove_and_from_gamma_agree_with_the_polytope_at_the_walls(capsys, n1):
+    # gamma's smallest cyclic gap is -2 - d; see test_solutions.wall_gammas
+    g, ds = wall_gammas(n1)
+    for row, d in zip(g.gamma.tolist(), ds.tolist()):
+        text = ",".join(map(repr, row))
+        for cmd in ("alcove", "from-gamma"):
+            code, out, _ = run_cli(capsys, cmd, "--n", str(n1), f"--gamma={text}",
+                                   "--format", "json")
+            payload = json.loads(out)["payload"]
+            assert code == 0
+            assert payload["in_alcove"] == payload["polytope_member"] == (d < 1e-9)
+
+
+def test_alcove_reads_the_polytope_of_a_rho_on_a_wall(capsys):
+    # rho_4 - rho_0 = 2 + 6e-10: outside by 3e-9 on gamma's scale, inside
+    # by the slack if it were taken on rho's scale
+    code, out, _ = run_cli(capsys, "alcove", "--n", "5",
+                           "--rho=-1.0000000003,-0.4,0,0.4,1.0000000003",
+                           "--format", "json")
+    payload = json.loads(out)["payload"]
+    assert code == 0
+    assert payload["in_alcove"] is payload["polytope_member"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ttstokes.connections import (
     TodaField,
     _alpha_hat_bands,
     _bands,
+    _diagonalizers,
     _gather,
     _omega_hat_bands,
     _tau_residuals,
@@ -288,6 +289,38 @@ def test_diagonalizer_check_random_fields(n1):
     rep = diagonalizer_check(random_field(n1, rng))
     assert holds(rep), rep
     assert rep.bridge_residual < 1e-12
+
+
+def dense_diagonalizer_residuals(f):
+    """w_residual and wt_residual as diagonalizer_check once computed them,
+    through dense stacks diag(e^{+-w}) and matmuls: the oracle of its row
+    and column scaling."""
+    size = _diagonalizers(f.n_plus_1)
+    i = np.arange(f.n_plus_1)
+    ew = np.zeros(f.w.shape + f.w.shape[-1:])
+    ewi = np.zeros_like(ew)
+    ew[..., i, i] = np.exp(f.w)
+    ewi[..., i, i] = np.exp(-f.w)
+    p0 = ewi @ size.om @ size.d0
+    p0_inv = size.d0_inv_om_inv @ ew
+    p_inf = ew @ size.om_inv @ size.d0_inv
+    p_inf_inv = size.d0_om @ ewi
+    w = build_W(f)
+    axes = (-2, -1)
+    return (np.max(np.abs(w - p0 @ size.d @ p0_inv), axis=axes),
+            np.max(np.abs(np.swapaxes(w, -1, -2) - p_inf @ size.d @ p_inf_inv),
+                   axis=axes))
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_scaling_by_e_w_equals_the_dense_diagonal_products(n1):
+    rng = np.random.default_rng(9300 + n1)
+    members = [random_field(n1, rng, scale=3.0) for _ in range(10)]
+    for f in [members[0], *(_stacked(n1, members[:s]) for s in (1, 3, 10))]:
+        rep = diagonalizer_check(f)
+        w_res, wt_res = dense_diagonalizer_residuals(f)
+        assert np.array_equal(rep.w_residual, w_res)
+        assert np.array_equal(rep.wt_residual, wt_res)
 
 
 def test_bridge_scalars_by_hand():

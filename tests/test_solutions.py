@@ -217,6 +217,75 @@ def test_alcove_membership_iff_polytope(n1, free):
     assert polytope_contains(g) == alcove_coords(g).in_alcove()
 
 
+def wall_gammas(n1):
+    """Gammas whose smallest cyclic gap is -2 - d, one member per offset d in
+    (0, +-0.5, +-1.5, +-2, +-3(n+1)) * 1e-9: random interior gammas scaled
+    onto a wall, and the offsets. d = +-1e-9 is left out: it is the slack
+    itself, where any two floating routes may round apart."""
+    ds = 1e-9 * np.array([0.0, 0.5, -0.5, 1.5, -1.5, 2.0, -2.0, 3 * n1, -3 * n1])
+    g = random_polytope_gamma(n1, np.random.default_rng(n1), len(ds)).gamma
+    g = g * ((-2.0 - ds) / np.diff(g, append=g[:, :1]).min(axis=1))[:, None]
+    low = np.diff(g, append=g[:, :1]).min(axis=1)
+    assert np.all(np.abs(low + 2.0 + ds) < 1e-13)
+    return GammaVector(n1, g), ds
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_alcove_and_polytope_agree_at_the_walls(n1):
+    # a slack applied to rho's gaps would be n+1 times looser than the
+    # polytope's and say inside at d = 1.5e-9 and 2e-9
+    g, ds = wall_gammas(n1)
+    inside = polytope_contains(g)
+    assert inside.tolist() == (ds < 1e-9).tolist()
+    p = alcove_coords(g)
+    assert p.in_alcove().tolist() == inside.tolist()
+    # the --rho route: the alcove point against its own gamma
+    assert polytope_contains(alcove_to_gamma(p)).tolist() == inside.tolist()
+    for h, want in zip(members(g), inside.tolist()):
+        q = alcove_coords(h)
+        assert polytope_contains(h) == q.in_alcove() == want
+        assert polytope_contains(alcove_to_gamma(q)) == want
+
+
+def alcove_chain(n1):
+    """The alcove's defining chain of inequalities, as ``in_alcove`` once
+    tested it: rho's entries in the order seq (rho[m:] then rho[:m] at even
+    size, rho itself at odd size) rise, seq_k <= seq_(k+1), and seq_last <=
+    2 + seq_0. Each inequality is an integer pair (c, k), meaning
+    c . rho + k >= 0."""
+    m = n1 // 2
+    seq = [*range(m, n1), *range(m)] if n1 % 2 == 0 else [*range(n1)]
+    forms = []
+    for a, b, k in [*zip(seq, seq[1:], [0] * n1), (seq[-1], seq[0], 2)]:
+        c = np.zeros(n1, dtype=np.int64)
+        c[b] += 1
+        c[a] -= 1
+        forms.append((c, k))
+    return forms
+
+
+@pytest.mark.parametrize("n1", range(3, 129))
+def test_the_alcove_chain_is_the_polytope_facets_in_integers(n1):
+    # under rho = (gamma + shift)/(n+1), (n+1)(c . rho + k) is
+    # c . gamma + c . shift + (n+1) k; each chain inequality must be one
+    # facet gamma_(a+1) - gamma_a + 2 >= 0, and each facet must be used once,
+    # so in_alcove may read the facets as (n+1) gap(rho)_a - gap(shift)_a
+    shift = solutions.shift_vector(n1)
+    assert shift.dtype.kind == "i"
+    gap_shift = solutions._cyclic_gaps(shift)
+    facets = []
+    for c, k in alcove_chain(n1):
+        (a,) = np.flatnonzero(c == -1)
+        want = np.zeros(n1, dtype=np.int64)
+        want[(a + 1) % n1] += 1
+        want[a] -= 1
+        assert np.array_equal(c, want)
+        assert c @ shift == gap_shift[a]
+        assert c @ shift + n1 * k == 2
+        facets.append(int(a))
+    assert sorted(facets) == list(range(n1))
+
+
 @pytest.mark.parametrize("n1", range(3, 11))
 def test_random_polytope_gamma_is_inside(n1):
     rng = np.random.default_rng(n1)
