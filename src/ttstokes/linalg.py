@@ -182,9 +182,11 @@ def char_poly(M) -> np.ndarray:
     c_{dim-k} = -tr(A_k)/k, B_k = A_k + c_{dim-k} I. No eigenvalue solve is
     involved, which keeps this route independent of :func:`eigenvalues`.
     Each B_k is A_k with c_{dim-k} added in place on a view of its diagonal.
-    The coefficients and the diagonal view are held with the stack axis
-    last, so that c broadcasts over the diagonal as it is, and a single
-    matrix needs no extra axis.
+    The products alternate between two C-ordered buffers allocated once,
+    each with its diagonal view made once: A_k is written over B_{k-2}, so
+    no step allocates or reshapes. The coefficients and the diagonal
+    views are held with the stack axis last, so that c broadcasts over the
+    diagonal as it is, and a single matrix needs no extra axis.
     """
     M = _working(M)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
@@ -196,13 +198,15 @@ def char_poly(M) -> np.ndarray:
     flat = lead + (dim * dim,)
     coeffs = np.zeros((dim + 1,) + lead, dtype=M.dtype)
     coeffs[dim] = 1.0
-    B = np.eye(dim, dtype=M.dtype)
+    A, B = np.empty(M.shape, M.dtype), np.zeros(M.shape, M.dtype)
+    diag_a, diag_b = (X.reshape(flat).T[:: dim + 1] for X in (A, B))
+    diag_b[...] = 1.0
     for k in range(1, dim + 1):
-        B = M @ B
-        diag = B.reshape(flat).T[:: dim + 1]
-        c = -np.add.reduce(diag) / k
+        np.matmul(M, B, out=A)
+        c = -np.add.reduce(diag_a) / k
         coeffs[dim - k] = c
-        diag += c
+        diag_a += c
+        A, B, diag_a, diag_b = B, A, diag_b, diag_a
     return coeffs.T
 
 

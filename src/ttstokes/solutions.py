@@ -17,7 +17,8 @@ cross-section to produce the actual monodromy matrix for any size.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,15 +53,40 @@ class GammaVector:
     """Anti-symmetric parameter vector, gamma_i + gamma_{n-i} = 0.
 
     ``gamma`` is one vector (n+1,) or a stack (S, n+1) of them, one member
-    per row; the functions of this module take either.
+    per row; the functions of this module take either. It is a read-only
+    copy of the values given, so a later write into the caller's array
+    changes nothing here.
+
+    Two read-only arrays are derived once from it, for every query to read:
+    ``inside``, the polytope membership (a 0-d bool for one vector, one per
+    member of a stack), and ``angles``, the angles a_j, j < m =
+    floor((n+1)/2), of the eigenvalue pairs exp(+-i a_j) (shape (m,) or
+    (S, m)). Neither construction nor :func:`polytope_contains` warns;
+    each call of :func:`eigenvalues_from_gamma` or :func:`gamma_to_m0`
+    warns once per member outside the polytope.
     """
 
     n_plus_1: int
     gamma: np.ndarray
+    inside: np.ndarray = field(init=False, repr=False, compare=False)
+    angles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "gamma", _antisymmetric(self.n_plus_1, self.gamma, "gamma"))
+        n1 = self.n_plus_1
+        gamma = _antisymmetric(n1, np.array(self.gamma, dtype=float), "gamma")
+        m = n1 // 2
+        two_j = np.arange(0, 2 * m, 2)
+        # the same operations, in the same order, as one pair at a time
+        if n1 % 2 == 0:
+            angles = np.pi * (gamma[..., :m] + two_j + 1) / n1
+        else:
+            angles = np.pi * (gamma[..., :m] - (n1 - 1) + two_j) / n1
+        derived = {"gamma": gamma,
+                   "inside": np.asarray(_in_polytope(_cyclic_gaps(gamma))),
+                   "angles": angles}
+        for name, value in derived.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def _member(ndim: int, k: int) -> str:
@@ -97,30 +123,22 @@ def polytope_contains(g: GammaVector):
     including the wrap-around gamma_0 - gamma_n >= -2, each up to ``_SLACK``,
     the one slack on gamma's scale that :meth:`AlcovePoint.in_alcove` shares.
 
-    A bool for one vector, one bool per member for a stack.
+    A bool for one vector; for a stack, one bool per member, the read-only
+    ``g.inside``.
     """
-    return _member_result(_in_polytope(_cyclic_gaps(g.gamma)))
+    return _member_result(g.inside)
 
 
 def _gamma_angles(g: GammaVector) -> np.ndarray:
-    """The angles a_j, j < m = floor((n+1)/2), of the eigenvalue pairs
-    exp(+-i a_j) of ``g``: shape (m,) for one vector, (S, m) for a stack.
-
-    Each member outside the polytope warns once, in member order.
-    """
-    inside = _in_polytope(_cyclic_gaps(g.gamma))
-    if not inside.all():
-        for k in np.flatnonzero(~inside.reshape(-1)).tolist():
+    """``g.angles``, read once by each query that builds an eigenvalue list
+    or a polynomial from them; each member outside the polytope warns once,
+    in member order, naming the caller of that query."""
+    if not g.inside.all():
+        for k in np.flatnonzero(~g.inside.reshape(-1)).tolist():
             warnings.warn(f"gamma outside the polytope{_member(g.gamma.ndim, k)}: "
                           "eigenvalues may collide or leave the expected arcs",
                           stacklevel=3)
-    n1 = g.n_plus_1
-    m = n1 // 2
-    two_j = np.arange(0, 2 * m, 2)
-    # the same operations, in the same order, as one pair at a time
-    if n1 % 2 == 0:
-        return np.pi * (g.gamma[..., :m] + two_j + 1) / n1
-    return np.pi * (g.gamma[..., :m] - (n1 - 1) + two_j) / n1
+    return g.angles
 
 
 def _eigenvalue_lists(n1: int, a: np.ndarray) -> np.ndarray:
@@ -152,16 +170,24 @@ def _gamma_char_coeffs(n1: int, a: np.ndarray) -> np.ndarray:
     size. Shape (n1+1,) for one angle row, (S, n1+1) for a stack.
 
     Each factor is multiplied into the whole stack at once, so a member's
-    row is the same, bit for bit, as its own call's.
+    row is the same, bit for bit, as its own call's. One row runs the same
+    multiplies and adds on Python floats, which is cheaper than the numpy
+    loop's four calls per factor; the cosines are numpy's on both paths.
     """
     b = -2.0 * np.cos(a)
+    start = (-1.0, 1.0) if n1 % 2 else (1.0,)
+    if b.ndim == 1:
+        c = list(start)
+        for bj in b.tolist():
+            # the loop below's adds, in its order: entry t gains bj c_(t-1),
+            # then c_(t-2); the two padding zeros are its entries above the degree
+            p = c + [0.0, 0.0]
+            c = [p[0], p[1] + bj * p[0]] + [
+                (x + bj * y) + z for x, y, z in zip(p[2:], p[1:], p)]
+        return np.array(c)
+    deg = len(start) - 1
     c = np.zeros(b.shape[:-1] + (n1 + 1,))
-    if n1 % 2 == 0:
-        c[..., 0] = 1.0
-        deg = 0
-    else:
-        c[..., :2] = (-1.0, 1.0)
-        deg = 1
+    c[..., :deg + 1] = start
     for j in range(b.shape[-1]):
         low = c[..., :deg + 1].copy()
         c[..., 1:deg + 2] += b[..., j, None] * low
@@ -170,13 +196,18 @@ def _gamma_char_coeffs(n1: int, a: np.ndarray) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=256)
 def shift_vector(n_plus_1: int) -> np.ndarray:
-    """Integer offsets added to gamma before normalizing to alcove coordinates."""
-    m = n_plus_1 // 2
+    """Integer offsets added to gamma before normalizing to alcove coordinates,
+    built once per size and read-only: 2i + 1, less 2(n+1) in the upper
+    half, at even n+1, and 2i - n at odd n+1."""
+    i = np.arange(n_plus_1)
     if n_plus_1 % 2 == 0:
-        return np.array([2 * i + 1 if i < m else 2 * i + 1 - 2 * n_plus_1
-                         for i in range(n_plus_1)])
-    return np.array([2 * i - (n_plus_1 - 1) for i in range(n_plus_1)])
+        v = 2 * i + 1 - 2 * n_plus_1 * (i >= n_plus_1 // 2)
+    else:
+        v = 2 * i - (n_plus_1 - 1)
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -358,10 +359,18 @@ def steinberg_section(cal: SectionCalibration, t) -> np.ndarray:
     return M
 
 
+@lru_cache(maxsize=256)
+def _alternating_signs(n1: int) -> np.ndarray:
+    """(-1)^k for k = 1..n1-1, built once per size and read-only."""
+    signs = (-1) ** np.arange(1, n1)
+    signs.setflags(write=False)
+    return signs
+
+
 def _signed_coeffs(coeffs) -> np.ndarray:
     """e_k = (-1)^k coeffs[n+1-k], k = 1..n, of increasing-order coefficients."""
     n1 = coeffs.shape[-1] - 1
-    return coeffs[..., n1 - 1:0:-1] * (-1) ** np.arange(1, n1)
+    return coeffs[..., n1 - 1:0:-1] * _alternating_signs(n1)
 
 
 def chi(M) -> np.ndarray:

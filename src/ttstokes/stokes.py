@@ -326,7 +326,7 @@ class _Layout(NamedTuple):
     the support of every q1 q2 P, and the sampler's slots: per sample
     ``draws`` coefficients, each from one standard normal (real) or two
     (real part, then imaginary part); the head and then the second slots
-    take draw ``source[k]`` times ``sign[k]``, or 0 if it is -1."""
+    take draw ``source[k]`` times ``sign[k]``."""
 
     n_plus_1: int
     directions: np.ndarray
@@ -360,9 +360,10 @@ def _stokes_layout(n1: int) -> _Layout:
     and with q2 for q2 at even n+1: the coefficient at (i, j) is minus the
     signed one at the slot that Pm sends (j, i) to. Visited in table order,
     head then second, a slot paired with an earlier one takes its draw,
-    signed; a self-paired slot with positive sign is forced to zero; any
-    other slot, and every head slot at odd n+1 (paired with no slot), takes
-    a new draw.
+    signed; any other slot, and every head slot at odd n+1 (paired with no
+    slot), takes a new draw. A self-paired slot with positive sign would be
+    forced to zero; it is asserted that there is none, so every slot has a
+    draw.
     """
     slot_dir = direction_map(n1)
     pats = _patterns(slot_dir)
@@ -409,12 +410,14 @@ def _stokes_layout(n1: int) -> _Layout:
                 f"pairing sent {(i, j)} to {(image[j], image[i])}, which is no "
                 "slot; the constraint bookkeeping is wrong"
             )
+        if p == k and s > 0:
+            raise AssertionError(
+                f"slot {(i, j)} is paired with itself with a positive sign, which "
+                "forces its coefficient to zero; no size has such a slot"
+            )
         if p is not None and p < k:
             source.append(source[p])
             sign.append(-s * sign[p])
-        elif p == k and s > 0:
-            source.append(-1)
-            sign.append(0.0)
         else:
             source.append(draws)
             sign.append(1.0)
@@ -436,9 +439,7 @@ def _stokes_from_normals(layout: _Layout, z, real: bool, scale: float) -> Stokes
         drawn = np.empty(z.shape[:-1] + (layout.draws,), dtype=complex)
         drawn.real = z[..., 0::2] * scale
         drawn.imag = z[..., 1::2] * scale
-    coeffs = np.zeros(drawn.shape[:-1] + (len(layout.source),), dtype=complex)
-    hit = layout.source >= 0
-    coeffs[..., hit] = layout.sign[hit] * drawn[..., layout.source[hit]]
+    coeffs = layout.sign * drawn[..., layout.source]
     cols = np.moveaxis(coeffs, -1, 0)
     return StokesParams(layout.n_plus_1, dict(zip(layout.head, cols)),
                         dict(zip(layout.second, cols[len(layout.head):])))

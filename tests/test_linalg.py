@@ -432,6 +432,8 @@ def _random_matrices(seed):
 def test_char_poly_equals_the_loop_on_random_matrices():
     for M in _random_matrices(900):
         assert np.array_equal(char_poly(M), _char_poly_loop(M)), M.shape
+        # a transposed view is not C-ordered, unlike char_poly's buffers
+        assert np.array_equal(char_poly(M.T), _char_poly_loop(M.T)), M.shape
 
 
 @pytest.mark.parametrize("S", [1, 5, 50])

@@ -392,7 +392,7 @@ def char_coeffs(g):
     return solutions._gamma_char_coeffs(g.n_plus_1, solutions._gamma_angles(g))
 
 
-@pytest.mark.parametrize("n1", range(3, 41))
+@pytest.mark.parametrize("n1", range(3, 65))
 def test_stacked_char_coeffs_equal_member_calls(n1):
     g = random_polytope_gamma(n1, np.random.default_rng([620, n1]), STACK)
     coeffs = char_coeffs(g)
@@ -428,6 +428,59 @@ def test_one_warning_per_member_outside_the_polytope_in_member_order():
     assert [str(w.message) for w in caught] == [
         f"gamma outside the polytope (member {k}): eigenvalues may collide "
         "or leave the expected arcs" for k in (0, 2, 4)]
+
+
+OUTSIDE = np.array([[4.0, 0.0, 0.0, -4.0],
+                    [0.0, 0.0, 0.0, 0.0],
+                    [-1.5, 0.0, 0.0, 1.5],
+                    [5.0, 1.0, -1.0, -5.0]])
+
+
+def test_each_query_warns_again_and_construction_and_membership_never_do():
+    cal = calibrate(4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = GammaVector(4, OUTSIDE)
+        assert polytope_contains(g).tolist() == [False, True, False, False]
+        assert g.inside.tolist() == [False, True, False, False]
+        assert caught == []
+        for _ in range(2):
+            eigenvalues_from_gamma(g)
+            gamma_to_m0(cal, g)
+    one_call = [f"gamma outside the polytope (member {k}): eigenvalues may collide "
+                "or leave the expected arcs" for k in (0, 2, 3)]
+    assert [str(w.message) for w in caught] == 4 * one_call
+    # each warning names the line that made the query
+    assert {w.filename for w in caught} == {__file__}
+
+
+@pytest.mark.parametrize("source", [OUTSIDE[0].copy(), OUTSIDE.copy()])
+def test_gamma_and_what_is_derived_from_it_are_read_only_copies(source):
+    g = GammaVector(4, source)
+    before = [g.gamma.copy(), g.inside.copy(), g.angles.copy()]
+    for arr in (g.gamma, g.inside, g.angles):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    source[...] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip([g.gamma, g.inside, g.angles], before))
+    assert g.gamma.shape == source.shape and g.angles.shape == source.shape[:-1] + (2,)
+
+
+def _shift_vector_list(n1):
+    """The offsets written out one entry at a time: shift_vector's oracle."""
+    m = n1 // 2
+    if n1 % 2 == 0:
+        return np.array([2 * i + 1 if i < m else 2 * i + 1 - 2 * n1 for i in range(n1)])
+    return np.array([2 * i - (n1 - 1) for i in range(n1)])
+
+
+def test_shift_vector_is_the_list_formula_built_once_per_size():
+    for n1 in range(3, 129):
+        v = solutions.shift_vector(n1)
+        want = _shift_vector_list(n1)
+        assert v.dtype == want.dtype and np.array_equal(v, want), n1
+        assert not v.flags.writeable and solutions.shift_vector(n1) is v
 
 
 # ---------------------------------------------------------------------------
