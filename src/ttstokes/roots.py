@@ -53,17 +53,6 @@ def _check_size(n_plus_1: int) -> None:
         raise ValueError(f"need matrix size at least 3, got {n_plus_1}")
 
 
-def _root_vectors(n_plus_1: int, roots) -> np.ndarray:
-    """The coordinate vector e_i - e_j of each root (i, j) as the rows of
-    one integer array; j's -1 overwrites i's 1 when i == j."""
-    i, j = np.array(roots, dtype=int).reshape(len(roots), 2).T
-    rows = np.arange(len(roots))
-    out = np.zeros((len(roots), n_plus_1), dtype=int)
-    out[rows, i] = 1
-    out[rows, j] = -1
-    return out
-
-
 @dataclass(frozen=True)
 class SingularDirection:
     """One anti-Stokes direction theta, indexed by ell = 0 .. 2n+1."""
@@ -281,6 +270,39 @@ def order_diagram(n_plus_1: int) -> OrderDiagram:
 # simple system certificates
 # ---------------------------------------------------------------------------
 
+def _tree_paths(n_plus_1: int, edges) -> np.ndarray | None:
+    """Row v writes e_v - e_0 over the vectors e_a - e_b of the n ``edges``
+    (a, b), with entries in {-1, 0, 1}: the tree's path from 0 to v. None
+    when the edges are no spanning tree of the n+1 indices, which is exactly
+    when their vectors are dependent."""
+    adjacent = [[] for _ in range(n_plus_1)]
+    for k, (a, b) in enumerate(edges):
+        adjacent[a].append((b, k, -1))  # the step a -> b is -(e_a - e_b)
+        adjacent[b].append((a, k, 1))
+    paths = np.zeros((n_plus_1, n_plus_1 - 1), dtype=np.int64)
+    seen, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v, k, sign in adjacent[u]:
+            if v not in seen:
+                seen.add(v)
+                paths[v] = paths[u]
+                paths[v, k] = sign
+                stack.append(v)
+    return paths if len(seen) == n_plus_1 else None
+
+
+def _index_pairs(n_plus_1: int, roots: list, name: str) -> np.ndarray:
+    """``roots`` as an (R, 2) integer array; ValueError names the first
+    entry that is not two distinct indices in 0..n."""
+    indices = range(n_plus_1)
+    for k, r in enumerate(roots):
+        if len(r) != 2 or r[0] == r[1] or r[0] not in indices or r[1] not in indices:
+            raise ValueError(f"{name} entry {k}, {r!r}, is not two distinct "
+                             f"indices in 0..{n_plus_1 - 1}")
+    return np.array(roots, dtype=np.int64).reshape(len(roots), 2)
+
+
 @dataclass
 class SimpleSystemCertificate:
     """Outcome of checking a candidate simple system.
@@ -294,45 +316,34 @@ class SimpleSystemCertificate:
     coefficients: dict[Root, tuple[int, ...]]
 
 
-def simple_system_check(
-    n_plus_1: int,
-    candidate,
-    positive=None,
-) -> SimpleSystemCertificate:
-    """Certify that ``candidate`` is a simple system for ``positive``.
+def simple_system_check(n_plus_1: int, candidate,
+                        positive=None) -> SimpleSystemCertificate:
+    """Certify that ``candidate`` is a simple system for ``positive``, which
+    defaults to the half-period positive system: n independent roots of
+    which every positive root is a nonnegative integer combination.
 
-    Requirements checked: the candidate has n linearly independent elements,
-    and every positive root is a nonnegative integer combination of them.
-    ``positive`` defaults to the half-period positive system.
+    The check is exact. n roots (i, j), as edges on the n+1 indices, are
+    independent exactly when they form a spanning tree, and then e_i - e_j
+    is the difference of the tree's paths from 0 to i and to j, so every
+    root is an integer combination. ValueError names the first entry of
+    ``candidate``, then of ``positive``, that is not two distinct indices.
     """
     _check_size(n_plus_1)
-    candidate = [tuple(r) for r in candidate]
-    if positive is None:
-        positive = half_period_roots(n_plus_1)
+    positive = half_period_roots(n_plus_1) if positive is None else list(positive)
+    edges = _index_pairs(n_plus_1, list(candidate), "candidate")
+    i, j = _index_pairs(n_plus_1, positive, "positive").T
     n = n_plus_1 - 1
-    if len(candidate) != n:
+    if len(edges) != n:
         return SimpleSystemCertificate(
-            False, f"candidate has {len(candidate)} roots, need {n}", {}
-        )
-    vectors = _root_vectors(n_plus_1, candidate)
-    A = vectors.T.astype(float)
-    if np.linalg.matrix_rank(A) < n:
+            False, f"candidate has {len(edges)} roots, need {n}", {})
+    paths = _tree_paths(n_plus_1, edges.tolist())
+    if paths is None:
         return SimpleSystemCertificate(
-            False, "candidate roots are not linearly independent", {}
-        )
-    # one solve for every positive root; the first root, in ``positive``
-    # order, failing the integer check or else the sign check is reported
-    positive = list(positive)
-    targets = _root_vectors(n_plus_1, positive).T
-    x, *_ = np.linalg.lstsq(A, targets.astype(float), rcond=None)
-    x_int = np.rint(x).astype(int)
-    integral = np.all(vectors.T @ x_int == targets, axis=0)
-    failed = np.flatnonzero(~(integral & np.all(x_int >= 0, axis=0)))
+            False, "candidate roots are not linearly independent", {})
+    coeffs = paths[i] - paths[j]
+    failed = np.flatnonzero(np.any(coeffs < 0, axis=1))  # in ``positive`` order
     if failed.size:
-        k = failed[0]
-        p = positive[k]
-        reason = (f"root {p} is not an integer combination of the candidate"
-                  if not integral[k] else f"root {p} needs a negative coefficient")
-        return SimpleSystemCertificate(False, reason, {})
-    coeffs = {tuple(p): tuple(c) for p, c in zip(positive, x_int.T.tolist())}
-    return SimpleSystemCertificate(True, None, coeffs)
+        return SimpleSystemCertificate(
+            False, f"root {positive[failed[0]]} needs a negative coefficient", {})
+    return SimpleSystemCertificate(
+        True, None, {tuple(p): tuple(c) for p, c in zip(positive, coeffs.tolist())})

@@ -20,7 +20,7 @@ generator matrix is built: a calibration holds integers only, and its
 ``sigmas`` builds the dense generators on demand for an independent check
 of the product.
 
-The signs come from a linear solve over GF(2), not a search. Flipping
+The signs come from a linear system over GF(2), not a search. Flipping
 sigma_k negates its rows i_k and j_k, i.e. multiplies it on the left by the
 diagonal sign matrix with -1 at those two indices. Moving that matrix to the
 front past the prefix turns it into the sign matrix with -1 at a_k, b_k (the
@@ -37,8 +37,10 @@ P0 up to signs that permutation is the cyclic shift, a single (n+1)-cycle,
 so the graph is connected: n edges on n+1 vertices form a spanning tree,
 whose edge vectors have rank n over GF(2). The solution is therefore unique,
 and it exists because c has even weight (C and P0 both have determinant 1),
-which is exactly the span of a spanning tree's edges. Walked again with the
-solved signs, the product must equal C entry for entry.
+which is exactly the span of a spanning tree's edges. It is read off the
+tree: e_v + e_0 is the sum of the edges on the tree's path from 0 to v, so
+x_k is the parity of the marked v whose path uses edge k. Walked again
+with the solved signs, the product must equal C entry for entry.
 
 Once calibrated, the section is C plus each t_k, signed, in one fixed slot.
 Moving every sigma to the right,
@@ -92,7 +94,7 @@ from .linalg import (
     nan_max,
     rel_residual,
 )
-from .roots import Root, table_supported_roots
+from .roots import Root, _tree_paths, table_supported_roots
 from .stokes import _Layout, _stokes_from_normals, _stokes_layout, build_m0
 
 __all__ = [
@@ -221,38 +223,23 @@ def _walk(order: tuple[Root, ...], signs, n_plus_1: int) -> _Walk:
 
 
 def _solve_flips(unsigned: _Walk, target: np.ndarray) -> tuple[int, ...]:
-    """Generators to flip so that the generator product equals ``target``.
-
-    ``unsigned`` is the walk with every generator in its default
-    orientation. Solves sum_k x_k (e_{a_k} + e_{b_k}) = c over GF(2), where
-    c marks the indices at which ``target`` and the unflipped product differ
-    in sign (see the module docstring).
-    """
+    """Generators to flip so that the generator product equals ``target``:
+    x = c P mod 2, with P the tree paths (``roots._tree_paths``) of the
+    unflipped walk's edges (a_k, b_k) (see the module docstring). Edges that
+    form no tree make the sign system singular, c of odd weight inconsistent."""
     n1 = target.shape[0]
-    n = len(unsigned.rows)
     entries = target[unsigned.perm, range(n1)]
     if np.count_nonzero(target) != n1 or not np.all(np.abs(entries) == 1):
         raise CalibrationError(
-            f"generator product is not a signed cyclic shift at size {n1}"
-        )
-    # augmented system [A | c], one row per index, one column per generator
-    system = np.zeros((n1, n + 1), dtype=np.uint8)
-    system[unsigned.perm, n] = entries != unsigned.sgn
-    system[unsigned.rows, range(n)] = system[unsigned.ends, range(n)] = 1
-    # Gauss-Jordan elimination; XOR is addition over GF(2)
-    for col in range(n):
-        hits = np.flatnonzero(system[col:, col])
-        if len(hits) == 0:
-            raise CalibrationError(
-                f"sign system is singular at size {n1} (generator {col})"
-            )
-        p = col + hits[0]
-        system[[col, p]] = system[[p, col]]
-        rows = np.flatnonzero(system[:, col])
-        system[rows[rows != col]] ^= system[col]
-    if system[n:, n].any():
+            f"generator product is not a signed cyclic shift at size {n1}")
+    paths = _tree_paths(n1, list(zip(unsigned.rows, unsigned.ends)))
+    if paths is None:
+        raise CalibrationError(f"sign system is singular at size {n1}")
+    c = np.zeros(n1, dtype=np.int64)
+    c[unsigned.perm] = entries != unsigned.sgn
+    if c.sum() % 2:
         raise CalibrationError(f"sign system is inconsistent at size {n1}")
-    return tuple(k for k in range(n) if system[k, n])
+    return tuple(np.flatnonzero(c @ paths % 2).tolist())
 
 
 def _section_slots(walk: _Walk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,14 +301,15 @@ def calibrate(n_plus_1: int) -> SectionCalibration:
     """Choose generator signs and derive the section and chi relabeling.
 
     The root order is the head block followed by the tail block, both in
-    table order. The signs are the unique solution of a GF(2) system, and
-    the slots and relabeling follow from them in integer arithmetic (see
-    the module docstring), so the same size always yields the same
-    calibration. CalibrationError is raised if the unflipped product is not
-    the shift up to signs, if the system is singular or inconsistent, if the
-    signed product differs from the shift in any entry, if the section does
-    not have one slot per coordinate, if the slots do not relabel onto the
-    coefficients, or if their paths cover the shift or two are disjoint.
+    table order. The signs solve a GF(2) system on the generators' spanning
+    tree, and the slots and relabeling follow from them in integer
+    arithmetic (see the module docstring), so the same size always yields
+    the same calibration. CalibrationError is raised if the unflipped
+    product is not the shift up to signs, if the system is singular or
+    inconsistent, if the signed product differs from the shift in any entry,
+    if the section does not have one slot per coordinate, if the slots do
+    not relabel onto the coefficients, or if their paths cover the shift or
+    two are disjoint.
     """
     order = tuple(table_supported_roots(n_plus_1, "head")
                   + table_supported_roots(n_plus_1, "tail"))

@@ -31,7 +31,6 @@ from .connections import (
 from .linalg import _in_chunks, char_poly, max_abs, nan_max
 from .roots import order_diagram, simple_system_check, table_agreement
 from .solutions import (
-    GammaVector,
     _section_from_gamma,
     alcove_coords,
     alcove_to_gamma,
@@ -189,13 +188,12 @@ def _solutions_trials(cal, g):
 
 
 def _suite_solutions(size, samples, seed, tol):
-    # the samples as one stack (S, n+1), checked in row blocks of at most
-    # one chunk of monodromies
+    # the samples in row blocks of at most one chunk of monodromies, drawn
+    # block by block from one generator: the same rows as one stacked draw
     n_plus_1, cal = size.n_plus_1, size.calibrated()
     rng = np.random.default_rng([seed, n_plus_1, 3])
-    g = random_polytope_gamma(n_plus_1, rng, samples).gamma
-    worst = _in_chunks(samples, n_plus_1 ** 2,
-                       lambda a, b: _solutions_trials(cal, GammaVector(n_plus_1, g[a:b])))
+    worst = _in_chunks(samples, n_plus_1 ** 2, lambda a, b: _solutions_trials(
+        cal, random_polytope_gamma(n_plus_1, rng, b - a)))
     checks = 5 * samples if n_plus_1 in (4, 5) else 4 * samples
     return SuiteResult("solutions", n_plus_1, checks, worst, worst < tol)
 

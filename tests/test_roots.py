@@ -9,6 +9,7 @@ transcriptions of the paper's tables across sizes 3..200.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -273,8 +274,7 @@ def test_diagram_yields_simple_system(n1):
 
 
 def root_vector(n_plus_1: int, root: Root) -> np.ndarray:
-    """Coordinate vector e_i - e_j of the root (i, j): the oracle of
-    ``roots._root_vectors``."""
+    """Coordinate vector e_i - e_j of the root (i, j)."""
     i, j = root
     v = np.zeros(n_plus_1, dtype=int)
     v[i] = 1
@@ -325,6 +325,31 @@ def _candidates(n1):
     return simple, flipped, moved
 
 
+def _random_cases(n1, rng, count):
+    """Seeded (candidate, positive) pairs of valid roots: a simple system of
+    a random total order with its positive roots, that system with one root
+    reversed, a random spanning tree, and n random roots (mostly dependent),
+    each against a shuffled positive list that may carry extra roots."""
+    pairs = list(itertools.permutations(range(n1), 2))
+    for _ in range(count):
+        order = rng.permutation(n1).tolist()
+        rank = np.empty(n1, dtype=int)
+        rank[order] = np.arange(n1)
+        simple = [(y, x) for x, y in zip(order, order[1:])]
+        positive = [p for p in pairs if rank[p[0]] > rank[p[1]]]
+        reversed_one = list(simple)
+        k = int(rng.integers(n1 - 1))
+        reversed_one[k] = reversed_one[k][::-1]
+        tree = [tuple(rng.permutation([v, int(rng.integers(v))]).tolist())
+                for v in range(1, n1)]
+        loose = [pairs[k] for k in rng.integers(len(pairs), size=n1 - 1)]
+        extra = [pairs[k] for k in rng.integers(len(pairs), size=3)]
+        for cand in (simple, reversed_one, tree, loose):
+            cand = [cand[k] for k in rng.permutation(n1 - 1)]
+            pos = positive + extra[:int(rng.integers(4))]
+            yield cand, [pos[k] for k in rng.permutation(len(pos))]
+
+
 @pytest.mark.parametrize("n1", [*range(3, 41), 64])
 def test_simple_system_check_equals_the_per_root_loop(n1):
     simple, flipped, moved = _candidates(n1)
@@ -332,6 +357,30 @@ def test_simple_system_check_equals_the_per_root_loop(n1):
     assert not simple_system_check(n1, flipped).ok
     for cand in (simple, flipped, moved):
         assert simple_system_check(n1, cand) == _simple_system_check_loop(n1, cand)
+    if n1 > 12:
+        return
+    outcomes = set()
+    for cand, pos in _random_cases(n1, np.random.default_rng(n1), 25):
+        got = simple_system_check(n1, cand, pos)
+        assert got == _simple_system_check_loop(n1, cand, pos), (cand, pos)
+        outcomes.add(got.reason.split()[-1] if got.reason else "ok")
+    # certified, rejected for a negative coefficient, and dependent
+    assert outcomes == {"ok", "coefficient", "independent"}
+
+
+@pytest.mark.parametrize("args, bad", [
+    ((3, [(0, -1), (1, 0)]), "candidate entry 0, (0, -1),"),
+    ((3, [(0, 0), (1, 1)], [(0, 0)]), "candidate entry 0, (0, 0),"),
+    ((3, [(1, 2), (1, 1)]), "candidate entry 1, (1, 1),"),
+    ((3, [(1, 2), (1, 0)], [(0, 1), [2, 3]]), "positive entry 1, [2, 3],"),
+    ((4, [(1, 0), (2, 3, 0), (0, 2)]), "candidate entry 1, (2, 3, 0),"),
+    ((4, [(1, 0), (2, 3), (0, 2)], [(1, 0), (0.5, 2)]), "positive entry 1, (0.5, 2),"),
+])
+def test_simple_system_check_rejects_what_is_not_a_root(args, bad):
+    # neither (i, i) nor index -1 may be read as a vector: as -e_i and as
+    # index n, the first three would pass or fail for the wrong reason
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        simple_system_check(*args)
 
 
 def test_simple_system_check_reports_the_first_failing_root_in_order():
@@ -424,17 +473,6 @@ def test_table_agreement_sees_a_root_on_no_direction():
     got = roots.table_agreement(slot_dir)
     assert got.tolist() == _table_agreement_loop(slot_dir)
     assert np.count_nonzero(~got) == 1
-
-
-@pytest.mark.parametrize("n1", [3, 4, 9, 20])
-def test_root_vectors_equal_the_per_root_vectors(n1):
-    rts = [(i, j) for i in range(n1) for j in range(n1)]  # the diagonal too
-    got = roots._root_vectors(n1, rts)
-    assert got.dtype == np.array([root_vector(n1, r) for r in rts]).dtype
-    assert np.array_equal(got, [root_vector(n1, r) for r in rts])
-    assert roots._root_vectors(n1, []).shape == (0, n1)
-    with pytest.raises(ValueError):
-        roots._root_vectors(n1, [(0, 1, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,17 @@ def test_stacked_draw_equals_single_draws(n1):
     assert rng_stack.uniform() == rng_loop.uniform()
 
 
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_draws_block_by_block_equal_one_stacked_draw(n1):
+    # the verify solutions cell draws its chunks one at a time
+    stacked = random_polytope_gamma(n1, np.random.default_rng([7, n1, 3]), 50)
+    rng = np.random.default_rng([7, n1, 3])
+    blocks = [random_polytope_gamma(n1, rng, k) for k in (1, 20, 0, 29)]
+    for name in ("gamma", "inside", "angles"):
+        joined = np.concatenate([getattr(b, name) for b in blocks])
+        assert joined.tobytes() == getattr(stacked, name).tobytes(), name
+
+
 @pytest.mark.parametrize("n1", range(3, 25))
 def test_the_draw_is_the_alcove_chart_and_the_monodromy_the_section(n1):
     # the sorted uniforms laid out as rho and mapped by alcove_to_gamma, and

@@ -5,7 +5,8 @@ sign conventions). For size 5 the calibrated flip set and the chi permutation
 were derived by hand beforehand and are asserted as frozen values. For
 sizes 3..18 the root order, flips and chi relabeling are frozen as they came
 from the exhaustive flip search that preceded the GF(2) solve; sizes past
-that range are checked structurally.
+that range are checked structurally. The GF(2) elimination that preceded
+the spanning-tree solve is kept here as its reference.
 """
 
 import dataclasses
@@ -240,6 +241,77 @@ def test_sign_system_rejects_an_odd_sign_pattern():
     target = np.diag([-1.0, 1.0, 1.0, 1.0]) @ cyclic_for(4)
     with pytest.raises(CalibrationError, match="inconsistent"):
         _solve_flips(_walk(cal.root_order, (1, 1, 1), 4), target)
+
+
+def _solve_flips_by_elimination(unsigned, target):
+    """The Gauss-Jordan elimination over GF(2) that ``_solve_flips`` ran
+    before it read the flips off the generators' spanning tree, kept as its
+    reference: the augmented system [A | c] has one row per index and one
+    column per generator."""
+    n1 = target.shape[0]
+    n = len(unsigned.rows)
+    entries = target[unsigned.perm, range(n1)]
+    if np.count_nonzero(target) != n1 or not np.all(np.abs(entries) == 1):
+        raise CalibrationError(
+            f"generator product is not a signed cyclic shift at size {n1}")
+    system = np.zeros((n1, n + 1), dtype=np.uint8)
+    system[unsigned.perm, n] = entries != unsigned.sgn
+    system[unsigned.rows, range(n)] = system[unsigned.ends, range(n)] = 1
+    for col in range(n):  # XOR is addition over GF(2)
+        hits = np.flatnonzero(system[col:, col])
+        if len(hits) == 0:
+            raise CalibrationError(
+                f"sign system is singular at size {n1} (generator {col})")
+        p = col + hits[0]
+        system[[col, p]] = system[[p, col]]
+        rows = np.flatnonzero(system[:, col])
+        system[rows[rows != col]] ^= system[col]
+    if system[n:, n].any():
+        raise CalibrationError(f"sign system is inconsistent at size {n1}")
+    return tuple(k for k in range(n) if system[k, n])
+
+
+def _flips_or_error(solve, unsigned, target):
+    try:
+        return solve(unsigned, target)
+    except CalibrationError as exc:
+        return str(exc).split(" at size")[0]
+
+
+def test_tree_flips_equal_the_elimination_on_every_calibrate_order():
+    for n1 in range(3, 129):
+        cal = calibrate(n1)
+        unsigned = _walk(cal.root_order, [1] * (n1 - 1), n1)
+        flips = _solve_flips(unsigned, cyclic_for(n1))
+        assert flips == _solve_flips_by_elimination(unsigned, cyclic_for(n1)), n1
+        assert flips == cal.flips
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_tree_flips_equal_the_elimination_on_twisted_shifts(n1):
+    # a diagonal +-1 twist of the shift: an odd number of -1s is
+    # inconsistent for both, an even number gives both the same flips
+    rng = np.random.default_rng(n1)
+    unsigned = _walk(calibrate(n1).root_order, [1] * (n1 - 1), n1)
+    outcomes = []
+    for _ in range(20):
+        target = rng.choice([-1.0, 1.0], size=n1)[:, None] * cyclic_for(n1)
+        got = _flips_or_error(_solve_flips, unsigned, target)
+        assert got == _flips_or_error(_solve_flips_by_elimination, unsigned, target)
+        outcomes.append(isinstance(got, tuple))
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("order", [((0, 1), (1, 0)), ((0, 1), (2, 3), (1, 0))])
+def test_sign_system_rejects_generators_that_form_no_tree(order):
+    n1 = len(order) + 1
+    unsigned = _walk(order, [1] * len(order), n1)
+    target = np.zeros((n1, n1))
+    target[unsigned.perm, range(n1)] = 1.0
+    with pytest.raises(CalibrationError, match="singular"):
+        _solve_flips(unsigned, target)
+    assert _flips_or_error(_solve_flips_by_elimination, unsigned, target) == (
+        "sign system is singular")
 
 
 def test_calibrate_checks_the_signed_product(monkeypatch):

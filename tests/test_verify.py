@@ -382,6 +382,15 @@ def test_the_stacked_solutions_suite_equals_the_per_sample_loop(seed, monkeypatc
     assert stacked == run_suites(sizes, samples=50, seed=seed, suites=["solutions"])
 
 
+@pytest.mark.parametrize("n1", [52, 64])
+def test_the_solutions_suite_drawn_chunk_by_chunk_equals_the_per_sample_loop(n1, monkeypatch):
+    # 50 samples take two chunks at these sizes, each drawn on its own
+    assert linalg._CHUNK_ENTRIES // n1 ** 2 < 50
+    chunked = run_suites([n1], samples=50, seed=7, suites=["solutions"])
+    monkeypatch.setitem(verify.SUITES, "solutions", _suite_solutions_loop)
+    assert chunked == run_suites([n1], samples=50, seed=7, suites=["solutions"])
+
+
 def test_the_solutions_suite_makes_one_call_per_stack(monkeypatch):
     calls = []
 
