@@ -20,7 +20,6 @@ from .roots import (
     simple_system_check,
     singular_direction,
     singular_directions,
-    supported_roots,
     table_supported_roots,
 )
 from .solutions import (
@@ -50,16 +49,11 @@ from .stokes import (
     build_m0,
     build_q,
     full_monodromy,
-    q_family,
-    q_pattern,
-    q_patterns,
 )
 from .connections import (
     OmegaHatData,
     TodaField,
     diagonalizer_check,
-    omega_hat_symmetry_report,
-    symmetry_report,
     toda_rhs,
 )
 from .verify import SuiteResult, run_suites
@@ -77,7 +71,6 @@ __all__ = [
     "simple_system_check",
     "singular_direction",
     "singular_directions",
-    "supported_roots",
     "table_supported_roots",
     "AlcovePoint",
     "AsymptoticDataK",
@@ -101,14 +94,9 @@ __all__ = [
     "build_m0",
     "build_q",
     "full_monodromy",
-    "q_family",
-    "q_pattern",
-    "q_patterns",
     "OmegaHatData",
     "TodaField",
     "diagonalizer_check",
-    "omega_hat_symmetry_report",
-    "symmetry_report",
     "toda_rhs",
     "SuiteResult",
     "run_suites",

@@ -217,17 +217,17 @@ def _parse_gamma(ns, n_plus_1: int) -> GammaVector:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _census(n1: int) -> tuple[np.ndarray, list[tuple[dict, list]]]:
+    """The size's direction map, and each singular direction's ell, theta
+    and label with the roots that the map puts on it."""
+    slot_dir = direction_map(n1)
+    return slot_dir, [({"ell": d.ell, "theta": d.theta, "label": str(d.label)},
+                       _roots_on(slot_dir, d.ell)) for d in singular_directions(n1)]
+
+
 def _cmd_directions(ns):
     n1 = ns.n
-    slot_dir = direction_map(n1)
-    rows = []
-    for d in singular_directions(n1):
-        rows.append({
-            "ell": d.ell,
-            "theta": d.theta,
-            "label": str(d.label),
-            "root_count": len(_roots_on(slot_dir, d.ell)),
-        })
+    rows = [{**d, "root_count": len(on)} for d, on in _census(n1)[1]]
     lines = [f"singular directions for n+1 = {n1}",
              f"{'ell':>4} {'theta':>18} {'label':>8} {'roots':>6}"]
     for r in rows:
@@ -238,21 +238,11 @@ def _cmd_directions(ns):
 
 def _cmd_roots(ns):
     n1 = ns.n
-    slot_dir = direction_map(n1)
+    slot_dir, census = _census(n1)
     agreement = table_agreement(slot_dir).tolist()
-    rows = []
-    mismatches = 0
-    for d in singular_directions(n1):
-        from_arg = _roots_on(slot_dir, d.ell)
-        agrees = agreement[d.ell]
-        mismatches += 0 if agrees else 1
-        rows.append({
-            "ell": d.ell,
-            "theta": d.theta,
-            "label": str(d.label),
-            "roots": [list(r) for r in from_arg],
-            "table_agrees": agrees,
-        })
+    rows = [{**d, "roots": [list(r) for r in on], "table_agrees": agreement[d["ell"]]}
+            for d, on in census]
+    mismatches = agreement.count(False)
     lines = [f"supported roots per singular direction, n+1 = {n1}"]
     for r in rows:
         roots = " ".join(f"({i},{j})" for i, j in r["roots"])
@@ -265,6 +255,12 @@ def _cmd_roots(ns):
             0 if mismatches == 0 else 1)
 
 
+def _alcove_roundtrip(g: GammaVector) -> tuple[AlcovePoint, float]:
+    """g's alcove point, and how far mapping that point back lands from g."""
+    p = alcove_coords(g)
+    return p, float(np.max(np.abs(alcove_to_gamma(p).gamma - g.gamma)))
+
+
 def _cmd_from_gamma(ns):
     n1 = ns.n
     g = _parse_gamma(ns, n1)
@@ -272,11 +268,10 @@ def _cmd_from_gamma(ns):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lams, coeffs, m0 = _section_from_gamma(calibrate(n1), g)
-    rho = alcove_coords(g)
+    rho, roundtrip = _alcove_roundtrip(g)
     residuals = {
         "char_vs_section": max_abs(char_poly(m0) - coeffs),
-        "alcove_roundtrip": float(np.max(np.abs(
-            alcove_to_gamma(rho).gamma - g.gamma))),
+        "alcove_roundtrip": roundtrip,
     }
     payload = {
         "gamma": list(g.gamma),
@@ -294,7 +289,7 @@ def _cmd_from_gamma(ns):
     lines = [f"gamma: {_vec_str(g.gamma)}",
              f"polytope: {'inside' if inside else 'OUTSIDE'}",
              f"alcove rho: {_vec_str(rho.rho)} (in alcove: "
-             f"{'yes' if rho.in_alcove() else 'no'})",
+             f"{'yes' if payload['in_alcove'] else 'no'})",
              "eigenvalues: " + " ".join(_fmt_c(z) for z in lams),
              "char poly (increasing): " + " ".join(
                  _fnum(c) for c in coeffs)]
@@ -315,11 +310,10 @@ def _cmd_alcove(ns):
             raise ValueError(f"--rho needs {n1} comma-separated values")
         p = AlcovePoint(n1, np.array(vals))
         g = alcove_to_gamma(p)
+        roundtrip = _alcove_roundtrip(g)[1]
     else:
         g = _parse_gamma(ns, n1)
-        p = alcove_coords(g)
-    roundtrip = float(np.max(np.abs(alcove_to_gamma(alcove_coords(g)).gamma
-                                    - g.gamma)))
+        p, roundtrip = _alcove_roundtrip(g)
     payload = {
         "gamma": list(g.gamma),
         "rho": list(p.rho),
@@ -329,7 +323,7 @@ def _cmd_alcove(ns):
     residuals = {"roundtrip": roundtrip}
     lines = [f"gamma: {_vec_str(g.gamma)}",
              f"rho:   {_vec_str(p.rho)}",
-             f"in alcove: {'yes' if p.in_alcove() else 'no'}; "
+             f"in alcove: {'yes' if payload['in_alcove'] else 'no'}; "
              f"polytope: {'inside' if payload['polytope_member'] else 'OUTSIDE'}",
              f"roundtrip residual: {_fnum(roundtrip)}"]
     return payload, residuals, lines, 0
@@ -457,14 +451,7 @@ def _cmd_verify(ns):
     suites = [ns.suite] if ns.suite else None
     results = run_suites(ns.sizes, samples=ns.samples, seed=ns.seed,
                          tol=ns.tol, suites=suites)
-    rows = [{
-        "suite": r.suite,
-        "n_plus_1": r.n_plus_1,
-        "checks": r.checks,
-        "max_residual": r.max_residual,
-        "passed": r.passed,
-        "note": r.note,
-    } for r in results]
+    rows = [vars(r) for r in results]
     residuals = {f"{r.suite}/n{r.n_plus_1}": r.max_residual for r in results}
     lines = [f"{'suite':<14} {'n+1':>4} {'checks':>7} {'max residual':>14}  result"]
     for r in results:
@@ -496,28 +483,24 @@ def _build_parser() -> argparse.ArgumentParser:
     checked.add_argument("--tol", type=_tol, default=1e-9,
                          help="pass/fail threshold for residuals")
     checked.add_argument("--seed", type=_seed, default=0, help="RNG seed (>= 0)")
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--n", type=_size, required=True, help="matrix size n+1 (>= 3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roots", parents=[common],
+    p = sub.add_parser("roots", parents=[common, sized],
                        help="supported roots per singular direction, "
                             "argument condition vs closed-form tables")
-    p.add_argument("--n", type=_size, required=True,
-                   help="matrix size n+1 (>= 3)")
     p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("directions", parents=[common],
+    p = sub.add_parser("directions", parents=[common, sized],
                        help="the 2(n+1) singular directions")
-    p.add_argument("--n", type=_size, required=True,
-                   help="matrix size n+1 (>= 3)")
     p.set_defaults(func=_cmd_directions)
 
     for name, fn in (("from-gamma", _cmd_from_gamma), ("alcove", _cmd_alcove)):
         p = sub.add_parser(
-            name, parents=[common],
+            name, parents=[common, sized],
             help="monodromy data from a gamma vector" if name == "from-gamma"
             else "alcove coordinates of a gamma vector (or back from --rho)")
-        p.add_argument("--n", type=_size, required=True,
-                       help="matrix size n+1 (>= 3)")
         grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument("--gamma",
                          help="comma-separated, all n+1 entries; values "
@@ -530,11 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                            "converted back to gamma")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("steinberg", parents=[checked],
+    p = sub.add_parser("steinberg", parents=[checked, sized],
                        help="cross-section calibration and the two-sided "
                             "section/monodromy check")
-    p.add_argument("--n", type=_size, required=True,
-                   help="matrix size n+1 (>= 3)")
     p.add_argument("--samples", type=_samples, default=25)
     p.set_defaults(func=_cmd_steinberg)
 

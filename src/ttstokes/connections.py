@@ -71,13 +71,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    cyclic_for,
     fourier_matrix,
     max_abs,
     omega_diag,
     omega_pow,
     rel_residuals,
     shift_matrix,
-    signed_shift_matrix,
 )
 from .roots import _check_size, table_supported_roots
 from .solutions import AsymptoticDataK, _check_members, _member, gamma_from_k
@@ -348,15 +348,6 @@ class DiagonalizerReport:
     pattern_ok: bool
 
 
-def _inner_diagonal(n1: int) -> np.ndarray:
-    """Diagonal factor of the diagonalizers: omega^(i/2) entries for even
-    size, omega^(i(m+1)) for odd size."""
-    if n1 % 2 == 0:
-        return np.diag([omega_pow(n1, i / 2) for i in range(n1)])
-    m = n1 // 2
-    return np.diag([omega_pow(n1, i * (m + 1)) for i in range(n1)])
-
-
 def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
     """Residuals of the diagonalization identities.
 
@@ -415,15 +406,13 @@ def _diagonalizers(n1: int) -> _Diagonalizers:
     om_inv = np.conj(om) / n1
     r_fourier = max_abs(shift_matrix(n1) - om @ d @ om_inv)
 
-    d0 = _inner_diagonal(n1)
+    # the inner diagonal diag(omega^(i e)), e = 1/2 at even size and m + 1 at
+    # odd size, takes the Stokes recursion's shift to omega^-e times the plain one
+    e = 0.5 if n1 % 2 == 0 else n1 // 2 + 1
+    d0 = np.diag([omega_pow(n1, i * e) for i in range(n1)])
     d0_inv = np.conj(d0)
-    if n1 % 2 == 0:
-        bridge = d0 @ signed_shift_matrix(n1).astype(complex) @ d0_inv
-        r_bridge = max_abs(bridge - omega_pow(n1, -0.5) * shift_matrix(n1))
-    else:
-        m = n1 // 2
-        bridge = d0 @ shift_matrix(n1).astype(complex) @ d0_inv
-        r_bridge = max_abs(bridge - omega_pow(n1, -(m + 1)) * shift_matrix(n1))
+    bridge = d0 @ cyclic_for(n1).astype(complex) @ d0_inv
+    r_bridge = max_abs(bridge - omega_pow(n1, -e) * shift_matrix(n1))
 
     # the head direction's pattern: the diagonal and its supported roots
     pat = np.eye(n1, dtype=bool)

@@ -33,7 +33,6 @@ __all__ = [
     "omega_pow",
     "omega_powers",
     "char_poly",
-    "poly_from_roots",
     "eigenvalues",
     "match_multisets",
     "shift_matrix",

@@ -18,7 +18,7 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "singular_direction",
     "singular_directions",
     "direction_map",
-    "supported_roots",
     "table_supported_roots",
     "table_agreement",
     "half_period_roots",
@@ -307,13 +306,18 @@ def _index_pairs(n_plus_1: int, roots: list, name: str) -> np.ndarray:
 class SimpleSystemCertificate:
     """Outcome of checking a candidate simple system.
 
-    When ``ok``, ``coefficients[p]`` expands the positive root p over the
-    candidate (same order), all entries nonnegative integers.
+    When ``ok``, row k of the read-only (R, n) int64 array ``coefficients``
+    expands the k-th positive root over the candidate (same order), all
+    entries nonnegative; it has no rows otherwise.  Equality compares the
+    verdict and its reason only.
     """
 
     ok: bool
     reason: str | None
-    coefficients: dict[Root, tuple[int, ...]]
+    coefficients: np.ndarray = field(compare=False)
+
+    def __post_init__(self):
+        self.coefficients.setflags(write=False)
 
 
 def simple_system_check(n_plus_1: int, candidate,
@@ -333,17 +337,17 @@ def simple_system_check(n_plus_1: int, candidate,
     edges = _index_pairs(n_plus_1, list(candidate), "candidate")
     i, j = _index_pairs(n_plus_1, positive, "positive").T
     n = n_plus_1 - 1
+    none = np.zeros((0, n), dtype=np.int64)
     if len(edges) != n:
         return SimpleSystemCertificate(
-            False, f"candidate has {len(edges)} roots, need {n}", {})
+            False, f"candidate has {len(edges)} roots, need {n}", none)
     paths = _tree_paths(n_plus_1, edges.tolist())
     if paths is None:
         return SimpleSystemCertificate(
-            False, "candidate roots are not linearly independent", {})
+            False, "candidate roots are not linearly independent", none)
     coeffs = paths[i] - paths[j]
     failed = np.flatnonzero(np.any(coeffs < 0, axis=1))  # in ``positive`` order
     if failed.size:
         return SimpleSystemCertificate(
-            False, f"root {positive[failed[0]]} needs a negative coefficient", {})
-    return SimpleSystemCertificate(
-        True, None, {tuple(p): tuple(c) for p, c in zip(positive, coeffs.tolist())})
+            False, f"root {positive[failed[0]]} needs a negative coefficient", none)
+    return SimpleSystemCertificate(True, None, coeffs)

@@ -106,7 +106,6 @@ __all__ = [
     "chi",
     "reconstruct_from_chi",
     "cross_section_check",
-    "regular_centralizer_dim",
 ]
 
 

@@ -59,13 +59,9 @@ from .roots import Root, direction_map, table_supported_roots
 __all__ = [
     "StokesParams",
     "MonodromyMatrix",
-    "q_pattern",
-    "q_patterns",
     "build_q",
     "build_m0",
-    "q_family",
     "full_monodromy",
-    "random_stokes_params",
     "reality_residual",
 ]
 

@@ -28,7 +28,7 @@ from .connections import (
     diagonalizer_check,
     toda_rhs,
 )
-from .linalg import _in_chunks, char_poly, max_abs, nan_max
+from .linalg import _in_chunks, char_poly, max_abs, nan_max, rel_residuals
 from .roots import order_diagram, simple_system_check, table_agreement
 from .solutions import (
     _section_from_gamma,
@@ -125,9 +125,7 @@ def _stokes_trials(layout, z):
     # every factor is I + N with N^2 = 0: its inverse is 2I - q
     for ell in (0, 1):
         rhs = 2.0 * np.eye(n1) - fam[ell].swapaxes(-1, -2)
-        err = np.abs(fam[ell + n1] - rhs).max(axis=(-2, -1))
-        err /= np.maximum(1.0, np.abs(rhs).max(axis=(-2, -1)))
-        worst = nan_max(worst, *err.tolist())
+        worst = nan_max(worst, *rel_residuals(fam[ell + n1], rhs).tolist())
     # the complex factors are freed before the real ones are built
     del fam, rhs, m0
     pr = _stokes_from_normals(layout, z[:, width:], True, 0.7)

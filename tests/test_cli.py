@@ -43,6 +43,26 @@ def test_usage_error_golden_size(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("roots", "[--format {table,json}] --n N"),
+    ("directions", "[--format {table,json}] --n N"),
+    ("from-gamma", "[--format {table,json}] --n N (--gamma GAMMA | --gamma-free GAMMA_FREE)"),
+    ("alcove", "[--format {table,json}] --n N "
+               "(--gamma GAMMA | --gamma-free GAMMA_FREE | --rho RHO)"),
+    ("steinberg", "[--format {table,json}] [--tol TOL] [--seed SEED] --n N "
+                  "[--samples SAMPLES]"),
+    ("golden", "[--format {table,json}] [--tol TOL] [--seed SEED] --n {4,5}"),
+    ("verify", "[--format {table,json}] [--tol TOL] [--seed SEED] --n SIZES "
+               "[--samples SAMPLES] [--suite {connections,roots,solutions,steinberg,stokes}]"),
+])
+def test_usage_lists_each_commands_flags_in_order(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert " ".join(usage.split()) == f"usage: ttstokes {command} [-h] {flags}"
+
+
 @pytest.mark.parametrize("flag", ["--tol=1e-3", "--seed=4"])
 @pytest.mark.parametrize("argv", [
     ["roots", "--n", "4"],
@@ -244,6 +264,20 @@ def test_directions_count(capsys):
     env = json.loads(out)
     assert len(env["payload"]["directions"]) == 12
     assert env["payload"]["directions"][0]["label"] == "1"
+
+
+@pytest.mark.parametrize("n1", range(3, 65))
+def test_roots_and_directions_agree(capsys, n1):
+    _, out, _ = run_cli(capsys, "roots", "--n", str(n1), "--format", "json")
+    rows = json.loads(out)["payload"]["rows"]
+    _, out, _ = run_cli(capsys, "directions", "--n", str(n1), "--format", "json")
+    dirs = json.loads(out)["payload"]["directions"]
+    assert len(rows) == len(dirs) == 2 * n1
+    for r, d in zip(rows, dirs):
+        assert (r["ell"], r["theta"], r["label"]) == (d["ell"], d["theta"], d["label"])
+        assert d["root_count"] == len(r["roots"])
+    # every root lies on exactly one direction
+    assert sum(d["root_count"] for d in dirs) == n1 * (n1 - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -232,23 +232,27 @@ def test_standard_simples_of_sl4():
     pos = [(i, j) for i in range(4) for j in range(4) if i < j]
     cert = simple_system_check(4, cand, pos)
     assert cert.ok
-    assert cert.coefficients[(0, 2)] == (1, 1, 0)
-    assert cert.coefficients[(0, 3)] == (1, 1, 1)
+    assert cert.coefficients.shape == (6, 3) and cert.coefficients.dtype == np.int64
+    assert cert.coefficients[pos.index((0, 2))].tolist() == [1, 1, 0]
+    assert cert.coefficients[pos.index((0, 3))].tolist() == [1, 1, 1]
+    assert not cert.coefficients.flags.writeable
 
 
 def test_head_tail_simples_certificate_4():
     cand = [(1, 0), (2, 3), (0, 2)]
     cert = simple_system_check(4, cand)
     assert cert.ok
-    assert cert.coefficients[(1, 3)] == (1, 1, 1)
-    assert cert.coefficients[(0, 3)] == (0, 1, 1)
-    assert cert.coefficients[(1, 2)] == (1, 0, 1)
+    pos = half_period_roots(4)
+    assert cert.coefficients[pos.index((1, 3))].tolist() == [1, 1, 1]
+    assert cert.coefficients[pos.index((0, 3))].tolist() == [0, 1, 1]
+    assert cert.coefficients[pos.index((1, 2))].tolist() == [1, 0, 1]
 
 
 def test_dependent_candidate_rejected():
     cert = simple_system_check(3, [(1, 0), (0, 1)])
     assert not cert.ok
     assert "independent" in cert.reason
+    assert cert.coefficients.shape == (0, 2)
 
 
 def test_wrong_count_rejected():
@@ -269,8 +273,8 @@ def test_diagram_yields_simple_system(n1):
     head_part, tail_part = d.simple_roots()
     cert = simple_system_check(n1, head_part + tail_part)
     assert cert.ok, cert.reason
-    for coeffs in cert.coefficients.values():
-        assert all(0 <= c <= n1 - 1 for c in coeffs)
+    assert cert.coefficients.shape == (n1 * (n1 - 1) // 2, n1 - 1)
+    assert np.all((0 <= cert.coefficients) & (cert.coefficients <= n1 - 1))
 
 
 def root_vector(n_plus_1: int, root: Root) -> np.ndarray:
@@ -289,27 +293,35 @@ def _simple_system_check_loop(n_plus_1, candidate, positive=None):
     if positive is None:
         positive = half_period_roots(n_plus_1)
     n = n_plus_1 - 1
+    none = np.zeros((0, n), dtype=np.int64)
     if len(candidate) != n:
         return SimpleSystemCertificate(
-            False, f"candidate has {len(candidate)} roots, need {n}", {})
+            False, f"candidate has {len(candidate)} roots, need {n}", none)
     A = np.array([root_vector(n_plus_1, r) for r in candidate], dtype=float).T
     if np.linalg.matrix_rank(A) < n:
         return SimpleSystemCertificate(
-            False, "candidate roots are not linearly independent", {})
+            False, "candidate roots are not linearly independent", none)
     A_int = A.astype(int)
-    coeffs = {}
+    coeffs = []
     for p in positive:
         target = root_vector(n_plus_1, p)
         x, *_ = np.linalg.lstsq(A, target.astype(float), rcond=None)
         x_int = np.rint(x).astype(int)
         if not np.array_equal(A_int @ x_int, target):
             return SimpleSystemCertificate(
-                False, f"root {p} is not an integer combination of the candidate", {})
+                False, f"root {p} is not an integer combination of the candidate", none)
         if np.any(x_int < 0):
             return SimpleSystemCertificate(
-                False, f"root {p} needs a negative coefficient", {})
-        coeffs[tuple(p)] = tuple(int(v) for v in x_int)
-    return SimpleSystemCertificate(True, None, coeffs)
+                False, f"root {p} needs a negative coefficient", none)
+        coeffs.append(x_int)
+    return SimpleSystemCertificate(True, None, np.array(coeffs, dtype=np.int64).reshape(-1, n))
+
+
+def _same_certificate(got, want):
+    """Equal verdicts and reasons, and equal coefficient arrays, which the
+    certificate's own equality leaves out."""
+    return (got == want and got.coefficients.shape == want.coefficients.shape
+            and np.array_equal(got.coefficients, want.coefficients))
 
 
 def _candidates(n1):
@@ -356,13 +368,14 @@ def test_simple_system_check_equals_the_per_root_loop(n1):
     assert simple_system_check(n1, simple).ok
     assert not simple_system_check(n1, flipped).ok
     for cand in (simple, flipped, moved):
-        assert simple_system_check(n1, cand) == _simple_system_check_loop(n1, cand)
+        assert _same_certificate(simple_system_check(n1, cand),
+                                 _simple_system_check_loop(n1, cand))
     if n1 > 12:
         return
     outcomes = set()
     for cand, pos in _random_cases(n1, np.random.default_rng(n1), 25):
         got = simple_system_check(n1, cand, pos)
-        assert got == _simple_system_check_loop(n1, cand, pos), (cand, pos)
+        assert _same_certificate(got, _simple_system_check_loop(n1, cand, pos)), (cand, pos)
         outcomes.add(got.reason.split()[-1] if got.reason else "ok")
     # certified, rejected for a negative coefficient, and dependent
     assert outcomes == {"ok", "coefficient", "independent"}
@@ -388,11 +401,12 @@ def test_simple_system_check_reports_the_first_failing_root_in_order():
     pos = [(1, 0), (0, 2), (1, 3)]
     for order in (pos, pos[::-1], [[1, 3], [0, 2]]):
         got = simple_system_check(4, cand, order)
-        assert got == _simple_system_check_loop(4, cand, order)
+        assert _same_certificate(got, _simple_system_check_loop(4, cand, order))
     assert simple_system_check(4, cand, pos).reason == "root (0, 2) needs a negative coefficient"
     cert = simple_system_check(3, [(0, 2), (2, 1)], [(0, 1)])
-    assert cert.ok and cert.coefficients == {(0, 1): (1, 1)}
-    assert simple_system_check(4, cand, []) == _simple_system_check_loop(4, cand, [])
+    assert cert.ok and cert.coefficients.tolist() == [[1, 1]]
+    assert _same_certificate(simple_system_check(4, cand, []),
+                             _simple_system_check_loop(4, cand, []))
 
 
 # ---------------------------------------------------------------------------
