@@ -65,7 +65,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -80,9 +79,8 @@ from .linalg import (
     shift_matrix,
 )
 from .roots import _check_size, table_supported_roots
-from .solutions import AsymptoticDataK, _check_members, _member, gamma_from_k
+from .solutions import _SYM_TOL, AsymptoticDataK, _check_members, _member, gamma_from_k
 
-_SYM_TOL = 1e-9
 _MAX_RADIUS = math.sqrt(sys.float_info.max)  # the largest x whose x**2 is finite
 
 
@@ -159,35 +157,66 @@ def build_W(f: TodaField) -> np.ndarray:
     return mat
 
 
-class _Bands(NamedTuple):
-    """One size's band bookkeeping, read-only.  Band 0 holds the entries
-    (j+1, j), band 1 the diagonal and band 2 the entries (j, j+1), indices
-    cyclic; a stack's bands are indexed flat, band by band, and a two-band
-    stack uses the first 2(n+1) indices of ``flat`` and ``transposed``."""
+class _Tables(NamedTuple):
+    """One size's read-only tables: the band bookkeeping of the symmetry
+    reports and the field-free part of :func:`diagonalizer_check`.  Band 0
+    holds the entries (j+1, j), band 1 the diagonal and band 2 the entries
+    (j, j+1), indices cyclic; a stack's bands are indexed flat, band by band,
+    and a two-band stack uses the first 2(n+1) indices of ``flat`` and
+    ``transposed``."""
 
     flat: np.ndarray        # the dense index i (n+1) + j of each band entry
     transposed: np.ndarray  # the band entries of A that R A^T R's take
     reversed: np.ndarray    # the band entries of A that R A R's take
-    d_inv: np.ndarray       # D^-1 and D, D = diag(omega^i), for the tau products
+    d_inv: np.ndarray       # D^-1 and D, D = diag(omega^i)
     d: np.ndarray
+    om: np.ndarray             # the Fourier matrix and its inverse
+    om_inv: np.ndarray
+    d0: np.ndarray             # the inner diagonal and its inverse
+    d0_inv: np.ndarray
+    d0_inv_om_inv: np.ndarray  # d0^-1 om^-1 and d0 om, the first products of
+    d0_om: np.ndarray          # p0^-1 = d0^-1 om^-1 e^w and p_inf^-1 = d0 om e^-w
+    r_fourier: float
+    r_bridge: float
+    pattern_ok: bool
 
 
-@lru_cache(maxsize=256)
-def _bands(n1: int) -> _Bands:
-    """The band bookkeeping of size n+1, built once per size."""
+def _tables(n1: int) -> _Tables:
+    """The tables of size n+1, built afresh on each call: a caller that
+    checks one size many times builds them once and passes them on."""
     j = np.arange(n1)
     up = (j + 1) % n1
     # an off-diagonal entry j of R A^T R or R A R is entry n-1-j of A's
     # same or other off-diagonal band, a diagonal entry j is A's n-j
     off, dia = (n1 - 2 - j) % n1, n1 - 1 - j
     d = omega_diag(n1)
-    out = _Bands(np.concatenate([up * n1 + j, j * n1 + j, j * n1 + up]),
-                 np.concatenate([off, n1 + dia, 2 * n1 + off]),
-                 np.concatenate([2 * n1 + off, n1 + dia, off]),
-                 np.linalg.inv(d), d)
-    for a in out:
+    om = fourier_matrix(n1)
+    om_inv = np.conj(om) / n1
+    r_fourier = max_abs(shift_matrix(n1) - om @ d @ om_inv)
+
+    # the inner diagonal diag(omega^(i e)), e = 1/2 at even size and m + 1 at
+    # odd size, takes the Stokes recursion's shift to omega^-e times the plain one
+    e = 0.5 if n1 % 2 == 0 else n1 // 2 + 1
+    d0 = np.diag([omega_pow(n1, i * e) for i in range(n1)])
+    d0_inv = np.conj(d0)
+    bridge = d0 @ cyclic_for(n1).astype(complex) @ d0_inv
+    r_bridge = max_abs(bridge - omega_pow(n1, -e) * shift_matrix(n1))
+
+    # the head direction's pattern: the diagonal and its supported roots
+    pat = np.eye(n1, dtype=bool)
+    pat[tuple(np.array(table_supported_roots(n1, "head")).T)] = True
+    probe = np.eye(n1) + pat.astype(complex)
+    conj_probe = d0_inv @ probe @ d0
+    pattern_ok = bool(np.array_equal(np.abs(conj_probe) > 1e-12,
+                                     np.abs(probe) > 1e-12))
+
+    arrays = (np.concatenate([up * n1 + j, j * n1 + j, j * n1 + up]),
+              np.concatenate([off, n1 + dia, 2 * n1 + off]),
+              np.concatenate([2 * n1 + off, n1 + dia, off]),
+              np.linalg.inv(d), d, om, om_inv, d0, d0_inv, d0_inv @ om_inv, d0 @ om)
+    for a in arrays:
         a.setflags(write=False)
-    return out
+    return _Tables(*arrays, r_fourier, r_bridge, pattern_ok)
 
 
 def _alpha_hat_bands(f: TodaField, zetas) -> np.ndarray:
@@ -213,15 +242,15 @@ def _alpha_hat_bands(f: TodaField, zetas) -> np.ndarray:
 
 def _gather(bands: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The bands (..., k, n+1) whose flat entry e is entry ``index[e]`` of
-    ``bands``, flat: with :attr:`_Bands.transposed` or
-    :attr:`_Bands.reversed`, the bands of R A^T R or R A R for the reversal
+    ``bands``, flat: with :attr:`_Tables.transposed` or
+    :attr:`_Tables.reversed`, the bands of R A^T R or R A R for the reversal
     R, an exact gather."""
     shape = bands.shape
     flat = bands.reshape(shape[:-2] + (-1,))
     return flat[..., index[:flat.shape[-1]]].reshape(shape)
 
 
-def _tau_residuals(a: np.ndarray, rhs: np.ndarray, tables: _Bands) -> np.ndarray:
+def _tau_residuals(a: np.ndarray, rhs: np.ndarray, tables: _Tables) -> np.ndarray:
     """:func:`~ttstokes.linalg.rel_residuals` of D^-1 A D against ``rhs``,
     D = diag(omega^i), for the band stacks ``a`` and ``rhs``, as the dense
     matrices give it.  D^-1 A D is the dense matmuls of the dense A: scaling
@@ -301,13 +330,13 @@ def symmetry_report(f: TodaField, zeta_samples: int = 20,
         raise ValueError("need at least one sample")
     lead = f.w.shape[:-1]
     draws = _member_draws(seed, int(np.prod(lead)), zeta_samples, 3)
-    return _symmetry_report(f, draws.reshape(lead + draws.shape[1:]), _bands(f.n_plus_1))
+    return _symmetry_report(f, draws.reshape(lead + draws.shape[1:]), _tables(f.n_plus_1))
 
 
-def _symmetry_report(f: TodaField, draws: np.ndarray, tables: _Bands) -> SymmetryReport:
+def _symmetry_report(f: TodaField, draws: np.ndarray, tables: _Tables) -> SymmetryReport:
     """:func:`symmetry_report` over each member's uniforms, ``draws`` of shape
     (..., samples, 3): a row's (r, t) make zeta and its third the point on
-    the circle.  ``tables`` is :func:`_bands` of the size."""
+    the circle.  ``tables`` is :func:`_tables` of the size."""
     n1 = f.n_plus_1
     lead = f.w.shape[:-1]
     samples = draws.shape[-2]
@@ -358,74 +387,32 @@ def diagonalizer_check(f: TodaField) -> DiagonalizerReport:
     sizes on the shift itself).  The last check confirms that conjugation by
     the inner diagonal preserves Stokes-factor support patterns.  The
     Fourier, bridge and pattern checks do not involve the field: they are
-    made once per size, and every member of a stack reports the same values.
+    made with the size's tables, and every member of a stack reports the
+    same values.
     """
+    return _diagonalizer_check(f, _tables(f.n_plus_1))
+
+
+def _diagonalizer_check(f: TodaField, tables: _Tables) -> DiagonalizerReport:
+    """:func:`diagonalizer_check` with ``tables``, :func:`_tables` of the
+    size."""
     n1 = f.n_plus_1
     lead = f.w.shape[:-1]
-    size = _diagonalizers(n1)
     # e^{+-w} is real, so scaling rows or columns by it gives the bits of a
     # product with diag(e^{+-w}); the complex diagonals d0 and d stay
     # matmuls, as scaling by a complex vector rounds differently
     ew, ewi = np.exp(f.w), np.exp(-f.w)
-    p0 = (ewi[..., :, None] * size.om) @ size.d0
-    p0_inv = size.d0_inv_om_inv * ew[..., None, :]
-    p_inf = (ew[..., :, None] * size.om_inv) @ size.d0_inv
-    p_inf_inv = size.d0_om * ewi[..., None, :]
+    p0 = (ewi[..., :, None] * tables.om) @ tables.d0
+    p0_inv = tables.d0_inv_om_inv * ew[..., None, :]
+    p_inf = (ew[..., :, None] * tables.om_inv) @ tables.d0_inv
+    p_inf_inv = tables.d0_om * ewi[..., None, :]
 
     w = build_W(f)
     axes = (-2, -1)
-    r_w = np.max(np.abs(w - p0 @ size.d @ p0_inv), axis=axes)
-    r_wt = np.max(np.abs(np.swapaxes(w, -1, -2) - p_inf @ size.d @ p_inf_inv), axis=axes)
-    return _report(DiagonalizerReport, n1, np.full(lead, size.r_fourier), r_w, r_wt,
-                   np.full(lead, size.r_bridge), np.full(lead, size.pattern_ok))
-
-
-class _Diagonalizers(NamedTuple):
-    """The field-free part of :func:`diagonalizer_check` for one size: the
-    matrices the dressed diagonalizers are made of, read-only, and the
-    Fourier, bridge and pattern results."""
-
-    d: np.ndarray              # diag(omega^i)
-    om: np.ndarray             # the Fourier matrix and its inverse
-    om_inv: np.ndarray
-    d0: np.ndarray             # the inner diagonal and its inverse
-    d0_inv: np.ndarray
-    d0_inv_om_inv: np.ndarray  # d0^-1 om^-1 and d0 om, the first products of
-    d0_om: np.ndarray          # p0^-1 = d0^-1 om^-1 e^w and p_inf^-1 = d0 om e^-w
-    r_fourier: float
-    r_bridge: float
-    pattern_ok: bool
-
-
-@lru_cache(maxsize=256)
-def _diagonalizers(n1: int) -> _Diagonalizers:
-    """The field-free part of :func:`diagonalizer_check`, built once per
-    size."""
-    d = omega_diag(n1)
-    om = fourier_matrix(n1)
-    om_inv = np.conj(om) / n1
-    r_fourier = max_abs(shift_matrix(n1) - om @ d @ om_inv)
-
-    # the inner diagonal diag(omega^(i e)), e = 1/2 at even size and m + 1 at
-    # odd size, takes the Stokes recursion's shift to omega^-e times the plain one
-    e = 0.5 if n1 % 2 == 0 else n1 // 2 + 1
-    d0 = np.diag([omega_pow(n1, i * e) for i in range(n1)])
-    d0_inv = np.conj(d0)
-    bridge = d0 @ cyclic_for(n1).astype(complex) @ d0_inv
-    r_bridge = max_abs(bridge - omega_pow(n1, -e) * shift_matrix(n1))
-
-    # the head direction's pattern: the diagonal and its supported roots
-    pat = np.eye(n1, dtype=bool)
-    pat[tuple(np.array(table_supported_roots(n1, "head")).T)] = True
-    probe = np.eye(n1) + pat.astype(complex)
-    conj_probe = d0_inv @ probe @ d0
-    pattern_ok = bool(np.array_equal(np.abs(conj_probe) > 1e-12,
-                                     np.abs(probe) > 1e-12))
-
-    mats = (d, om, om_inv, d0, d0_inv, d0_inv @ om_inv, d0 @ om)
-    for a in mats:
-        a.setflags(write=False)
-    return _Diagonalizers(*mats, r_fourier, r_bridge, pattern_ok)
+    r_w = np.max(np.abs(w - p0 @ tables.d @ p0_inv), axis=axes)
+    r_wt = np.max(np.abs(np.swapaxes(w, -1, -2) - p_inf @ tables.d @ p_inf_inv), axis=axes)
+    return _report(DiagonalizerReport, n1, np.full(lead, tables.r_fourier), r_w, r_wt,
+                   np.full(lead, tables.r_bridge), np.full(lead, tables.pattern_ok))
 
 
 @dataclass(frozen=True)
@@ -523,14 +510,14 @@ def omega_hat_symmetry_report(d: OmegaHatData, lambda_samples: int = 20,
     lead = d.c.shape[:-1]
     draws = _member_draws(seed, int(np.prod(lead)), lambda_samples, 2)
     return _omega_hat_symmetry_report(d, draws.reshape(lead + draws.shape[1:]),
-                                      _bands(d.n_plus_1))
+                                      _tables(d.n_plus_1))
 
 
 def _omega_hat_symmetry_report(d: OmegaHatData, draws: np.ndarray,
-                               tables: _Bands) -> OmegaHatSymmetryReport:
+                               tables: _Tables) -> OmegaHatSymmetryReport:
     """:func:`omega_hat_symmetry_report` over each member's uniforms,
     ``draws`` of shape (..., samples, 2), a row's (r, t) making lambda.
-    ``tables`` is :func:`_bands` of the size."""
+    ``tables`` is :func:`_tables` of the size."""
     n1 = d.n_plus_1
     lead = d.c.shape[:-1]
     samples = draws.shape[-2]

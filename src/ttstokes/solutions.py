@@ -260,7 +260,8 @@ def random_polytope_gamma(n_plus_1: int, rng: np.random.Generator,
     else:
         rho[..., m + 1:] = u
         rho[..., :m] = -u[..., ::-1]
-    return alcove_to_gamma(AlcovePoint(n_plus_1, rho))
+    # alcove_to_gamma's arithmetic, so that anti-symmetry is checked once
+    return GammaVector(n_plus_1, n_plus_1 * rho - shift_vector(n_plus_1))
 
 
 def s_formulas(n_plus_1: int, g: GammaVector) -> tuple[float, float]:

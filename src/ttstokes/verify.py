@@ -21,11 +21,12 @@ import numpy as np
 from .connections import (
     OmegaHatData,
     TodaField,
-    _bands,
+    _diagonalizer_check,
     _member_draws,
     _omega_hat_symmetry_report,
     _symmetry_report,
-    diagonalizer_check,
+    _Tables,
+    _tables,
     toda_rhs,
 )
 from .linalg import _in_chunks, char_poly, max_abs, nan_max, rel_residuals
@@ -66,11 +67,15 @@ class SuiteResult:
 @dataclass(frozen=True)
 class SizeTables:
     """What one size's suites share, each built on its first read: the
-    size's Stokes layout, and its calibration or the error that
-    :meth:`calibrated` raises, kept so that each calibrated cell gets its
-    note."""
+    size's Stokes layout, its connection tables, and its calibration or the
+    error that :meth:`calibrated` raises, kept so that each calibrated cell
+    gets its note.  The run drops them when it moves to the next size."""
 
     n_plus_1: int
+
+    @cached_property
+    def connections(self) -> _Tables:
+        return _tables(self.n_plus_1)
 
     @cached_property
     def layout(self) -> _Layout:
@@ -196,22 +201,21 @@ def _suite_solutions(size, samples, seed, tol):
     return SuiteResult("solutions", n_plus_1, checks, worst, worst < tol)
 
 
-def _connection_reports(f, d, seed):
+def _connection_reports(f, d, seed, tables):
     """``symmetry_report(f, 5, seed)`` and ``omega_hat_symmetry_report(d, 5,
-    seed)`` of a stack of trials, from one draw per trial: trial t's ten
-    lambda uniforms are the first of the fifteen its zeta samples take from
-    ``default_rng(seed + t)``."""
+    seed)`` of a stack of trials with the size's ``tables``, from one draw
+    per trial: trial t's ten lambda uniforms are the first of the fifteen
+    its zeta samples take from ``default_rng(seed + t)``."""
     trials = len(f.w)
     u = _member_draws(seed, trials, 5, 3)
-    tables = _bands(f.n_plus_1)
     lam_u = u.reshape(trials, 15)[:, :10].reshape(trials, 5, 2)
     return _symmetry_report(f, u, tables), _omega_hat_symmetry_report(d, lam_u, tables)
 
 
-def _connection_trials(n1, u, seed):
+def _connection_trials(n1, u, seed, tables):
     """Worst residual of the connections suite's trials whose uniforms are
-    the rows of ``u``, trial t's zeta and lambda samples drawn from
-    ``seed + t``; the values are taken in the per-trial loop's order."""
+    the rows of ``u``, with the size's ``tables``, trial t's zeta and lambda
+    samples drawn from ``seed + t``; values are taken in the per-trial order."""
     m = n1 // 2
     trials = len(u)
     # the field: (w_i, x w_x,i) pairs for i < m, mirrored with a sign, then x
@@ -227,8 +231,8 @@ def _connection_trials(n1, u, seed):
         x[:, n1 - m:] = x[:, m:0:-1]
     d = OmegaHatData(n1, c, k, u[:, -2] + 1j * u[:, -1])
 
-    rep, orep = _connection_reports(f, d, seed)
-    drep = diagonalizer_check(f)
+    rep, orep = _connection_reports(f, d, seed, tables)
+    drep = _diagonalizer_check(f, tables)
     # one column per check; [W^T, W] is diagonal by construction (see the
     # connections module docstring), so only its trace is checked
     res = np.stack([
@@ -244,7 +248,7 @@ def _connection_trials(n1, u, seed):
 def _suite_connections(size, samples, seed, tol):
     # each trial draws its field, then k and c, then z, a fixed number of
     # uniforms in all, so one draw with per-column bounds is the loop's stream
-    n_plus_1 = size.n_plus_1
+    n_plus_1, tables = size.n_plus_1, size.connections
     rng = np.random.default_rng([seed, n_plus_1, 4])
     trials = max(1, samples // 5)
     m = n_plus_1 // 2
@@ -255,7 +259,7 @@ def _suite_connections(size, samples, seed, tol):
     # dense tau samples with their two products, the diagonalizer's stacks),
     # counted here as 30 for a margin
     worst = _in_chunks(trials, 30 * n_plus_1 ** 2,
-                       lambda a, b: _connection_trials(n_plus_1, u[a:b], seed + a))
+                       lambda a, b: _connection_trials(n_plus_1, u[a:b], seed + a, tables))
     return SuiteResult("connections", n_plus_1, 13 * trials, worst, worst < tol)
 
 

@@ -21,10 +21,9 @@ from ttstokes.connections import (
     SymmetryReport,
     TodaField,
     _alpha_hat_bands,
-    _bands,
-    _diagonalizers,
     _gather,
     _omega_hat_bands,
+    _tables,
     _tau_residuals,
     build_W,
     diagonalizer_check,
@@ -295,7 +294,7 @@ def dense_diagonalizer_residuals(f):
     """w_residual and wt_residual as diagonalizer_check once computed them,
     through dense stacks diag(e^{+-w}) and matmuls: the oracle of its row
     and column scaling."""
-    size = _diagonalizers(f.n_plus_1)
+    size = _tables(f.n_plus_1)
     i = np.arange(f.n_plus_1)
     ew = np.zeros(f.w.shape + f.w.shape[-1:])
     ewi = np.zeros_like(ew)
@@ -680,7 +679,7 @@ def test_the_band_stacks_scatter_to_the_dense_stacks(n1):
 @pytest.mark.parametrize("n1", [3, 4, 7, 12, 25, 64])
 def test_the_band_gathers_equal_the_index_flips(n1):
     rng = np.random.default_rng(8600 + n1)
-    tables = _bands(n1)
+    tables = _tables(n1)
     bands = rng.normal(size=(4, 3, 3, n1)) + 1j * rng.normal(size=(4, 3, 3, n1))
     for k in (2, 3):
         assert np.array_equal(_dense(-_gather(bands[..., :k, :], tables.transposed)),
@@ -695,7 +694,7 @@ def test_the_band_gathers_equal_the_index_flips(n1):
 @pytest.mark.parametrize("n1", [3, 4, 7, 12, 25, 64])
 def test_the_tau_residuals_equal_the_dense_ones(n1):
     rng = np.random.default_rng(8700 + n1)
-    tables = _bands(n1)
+    tables = _tables(n1)
     d = omega_diag(n1)
     for k in (2, 3):
         a, rhs = rng.normal(size=(2, 6, 2, k, n1)) + 1j * rng.normal(size=(2, 6, 2, k, n1))
@@ -710,9 +709,11 @@ def test_the_tau_residuals_equal_the_dense_ones(n1):
         assert np.isnan(got[1, 0]) and not np.isnan(got[0, 0])
 
 
-def test_the_band_tables_are_built_once_per_size_and_read_only():
-    assert _bands(9) is _bands(9)
-    for a in _bands(9):
+def test_the_tables_are_read_only():
+    # that a verify run builds them once per size is tested in test_verify
+    arrays = [a for a in _tables(9) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 11
+    for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1
 

@@ -9,9 +9,11 @@ failing trials; one calibration and one read-only set of tables per size for
 each run, shared by suites that stay independent."""
 
 import dataclasses
+import gc
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ttstokes import connections, linalg, roots, solutions, steinberg, stokes, v
 from ttstokes.connections import (
     OmegaHatData,
     TodaField,
+    _tables,
     build_W,
     diagonalizer_check,
     omega_hat_symmetry_report,
@@ -664,7 +667,7 @@ def test_the_connections_suite_memory_does_not_grow_with_the_sample_count():
 
 
 def test_the_connections_suite_makes_one_report_call_per_chunk(monkeypatch):
-    names = ("_symmetry_report", "diagonalizer_check", "_omega_hat_symmetry_report",
+    names = ("_symmetry_report", "_diagonalizer_check", "_omega_hat_symmetry_report",
              "toda_rhs")
     calls = []
     for name in names:
@@ -697,6 +700,40 @@ def test_the_connections_suite_makes_one_report_call_per_chunk(monkeypatch):
     assert draws == [(10, 1), (7, 1), (3, 8)]
     assert generators == list(range(1, 11)) * 2
     assert widths == [(10, 5, 3), (10, 5, 2), (7, 5, 3), (7, 5, 2), (3, 5, 3), (3, 5, 2)]
+
+
+def test_a_verify_run_builds_the_connection_tables_once_per_size(monkeypatch):
+    built, passed = [], []
+    real = verify._tables
+    monkeypatch.setattr(verify, "_tables", lambda n1: built.append(real(n1)) or built[-1])
+    for name in ("_symmetry_report", "_diagonalizer_check", "_omega_hat_symmetry_report"):
+        core = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda data, *a, _f=core:
+                            passed.append((data.n_plus_1, a[-1])) or _f(data, *a))
+    res = run_suites([6, 24], samples=50, seed=1, suites=["connections"])
+    assert all(r.passed for r in res)
+    assert [len(t.d) for t in built] == [6, 24]
+    # one chunk at n+1 = 6 and two at 24, each core reading its size's tables
+    assert len(passed) == 9
+    for n1, tables in passed:
+        assert tables is built[[6, 24].index(n1)]
+
+
+def test_no_connection_table_outlives_its_run(monkeypatch):
+    refs = []
+    real = verify._tables
+
+    def tables(n1):
+        out = real(n1)
+        refs.append(weakref.ref(out.d))
+        return out
+
+    monkeypatch.setattr(verify, "_tables", tables)
+    res = run_suites(range(3, 41), samples=10, seed=7, suites=["connections"])
+    assert all(r.passed for r in res)
+    gc.collect()
+    assert len(refs) == 38
+    assert all(r() is None for r in refs)
 
 
 def _assert_same_report(got, want):
@@ -732,7 +769,7 @@ def test_the_shared_draw_equals_the_two_reports_called_apart(n1):
         z = rng.uniform(0.5, 2, trials) + 1j * rng.uniform(-1, 1, trials)
         d = OmegaHatData(n1, c, k, z)
         seed = int(rng.integers(1000))
-        rep, orep = verify._connection_reports(f, d, seed)
+        rep, orep = verify._connection_reports(f, d, seed, _tables(n1))
         _assert_same_report(rep, symmetry_report(f, 5, seed))
         _assert_same_report(orep, omega_hat_symmetry_report(d, 5, seed))
 
