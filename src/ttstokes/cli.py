@@ -16,6 +16,7 @@ or a reader that closed standard output early, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -68,6 +69,9 @@ def _fnum(x: float) -> str:
     return "0" if s == "-0" else s
 
 
+_PLAIN = frozenset((float, str, int, dict, list))
+
+
 def _dumps(obj) -> str:
     """JSON with sorted keys and %.12g floats (hence byte-stable).
 
@@ -75,28 +79,42 @@ def _dumps(obj) -> str:
     arrays through ``tolist()``, dict keys through ``str()``, and any other
     object as its ``str()``.
     """
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if type(obj) not in _PLAIN:
+        # the exact built-in types, nearly every value written, skip this;
+        # anything else becomes one of them (bool first: it subclasses int)
+        if obj is None:
+            return "null"
+        if isinstance(obj, (bool, np.bool_)):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            obj = int(obj)
+        elif isinstance(obj, (float, np.floating)):
+            obj = float(obj)
+        elif isinstance(obj, (complex, np.complexfloating)):
+            obj = [obj.real, obj.imag]
+        elif isinstance(obj, np.ndarray):
+            obj = obj.tolist()
+        elif isinstance(obj, dict):
+            obj = dict(obj)
+        elif isinstance(obj, (list, tuple)):
+            obj = list(obj)
+        else:
+            obj = str(obj)
+    kind = type(obj)
+    if kind is float:
         v = _fnum(obj)
         if v in ("inf", "-inf", "nan"):  # JSON has no literals for these
             return f'"{v}"'
         return v
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _dumps([obj.real, obj.imag])
-    if isinstance(obj, np.ndarray):
-        return _dumps(obj.tolist())
-    if isinstance(obj, dict):
+    if kind is str:
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{out}"'
+    if kind is int:
+        return str(obj)
+    if kind is dict:
         items = sorted({str(k): v for k, v in obj.items()}.items())
         return "{" + ",".join(f"{_dumps(k)}:{_dumps(v)}" for k, v in items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dumps(v) for v in obj) + "]"
-    out = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{out}"'
+    return "[" + ",".join(_dumps(v) for v in obj) + "]"
 
 
 def _envelope(command: str, n_plus_1, payload, residuals) -> dict:
@@ -469,6 +487,7 @@ def _cmd_verify(ns):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parsing leaves the tree as it was, so one per process serves
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttstokes",
@@ -507,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "starting with a minus need --gamma=-1,...")
         grp.add_argument("--gamma-free",
                          help="comma-separated independent half "
-                              "(gamma_0..gamma_{m-1})")
+                              "(gamma_0..gamma_{m-1}); values starting "
+                              "with a minus need --gamma-free=-0.5,...")
         if name == "alcove":
             grp.add_argument("--rho", help="comma-separated alcove point, "
                                            "converted back to gamma")

@@ -126,12 +126,14 @@ def _check_keys(n_plus_1: int, which: str, coeffs: dict[Root, complex]) -> None:
 @dataclass
 class MonodromyMatrix:
     """Fundamental monodromy together with its size tag, and the Stokes
-    factors (q1, q2) it is the product of, when it was built from them."""
+    factors (q1, q2) it is the product of and its determinant, when it was
+    built from them."""
 
     n_plus_1: int
     matrix: np.ndarray
     factors: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
+    det: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def build_q(n_plus_1: int, which: str, coeffs: dict[Root, complex]) -> np.ndarray:
@@ -165,12 +167,20 @@ def build_m0(params: StokesParams) -> MonodromyMatrix:
     trouble and raises NumericalError. Coefficient stacks (see
     :func:`build_q`) give the stack (S, n+1, n+1), and the first member with
     a determinant away from 1 raises. The result carries q1 and q2 as its
-    ``factors``.
+    ``factors`` and the determinant it was checked by as its ``det``.
+
+    Right multiplication by P moves column a of q1 q2 to column a + 1 and
+    the last column to column 0, negated at even n+1 (the corner of
+    :func:`~ttstokes.linalg.cyclic_for`): a gather, equal to the dense
+    product up to the sign of zero entries.
     """
     n1 = params.n_plus_1
     q1 = build_q(n1, "head", params.head_coeffs)
     q2 = build_q(n1, "second", params.second_coeffs)
-    M = q1 @ q2 @ cyclic_for(n1).astype(complex)
+    q12 = q1 @ q2
+    M = np.empty_like(q12)
+    M[..., 1:] = q12[..., :-1]
+    M[..., 0] = -q12[..., -1] if n1 % 2 == 0 else q12[..., -1]
     det = np.linalg.det(M)
     # written so that a NaN determinant fails too
     bound = DEFAULT_TOL.bound(np.fmax(1.0, np.abs(det)))
@@ -179,7 +189,7 @@ def build_m0(params: StokesParams) -> MonodromyMatrix:
         k = failed[0]
         raise NumericalError(f"monodromy determinant {np.atleast_1d(det)[k]}"
                              f"{_member(M.ndim > 2, k)} is not 1")
-    return MonodromyMatrix(n1, M, (q1, q2))
+    return MonodromyMatrix(n1, M, (q1, q2), det)
 
 
 def _shift_action(n_plus_1: int) -> tuple[np.ndarray, np.ndarray]:

@@ -125,7 +125,7 @@ def _stokes_trials(layout, z):
     m0 = build_m0(p)
     # the modulus of each scalar: numpy's array modulus of a complex can
     # differ from the scalar one in the last bit
-    worst = nan_max(0.0, *(abs(d - 1.0) for d in np.linalg.det(m0.matrix)))
+    worst = nan_max(0.0, *(abs(d - 1.0) for d in m0.det))
     fam = _q_family(layout, *m0.factors, (0, 1, n1, n1 + 1))
     # every factor is I + N with N^2 = 0: its inverse is 2I - q
     for ell in (0, 1):

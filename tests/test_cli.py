@@ -335,6 +335,20 @@ def test_gamma_free_expansion(capsys):
                                [1, 0.5, 0, -0.5, -1], atol=1e-12)
 
 
+def test_a_negative_gamma_free_needs_the_equals_form(capsys):
+    code, out, _ = run_cli(capsys, "from-gamma", "--n", "4", "--gamma-free=-0.5,0.25",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["payload"]["gamma"] == [-0.5, 0.25, -0.25, 0.5]
+    with pytest.raises(SystemExit) as exc:
+        main(["from-gamma", "--n", "4", "--gamma-free", "-0.5,0.25"])
+    assert exc.value.code == 2
+    assert "--gamma-free: expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["from-gamma", "--help"])
+    assert "need --gamma-free=-0.5,..." in " ".join(capsys.readouterr().out.split())
+
+
 def test_from_gamma_expands_its_polynomial_once(capsys, monkeypatch):
     from ttstokes import solutions
     calls = []
@@ -508,6 +522,30 @@ def test_dumps_literal_text():
         '{"2":0.1,"a":[[1,-2],[0,0.25]],"b":[-3,true,0.5,0],'
         '"c":[[1,"inf"],["-inf","nan"]],"d":{"(1, 2)":null,"10":"x\\"y"},'
         '"e":"<class \'numpy.int32\'>"}')
+
+
+def _outcome(capsys, argv):
+    """Exit code and standard output of one in-process call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_the_shared_parser_carries_nothing_between_calls(capsys):
+    # one parser serves every call of a process: each call must give what
+    # it gives in the reverse order of calls
+    calls = [["verify", "--n", "4", "--bogus"],
+             ["verify", "--n", "4", "--format", "json"],
+             ["roots", "--n", "5", "--format", "json"],
+             ["verify", "--n", "4", "--format", "json"]]
+    forward = [_outcome(capsys, argv) for argv in calls]
+    backward = [_outcome(capsys, argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _ in forward] == [2, 0, 0, 0]
+    assert forward[1] == forward[3] and forward[1][1]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_verify_single_suite(capsys):

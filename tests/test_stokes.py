@@ -582,6 +582,32 @@ def test_build_m0_rejects_non_finite_coefficients(bad):
         build_m0(params_4(0.6, bad))
 
 
+@pytest.mark.parametrize("n1", range(3, 17))
+def test_build_m0_equals_the_dense_product_and_carries_its_determinant(n1):
+    # the shift product is a gather: exactly the dense q1 q2 P, one member
+    # or a stack, and the determinant it was checked by is the matrix's own
+    rng = np.random.default_rng(9000 + n1)
+    P = cyclic_for(n1).astype(complex)
+    for samples in (None, 6):
+        p = (random_stokes_params(n1, rng) if samples is None
+             else _stacked_params(n1, rng, samples=samples))
+        m0 = build_m0(p)
+        q1, q2 = m0.factors
+        assert m0.matrix.shape == q1.shape
+        assert np.array_equal(m0.matrix, q1 @ q2 @ P)
+        assert np.array_equal(m0.det, np.linalg.det(m0.matrix))
+    for bad in (np.nan, np.inf):
+        p = _stacked_params(n1, rng, samples=3)
+        p.second_coeffs[next(iter(p.second_coeffs))][1] = bad
+        with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                      match="of member 1 is not 1"):
+            build_m0(p)
+        one = random_stokes_params(n1, rng)
+        one.head_coeffs[next(iter(one.head_coeffs))] = bad
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="determinant"):
+            build_m0(one)
+
+
 def test_stacked_family_calls_no_q_pattern_and_no_inverse(monkeypatch):
     calls = {"q_pattern": 0, "inv": []}
     inv = np.linalg.inv
